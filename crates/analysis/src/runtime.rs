@@ -3,8 +3,8 @@
 use serde::{Deserialize, Serialize};
 
 use dsp_sim::{
-    simulate_with_partition, CpuModel, DispatchMode, ProtocolKind, SetWidth, SimConfig, SimReport,
-    TargetSystem, TopologySpec, ToxicSpec, TracePartition, TrainingMode,
+    simulate_with_partition, CpuModel, ProtocolKind, SimConfig, SimReport, TargetSystem,
+    TopologySpec, ToxicSpec, TracePartition, TrainingMode,
 };
 use dsp_trace::WorkloadSpec;
 use dsp_types::SystemConfig;
@@ -56,8 +56,6 @@ pub struct RuntimeEvaluator {
     seed: u64,
     runs: usize,
     training: TrainingMode,
-    width: SetWidth,
-    dispatch: DispatchMode,
     toxics: ToxicSpec,
     topology: TopologySpec,
 }
@@ -75,8 +73,6 @@ impl RuntimeEvaluator {
             seed: 1,
             runs: 1,
             training: TrainingMode::default(),
-            width: SetWidth::default(),
-            dispatch: DispatchMode::default(),
             toxics: ToxicSpec::none(),
             topology: TopologySpec::Crossbar,
         }
@@ -128,25 +124,6 @@ impl RuntimeEvaluator {
     #[must_use]
     pub fn training(mut self, training: TrainingMode) -> Self {
         self.training = training;
-        self
-    }
-
-    /// Selects the destination-set word width (auto by default: one
-    /// word up to 64 nodes, four beyond). Points are byte-identical
-    /// across widths; the knob exists so the golden suite and CI can
-    /// pin that.
-    #[must_use]
-    pub fn width(mut self, width: SetWidth) -> Self {
-        self.width = width;
-        self
-    }
-
-    /// Selects the event dispatch mode (batched by default; per-event
-    /// is the reference loop — observationally identical, pinned by the
-    /// equivalence suites).
-    #[must_use]
-    pub fn dispatch(mut self, dispatch: DispatchMode) -> Self {
-        self.dispatch = dispatch;
         self
     }
 
@@ -204,8 +181,6 @@ impl RuntimeEvaluator {
                 .misses(self.warmup, self.measured)
                 .seed(self.seed + r as u64 * 7919)
                 .training(self.training)
-                .width(self.width)
-                .dispatch(self.dispatch)
                 .toxics(self.toxics.clone())
                 .topology(self.topology);
             let rep =
@@ -358,26 +333,6 @@ mod tests {
             lazy, eager,
             "training mode must be observationally invisible"
         );
-    }
-
-    #[test]
-    fn widths_and_dispatch_modes_produce_identical_points() {
-        let protocol = ProtocolKind::Multicast(
-            PredictorConfig::owner_group().indexing(Indexing::Macroblock { bytes: 1024 }),
-        );
-        let spec = spec(Workload::Oltp);
-        let reference = eval().width(SetWidth::Wide).run(&spec, &[protocol]);
-        for (width, dispatch) in [
-            (SetWidth::Narrow, DispatchMode::Batched),
-            (SetWidth::Narrow, DispatchMode::PerEvent),
-            (SetWidth::Wide, DispatchMode::PerEvent),
-        ] {
-            let got = eval()
-                .width(width)
-                .dispatch(dispatch)
-                .run(&spec, &[protocol]);
-            assert_eq!(got, reference, "{width:?}/{dispatch:?} must be invisible");
-        }
     }
 
     #[test]

@@ -82,8 +82,8 @@ fn bench_crossbar(c: &mut Criterion) {
 }
 
 /// Steady-state miss-classification throughput of the open-addressing
-/// tracker vs the seed HashMap-backed reference, on the same warmed
-/// OLTP access stream `repro hotpath-bench` uses.
+/// tracker vs the seed HashMap-backed reference, on a warmed OLTP
+/// access stream.
 fn bench_tracker(c: &mut Criterion) {
     use dsp_bench::experiments::SEED;
     use dsp_coherence::{CoherenceTracker, ReferenceTracker};

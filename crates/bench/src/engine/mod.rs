@@ -74,8 +74,7 @@ use dsp_analysis::{
 };
 use dsp_core::PredictorConfig;
 use dsp_sim::{
-    CpuModel, DispatchMode, ProtocolKind, SetWidth, TargetSystem, TopologySpec, ToxicSpec,
-    TracePartition, TrainingMode,
+    CpuModel, ProtocolKind, TargetSystem, TopologySpec, ToxicSpec, TracePartition, TrainingMode,
 };
 use dsp_trace::{TraceRecord, Workload, WorkloadSpec};
 use dsp_types::SystemConfig;
@@ -299,15 +298,6 @@ pub struct ExperimentPlan {
     /// (lazy by default; the eager seed path is selectable so the
     /// golden suite can diff both modes through whole experiments).
     pub training: TrainingMode,
-    /// Destination-set word width for the plan's timing simulations
-    /// (auto by default: one word up to 64 nodes, four beyond; the
-    /// explicit widths let the golden suite pin both monomorphizations
-    /// to identical output).
-    pub width: SetWidth,
-    /// Event-dispatch mode for the plan's timing simulations (batched
-    /// by default; per-event is selectable so the golden suite can
-    /// diff both loops through whole experiments).
-    pub dispatch: DispatchMode,
     /// Fault-injection chain for the plan's timing simulations (empty
     /// by default; [`Cell::Runtime`] cells may override per cell). The
     /// empty chain on the crossbar topology is byte-identical to the
@@ -329,8 +319,6 @@ impl std::fmt::Debug for ExperimentPlan {
             .field("scale", &self.scale)
             .field("seed", &self.seed)
             .field("training", &self.training)
-            .field("width", &self.width)
-            .field("dispatch", &self.dispatch)
             .field("toxics", &self.toxics)
             .field("topology", &self.topology)
             .field("cells", &self.cells.len())
@@ -347,8 +335,6 @@ impl ExperimentPlan {
             scale: *scale,
             seed: crate::experiments::SEED,
             training: TrainingMode::default(),
-            width: SetWidth::default(),
-            dispatch: DispatchMode::default(),
             toxics: ToxicSpec::none(),
             topology: TopologySpec::Crossbar,
             cells: Vec::new(),
@@ -362,24 +348,6 @@ impl ExperimentPlan {
     #[must_use]
     pub fn training(mut self, training: TrainingMode) -> Self {
         self.training = training;
-        self
-    }
-
-    /// Selects the destination-set word width for the plan's timing
-    /// simulations. Output must not change — `golden_outputs.rs` pins
-    /// experiment goldens under both explicit widths.
-    #[must_use]
-    pub fn width(mut self, width: SetWidth) -> Self {
-        self.width = width;
-        self
-    }
-
-    /// Selects the event-dispatch mode for the plan's timing
-    /// simulations. Output must not change — `golden_outputs.rs` pins
-    /// experiment goldens under both modes.
-    #[must_use]
-    pub fn dispatch(mut self, dispatch: DispatchMode) -> Self {
-        self.dispatch = dispatch;
         self
     }
 
@@ -650,8 +618,6 @@ pub(crate) fn execute_cell(
                 .runs(scale.sim_runs)
                 .seed(plan.seed)
                 .training(plan.training)
-                .width(plan.width)
-                .dispatch(plan.dispatch)
                 .toxics(toxics.clone().unwrap_or_else(|| plan.toxics.clone()))
                 .topology(topology.unwrap_or(plan.topology));
             if let Some(target) = target {

@@ -18,9 +18,7 @@
 //! 1. the batch path (`SweepRunner`, a single-shard in-memory session),
 //!    under both the lazy (default) and eager training-delivery modes,
 //!    with an explicitly-empty toxic chain on the explicit crossbar
-//!    topology (the fault-injection layer's identity gate), and — for
-//!    timing-sim plans — under per-event dispatch and the explicit
-//!    wide `DestSet<4>` monomorphization as well;
+//!    topology (the fault-injection layer's identity gate);
 //! 2. a 2-shard run — two sessions journaling to JSONL, then
 //!    `merge_journals`;
 //! 3. a crash-then-resume run — a full journal truncated mid-file, a
@@ -39,7 +37,7 @@ use std::path::PathBuf;
 
 use dsp_bench::engine::{merge_journals, Cell, ShardSpec, SweepRunner, SweepSession};
 use dsp_bench::{experiments, Scale};
-use dsp_sim::{DispatchMode, SetWidth, TopologySpec, ToxicSpec, TrainingMode};
+use dsp_sim::{TopologySpec, ToxicSpec, TrainingMode};
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dsp-golden-{}-{name}", std::process::id()));
@@ -93,29 +91,6 @@ fn check(name: &str, golden: &str) {
             SweepRunner::new().run(&eager_plan).to_csv(),
             golden,
             "{name} batch output (eager training) diverged from the pre-refactor golden"
-        );
-
-        // Batched dispatch and the compile-time set width are pure
-        // performance representations: the per-event loop and the
-        // explicit wide (`DestSet<4>`) monomorphization must both
-        // render byte-identical tables. (The defaults — batched
-        // dispatch, auto width, i.e. `DestSet<1>` at these 16-node
-        // configs — are what run 1 above already pinned.)
-        let per_event_plan = experiments::plan_for(name, &scale)
-            .expect("known experiment")
-            .dispatch(DispatchMode::PerEvent);
-        assert_eq!(
-            SweepRunner::new().run(&per_event_plan).to_csv(),
-            golden,
-            "{name} batch output (per-event dispatch) diverged from the pre-refactor golden"
-        );
-        let wide_plan = experiments::plan_for(name, &scale)
-            .expect("known experiment")
-            .width(SetWidth::Wide);
-        assert_eq!(
-            SweepRunner::new().run(&wide_plan).to_csv(),
-            golden,
-            "{name} batch output (wide DestSet) diverged from the pre-refactor golden"
         );
     }
 

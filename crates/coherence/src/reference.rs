@@ -9,9 +9,8 @@
 //! * the property tests, which assert the fast open-addressing tracker
 //!   is observationally equivalent to this model across arbitrary
 //!   access/evict sequences, and
-//! * the `repro hotpath-bench` driver and the Criterion benches, which
-//!   record the fast tracker's speedup over this baseline in
-//!   `BENCH_hotpath.json`.
+//! * the `tracker_access` Criterion bench (`benches/protocols.rs` in
+//!   `dsp-bench`), which times the fast tracker against this baseline.
 //!
 //! Protocol semantics (the `reconcile` function) are shared with the
 //! fast tracker, so the two can only diverge in state storage — which

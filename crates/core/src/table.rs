@@ -357,8 +357,8 @@ impl<E: Clone + Default> PredictorTable<E> {
 /// unbounded case and per-set `Vec<Way>` lists for the finite one.
 ///
 /// Kept as the reference oracle for equivalence property tests and as
-/// the baseline the `predictor-table` hot-path benchmark measures
-/// against — the same pattern as `dsp_coherence::ReferenceTracker` and
+/// the baseline the `predictor_table` Criterion bench measures against
+/// — the same pattern as `dsp_coherence::ReferenceTracker` and
 /// `dsp_interconnect::ReferenceCrossbar`.
 #[derive(Clone, Debug)]
 pub struct ReferencePredictorTable<E> {

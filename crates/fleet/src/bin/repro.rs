@@ -14,7 +14,7 @@
 //!
 //! experiments: table2 fig2 fig3 fig4 fig5 fig6a fig6b fig6c fig7 fig8
 //!              ablations extensions scaling claims bandwidth degraded
-//!              verify sweep-bench hotpath-bench all
+//!              verify sweep-bench all
 //! ```
 //!
 //! Each experiment prints an aligned text table and writes a CSV with
@@ -32,11 +32,9 @@
 //! the table, byte-identical to an unsharded run.
 //!
 //! `sweep-bench` times the sweep engine serial vs parallel vs 2-process
-//! sharded and writes `BENCH_sweep.json` to the output directory;
-//! `hotpath-bench` times the per-miss hot paths (end-to-end timing
-//! simulation first, then lazy-vs-eager predictor training at
-//! 16/64/256 nodes, tracker, crossbar, event queue, and predictor
-//! table) and writes `BENCH_hotpath.json` alongside it.
+//! sharded and writes `BENCH_sweep.json` to the output directory. The
+//! repository's benchmark proper — fig7 misses/s and per-layer time at
+//! standard scale — lives in `perfbench/` (see its README).
 //!
 //! `degraded` is the fault-injection sweep: predictor policies ×
 //! toxic severity on the paper's 16-node crossbar and a 64-node 2D
@@ -96,7 +94,7 @@ fn usage() -> ExitCode {
          [--token T]\n\
          \x20      repro fleet-status --connect HOST:PORT [--start I] [--limit N]\n\
          \x20      repro fleet-bench [--scale ...] [--out DIR]\n\
-         experiments: {} sweep-bench hotpath-bench all",
+         experiments: {} sweep-bench all",
         experiments::ALL_EXPERIMENTS.join(" ")
     );
     ExitCode::FAILURE
@@ -265,530 +263,6 @@ fn sweep_bench(scale: &Scale, scale_name: &str, threads: Option<usize>) -> Resul
         cells as f64 / parallel_s.max(1e-9),
         single_s / two_process_s.max(1e-9),
     ))
-}
-
-/// Runs `routine` repeatedly until `budget_s` seconds elapse (at least
-/// once), returning the best per-run wall time and the last result.
-fn best_time<T>(budget_s: f64, mut routine: impl FnMut() -> T) -> (f64, T) {
-    let started = Instant::now();
-    let mut best = f64::INFINITY;
-    let mut out;
-    loop {
-        let t0 = Instant::now();
-        out = routine();
-        best = best.min(t0.elapsed().as_secs_f64());
-        if started.elapsed().as_secs_f64() > budget_s {
-            return (best, out);
-        }
-    }
-}
-
-/// Times the per-miss hot paths — the coherence tracker, the crossbar
-/// send path, the event queue, the predictor table, and the
-/// fig7/fig8-style timing simulation end to end — and returns the
-/// `BENCH_hotpath.json` payload.
-///
-/// The tracker microloop runs the same OLTP access sequence through the
-/// open-addressing [`dsp_coherence::CoherenceTracker`] and through
-/// [`dsp_coherence::ReferenceTracker`] (the seed `HashMap`
-/// implementation), asserting identical statistics — so the recorded
-/// speedup is over a semantically-verified baseline from the same run.
-/// The crossbar microloop compares the allocation-free `send_into`
-/// against [`dsp_interconnect::ReferenceCrossbar`], the in-tree copy of
-/// the seed implementation (per-send float `ceil`, heap-allocated
-/// arrival `Vec` per delivery), cross-checked for identical timings in
-/// the same run. The queue microloop replays a steady-state hold-N
-/// schedule (trace-derived deltas, far-future tail) through
-/// [`dsp_sim::WheelQueue`] and the seed [`dsp_sim::ReferenceQueue`]
-/// heap, pinning identical pop order in-run; the predictor-table
-/// microloop replays the policy layer's lookup/train mix through
-/// [`dsp_core::PredictorTable`] (flat set arrays + open addressing) and
-/// the seed [`dsp_core::ReferencePredictorTable`] (`Vec<Vec>` +
-/// `HashMap`), asserting identical [`dsp_core::TableStats`].
-fn hotpath_bench(scale: &Scale) -> String {
-    use dsp_coherence::{CoherenceTracker, ReferenceTracker};
-    use dsp_core::{Capacity, Indexing, PredictorConfig, PredictorTable, ReferencePredictorTable};
-    use dsp_interconnect::{Crossbar, InterconnectConfig, Message, ReferenceCrossbar};
-    use dsp_sim::{
-        simulate_with_partition, simulate_with_queue_stats, DispatchMode, Event, ProtocolKind,
-        QueueCounters, ReferenceQueue, SimConfig, System, TargetSystem, TracePartition,
-        TrainingMode, WheelQueue,
-    };
-    use dsp_trace::{TraceRecord, Workload, WorkloadSpec};
-    use dsp_types::{DestSet, MessageClass, SystemConfig};
-
-    let sys = SystemConfig::isca03();
-    let spec = WorkloadSpec::preset(Workload::Oltp, &sys).scaled(scale.footprint);
-    let n_accesses = scale.trace_warmup + scale.trace_measured;
-    let budget = 0.5;
-
-    // --- End-to-end fig7/fig8-style timing simulation ----------------
-    // Measured *before* the microloops below, on the fresh-process
-    // heap a production sweep process sees. The microloops free
-    // multi-hundred-kilobyte scratch buffers, which lifts glibc's
-    // dynamic mmap threshold and shifts every later short-run `System`
-    // construction from fresh zero pages to dirty recycled chunks —
-    // an allocator-regime artifact worth ~20 % on this row that no
-    // sweep process pays (measured while landing the lazy-training
-    // change; see EXPERIMENTS.md "Profiling & hot-path methodology").
-    let protocols = [
-        ("snooping", ProtocolKind::Snooping),
-        (
-            "multicast-owner-group",
-            ProtocolKind::Multicast(
-                PredictorConfig::owner_group().indexing(Indexing::Macroblock { bytes: 1024 }),
-            ),
-        ),
-    ];
-    // The per-run trace partition is hoisted out of the timed loop:
-    // it depends only on (spec, seed, nodes, quota), so the sweep
-    // engine builds it once per workload and every repeated cell
-    // shares it — the benchmark measures what production runs pay.
-    let sim_partition = TracePartition::build(
-        &spec,
-        experiments::SEED,
-        sys.num_nodes(),
-        scale.sim_warmup + scale.sim_measured,
-    );
-    let mut sim_misses = 0u64;
-    let mut sim_wall = 0f64;
-    // Queue occupancy over one run of each protocol (deterministic, so
-    // the last timed repetition is representative): the queue-pressure
-    // trend line — lazy training shrank pushes from O(misses × dests)
-    // to O(misses).
-    let mut sim_queue = QueueCounters::default();
-    for (_, protocol) in &protocols {
-        // The end-to-end number is the PR-over-PR trend line, so it
-        // gets a larger best-of budget than the microloops to damp
-        // noisy-neighbor variance on shared CI machines.
-        let (wall, (misses, counters)) = best_time(budget * 2.0, || {
-            let sim = SimConfig::new(*protocol)
-                .misses(scale.sim_warmup, scale.sim_measured)
-                .seed(experiments::SEED);
-            let (report, counters) = simulate_with_queue_stats(
-                &sys,
-                TargetSystem::isca03_default(),
-                &spec,
-                sim,
-                sim_partition.clone(),
-            );
-            counters.assert_reconciled();
-            (report.measured_misses, counters)
-        });
-        sim_misses += misses;
-        sim_wall += wall;
-        sim_queue.merge(&counters);
-    }
-    let sim_mps = sim_misses as f64 / sim_wall.max(1e-9);
-
-    // --- Event dispatch: batched slot drains vs the per-event loop ---
-    // One multicast run under both dispatch modes on the shared
-    // partition. Equivalence is asserted in-run at the strongest
-    // observable granularity — the full (time, seq, kind) dispatch
-    // order plus the reports — then both loops are timed and reported
-    // as dispatched events per second.
-    let dispatch_sim = |mode: DispatchMode| {
-        SimConfig::new(protocols[1].1)
-            .misses(scale.sim_warmup, scale.sim_measured)
-            .seed(experiments::SEED)
-            .dispatch(mode)
-    };
-    let dispatch_run = |mode: DispatchMode| {
-        System::<1>::with_partition(
-            &sys,
-            TargetSystem::isca03_default(),
-            &spec,
-            dispatch_sim(mode),
-            sim_partition.clone(),
-        )
-    };
-    let (batched_report, batched_log) = dispatch_run(DispatchMode::Batched).run_with_dispatch_log();
-    let (per_event_report, per_event_log) =
-        dispatch_run(DispatchMode::PerEvent).run_with_dispatch_log();
-    assert_eq!(
-        batched_log, per_event_log,
-        "batched dispatch reordered the (time, seq) event stream"
-    );
-    assert_eq!(
-        batched_report, per_event_report,
-        "batched dispatch changed the simulation report"
-    );
-    let dispatch_events = batched_log.len() as u64;
-    let (batched_s, _) = best_time(budget, || {
-        dispatch_run(DispatchMode::Batched).run().measured_misses
-    });
-    let (per_event_s, _) = best_time(budget, || {
-        dispatch_run(DispatchMode::PerEvent).run().measured_misses
-    });
-    let batched_eps = dispatch_events as f64 / batched_s.max(1e-9);
-    let per_event_eps = dispatch_events as f64 / per_event_s.max(1e-9);
-    let dispatch_speedup = batched_eps / per_event_eps.max(1e-9);
-
-    // --- Training delivery: lazy inboxes vs the eager reference ------
-    // One multicast run per node count under both training modes, on
-    // one shared partition: reports are cross-checked for equality
-    // in-run (the lazy path must be observationally invisible), then
-    // both modes are timed. The eager path queues one wheel event per
-    // request destination, so its cost grows with the fan-out — the
-    // relative win widens with the node count. The policy is the
-    // paper's latency-conscious Broadcast-if-Shared (Table 3): shared
-    // data multicasts near-broadcast sets, which is exactly the
-    // fan-out regime the lazy inboxes remove from the wheel.
-    let train_protocol = ProtocolKind::Multicast(
-        PredictorConfig::broadcast_if_shared().indexing(Indexing::Macroblock { bytes: 1024 }),
-    );
-    let (train_warmup, train_measured) = (50usize, 200usize);
-    let mut train_rows = Vec::new();
-    for nodes in [16usize, 64, 256] {
-        let config = SystemConfig::builder()
-            .num_nodes(nodes)
-            .build()
-            .expect("valid node count");
-        let train_spec = WorkloadSpec::preset(Workload::Oltp, &config).scaled(scale.footprint);
-        let partition = TracePartition::build(
-            &train_spec,
-            experiments::SEED,
-            nodes,
-            train_warmup + train_measured,
-        );
-        let run = |mode: TrainingMode| {
-            let sim = SimConfig::new(train_protocol)
-                .misses(train_warmup, train_measured)
-                .seed(experiments::SEED)
-                .training(mode);
-            simulate_with_partition(
-                &config,
-                TargetSystem::isca03_default(),
-                &train_spec,
-                sim,
-                partition.clone(),
-            )
-        };
-        let eager_report = run(TrainingMode::Eager);
-        let lazy_report = run(TrainingMode::Lazy);
-        assert_eq!(
-            eager_report, lazy_report,
-            "lazy training diverged from the eager reference at {nodes} nodes"
-        );
-        let misses = (eager_report.measured_misses + lazy_report.measured_misses) / 2;
-        let (eager_s, _) = best_time(budget, || run(TrainingMode::Eager).measured_misses);
-        let (lazy_s, _) = best_time(budget, || run(TrainingMode::Lazy).measured_misses);
-        let eager_mps = misses as f64 / eager_s.max(1e-9);
-        let lazy_mps = misses as f64 / lazy_s.max(1e-9);
-        train_rows.push((nodes, eager_mps, lazy_mps, lazy_mps / eager_mps.max(1e-9)));
-    }
-
-    let accesses: Vec<TraceRecord> = spec.generator(experiments::SEED).take(n_accesses).collect();
-
-    // --- Tracker microloop: fast table vs the seed HashMap tracker ---
-    // Equivalence first: one pass over the trace on fresh trackers,
-    // asserting identical MissInfo, stats, and block counts, so the
-    // speedup below is over a semantically-verified baseline.
-    // Single-word width: the monomorphization every <=64-node run now
-    // dispatches to, with the multi-word fast path compiled out.
-    let mut fast: CoherenceTracker<1> = CoherenceTracker::new(&sys);
-    let mut hash: ReferenceTracker<1> = ReferenceTracker::new(&sys);
-    for rec in &accesses {
-        let a = fast.access(rec.requester, rec.request(), rec.block());
-        let b = hash.access(rec.requester, rec.request(), rec.block());
-        assert_eq!(a, b, "fast tracker diverged from the HashMap reference");
-    }
-    assert_eq!(fast.stats(), hash.stats());
-    assert_eq!(fast.tracked_blocks(), hash.tracked_blocks());
-    // Throughput on the warmed trackers (the steady state that
-    // dominates long runs: warmup + measured passes, as every
-    // experiment driver runs them).
-    let (fast_s, _) = best_time(budget, || {
-        let mut acc = 0u64;
-        for rec in &accesses {
-            let info = fast.access(rec.requester, rec.request(), rec.block());
-            acc = acc
-                .wrapping_add(info.home.index() as u64)
-                .wrapping_add(info.sharers_before.bits())
-                .wrapping_add(info.was_upgrade as u64);
-        }
-        acc
-    });
-    let (hash_s, _) = best_time(budget, || {
-        let mut acc = 0u64;
-        for rec in &accesses {
-            let info = hash.access(rec.requester, rec.request(), rec.block());
-            acc = acc
-                .wrapping_add(info.home.index() as u64)
-                .wrapping_add(info.sharers_before.bits())
-                .wrapping_add(info.was_upgrade as u64);
-        }
-        acc
-    });
-    let fast_mps = accesses.len() as f64 / fast_s.max(1e-9);
-    let hash_mps = accesses.len() as f64 / hash_s.max(1e-9);
-    let tracker_speedup = fast_mps / hash_mps.max(1e-9);
-
-    // --- Crossbar microloop: inline arrivals vs alloc-per-send -------
-    let n = sys.num_nodes();
-    let msgs: Vec<(u64, Message<1>)> = accesses
-        .iter()
-        .enumerate()
-        .map(|(i, rec)| {
-            let src = rec.requester;
-            // Unicast / small multicast / broadcast mix, request and
-            // data classes included, all derived from the trace.
-            let dests = match i % 3 {
-                0 => DestSet::single(rec.block().home(n)),
-                1 => DestSet::from_bits(0b1111 << (i % 13)),
-                _ => sys.broadcast_set_w::<1>().without(src),
-            };
-            let class = MessageClass::ALL[i % MessageClass::COUNT];
-            (3 * i as u64, Message { src, dests, class })
-        })
-        .collect();
-    let (inline_s, inline_sum) = best_time(budget, || {
-        let mut x = Crossbar::new(InterconnectConfig::isca03(), n);
-        let mut arrivals = dsp_interconnect::Arrivals::new();
-        let mut acc = 0u64;
-        for (now, msg) in &msgs {
-            let order_time = x.send_into(*now, msg, &mut arrivals);
-            acc = acc.wrapping_add(order_time);
-            for (_, t) in &arrivals {
-                acc = acc.wrapping_add(*t);
-            }
-        }
-        acc
-    });
-    let (seed_s, seed_sum) = best_time(budget, || {
-        let mut x = ReferenceCrossbar::new(InterconnectConfig::isca03(), n);
-        let mut acc = 0u64;
-        for (now, msg) in &msgs {
-            let (order_time, arrivals) = x.send(*now, msg);
-            acc = acc.wrapping_add(order_time);
-            for (_, t) in &arrivals {
-                acc = acc.wrapping_add(*t);
-            }
-        }
-        acc
-    });
-    assert_eq!(
-        inline_sum, seed_sum,
-        "crossbar deliveries diverged from the seed model"
-    );
-    let inline_msgs = msgs.len() as f64 / inline_s.max(1e-9);
-    let alloc_msgs = msgs.len() as f64 / seed_s.max(1e-9);
-
-    // --- Event-queue microloop: timing wheel vs the seed heap --------
-    // A steady-state hold-N schedule, the shape the simulator's event
-    // loop produces: the queue holds ~depth events (128+-node runs keep
-    // hundreds in flight), each pop schedules a successor at a
-    // trace-derived delta, and every 16th delta jumps past the wheel
-    // horizon like the exponential tail of CPU computation gaps.
-    const QUEUE_DEPTH: usize = 1024;
-    let deltas: Vec<u64> = accesses
-        .iter()
-        .enumerate()
-        .map(|(i, rec)| {
-            let near = 1 + rec.block().number() % 431;
-            if i % 16 == 0 {
-                near + 6000
-            } else {
-                near
-            }
-        })
-        .collect();
-    // Equivalence first: identical pop order on the same schedule.
-    {
-        let mut wheel = WheelQueue::new();
-        let mut heap = ReferenceQueue::new();
-        for (i, &d) in deltas.iter().take(QUEUE_DEPTH).enumerate() {
-            wheel.push(d, Event::Complete { req: i });
-            heap.push(d, Event::Complete { req: i });
-        }
-        for &d in &deltas {
-            let a = wheel.pop();
-            let b = heap.pop();
-            assert_eq!(a, b, "wheel queue diverged from the seed heap");
-            let (now, _) = a.expect("queue primed");
-            wheel.push(now + d, Event::Complete { req: 0 });
-            heap.push(now + d, Event::Complete { req: 0 });
-        }
-        while let Some(a) = wheel.pop() {
-            assert_eq!(Some(a), heap.pop(), "drain diverged");
-        }
-        assert!(heap.is_empty());
-    }
-    let queue_events = (deltas.len() + QUEUE_DEPTH) as f64;
-    let (wheel_s, wheel_sum) = best_time(budget, || {
-        let mut q = WheelQueue::new();
-        let mut acc = 0u64;
-        for (i, &d) in deltas.iter().take(QUEUE_DEPTH).enumerate() {
-            q.push(d, Event::Complete { req: i });
-        }
-        for &d in &deltas {
-            let (now, _) = q.pop().expect("primed");
-            acc = acc.wrapping_add(now);
-            q.push(now + d, Event::Complete { req: 0 });
-        }
-        while let Some((t, _)) = q.pop() {
-            acc = acc.wrapping_add(t);
-        }
-        acc
-    });
-    let (heap_s, heap_sum) = best_time(budget, || {
-        let mut q = ReferenceQueue::new();
-        let mut acc = 0u64;
-        for (i, &d) in deltas.iter().take(QUEUE_DEPTH).enumerate() {
-            q.push(d, Event::Complete { req: i });
-        }
-        for &d in &deltas {
-            let (now, _) = q.pop().expect("primed");
-            acc = acc.wrapping_add(now);
-            q.push(now + d, Event::Complete { req: 0 });
-        }
-        while let Some((t, _)) = q.pop() {
-            acc = acc.wrapping_add(t);
-        }
-        acc
-    });
-    assert_eq!(wheel_sum, heap_sum, "queue pop-time checksums diverged");
-    let wheel_eps = queue_events / wheel_s.max(1e-9);
-    let heap_eps = queue_events / heap_s.max(1e-9);
-    let queue_speedup = wheel_eps / heap_eps.max(1e-9);
-
-    // --- Predictor-table microloop: flat arrays vs Vec<Vec> + HashMap
-    // The lookup/train mix the policy layer issues, over
-    // macroblock-indexed keys from the same trace, against both the
-    // paper's finite configuration and the unbounded idealization.
-    let mb_keys: Vec<u64> = accesses
-        .iter()
-        .map(|rec| rec.block().number() >> 4)
-        .collect();
-    let run_fast = |mb_keys: &[u64]| {
-        let mut finite: PredictorTable<u64> = PredictorTable::new(Capacity::ISCA03);
-        let mut unbounded: PredictorTable<u64> = PredictorTable::new(Capacity::Unbounded);
-        let mut acc = 0u64;
-        for (i, &key) in mb_keys.iter().enumerate() {
-            acc = acc.wrapping_add(finite.lookup(key).copied().unwrap_or(0));
-            acc = acc.wrapping_add(unbounded.lookup(key).copied().unwrap_or(0));
-            if i % 2 == 0 {
-                finite.train(key, i % 6 == 0, |e| *e = e.wrapping_add(1));
-                unbounded.train(key, i % 6 == 0, |e| *e = e.wrapping_add(1));
-            }
-        }
-        (acc, finite.stats(), unbounded.stats())
-    };
-    let run_seed = |mb_keys: &[u64]| {
-        let mut finite: ReferencePredictorTable<u64> =
-            ReferencePredictorTable::new(Capacity::ISCA03);
-        let mut unbounded: ReferencePredictorTable<u64> =
-            ReferencePredictorTable::new(Capacity::Unbounded);
-        let mut acc = 0u64;
-        for (i, &key) in mb_keys.iter().enumerate() {
-            acc = acc.wrapping_add(finite.lookup(key).copied().unwrap_or(0));
-            acc = acc.wrapping_add(unbounded.lookup(key).copied().unwrap_or(0));
-            if i % 2 == 0 {
-                finite.train(key, i % 6 == 0, |e| *e = e.wrapping_add(1));
-                unbounded.train(key, i % 6 == 0, |e| *e = e.wrapping_add(1));
-            }
-        }
-        (acc, finite.stats(), unbounded.stats())
-    };
-    // Equivalence first: identical hit sums and stats on both storages.
-    {
-        let (fast_acc, fast_fin, fast_unb) = run_fast(&mb_keys);
-        let (seed_acc, seed_fin, seed_unb) = run_seed(&mb_keys);
-        assert_eq!(fast_acc, seed_acc, "table lookup results diverged");
-        assert_eq!(fast_fin, seed_fin, "finite-table stats diverged");
-        assert_eq!(fast_unb, seed_unb, "unbounded-table stats diverged");
-    }
-    // 2 lookups per record + 2 trains every other record.
-    let table_op_count = (mb_keys.len() * 2 + mb_keys.len().div_ceil(2) * 2) as f64;
-    let (flat_s, flat_out) = best_time(budget, || run_fast(&mb_keys).0);
-    let (seedtab_s, seedtab_out) = best_time(budget, || run_seed(&mb_keys).0);
-    assert_eq!(flat_out, seedtab_out, "timed table runs diverged");
-    let flat_ops = table_op_count / flat_s.max(1e-9);
-    let seedtab_ops = table_op_count / seedtab_s.max(1e-9);
-    let table_speedup = flat_ops / seedtab_ops.max(1e-9);
-
-    let train_summary: Vec<String> = train_rows
-        .iter()
-        .map(|(nodes, _, _, speedup)| format!("{nodes}n {speedup:.2}x"))
-        .collect();
-    println!(
-        "hotpath-bench: tracker {:.2}M acc/s vs hashmap {:.2}M acc/s ({tracker_speedup:.2}x) | \
-         crossbar {:.2}M msg/s (seed {:.2}M) | queue {:.2}M ev/s vs heap {:.2}M \
-         ({queue_speedup:.2}x) | table {:.2}M op/s vs seed {:.2}M ({table_speedup:.2}x) | \
-         sim {:.0} misses/s ({} wheel events) | dispatch batched {:.2}M ev/s vs per-event \
-         {:.2}M ({dispatch_speedup:.2}x) | train lazy-vs-eager {}",
-        fast_mps / 1e6,
-        hash_mps / 1e6,
-        inline_msgs / 1e6,
-        alloc_msgs / 1e6,
-        wheel_eps / 1e6,
-        heap_eps / 1e6,
-        flat_ops / 1e6,
-        seedtab_ops / 1e6,
-        sim_mps,
-        sim_queue.pushed,
-        batched_eps / 1e6,
-        per_event_eps / 1e6,
-        train_summary.join(" "),
-    );
-    let train_json: Vec<String> = train_rows
-        .iter()
-        .map(|(nodes, eager_mps, lazy_mps, speedup)| {
-            format!(
-                "      {{\n        \"nodes\": {nodes},\n        \
-                 \"eager_misses_per_s\": {eager_mps:.0},\n        \
-                 \"lazy_misses_per_s\": {lazy_mps:.0},\n        \
-                 \"speedup\": {speedup:.3}\n      }}"
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"benchmark\": \"hotpath\",\n  \"tracker\": {{\n    \
-         \"accesses_per_rep\": {},\n    \"fast_accesses_per_s\": {fast_mps:.0},\n    \
-         \"hashmap_accesses_per_s\": {hash_mps:.0},\n    \
-         \"speedup\": {tracker_speedup:.3},\n    \"stats_equivalent\": true\n  }},\n  \
-         \"crossbar\": {{\n    \"sends_per_rep\": {},\n    \
-         \"inline_msgs_per_s\": {inline_msgs:.0},\n    \
-         \"seed_msgs_per_s\": {alloc_msgs:.0},\n    \
-         \"speedup\": {:.3}\n  }},\n  \
-         \"queue\": {{\n    \"events_per_rep\": {},\n    \
-         \"wheel_events_per_s\": {wheel_eps:.0},\n    \
-         \"heap_events_per_s\": {heap_eps:.0},\n    \
-         \"speedup\": {queue_speedup:.3},\n    \"pop_order_equivalent\": true\n  }},\n  \
-         \"predictor-table\": {{\n    \"ops_per_rep\": {},\n    \
-         \"flat_ops_per_s\": {flat_ops:.0},\n    \
-         \"seed_ops_per_s\": {seedtab_ops:.0},\n    \
-         \"speedup\": {table_speedup:.3},\n    \"stats_equivalent\": true\n  }},\n  \
-         \"sim\": {{\n    \"workload\": \"OLTP\",\n    \
-         \"protocols\": [\"snooping\", \"multicast-owner-group\"],\n    \
-         \"measured_misses\": {sim_misses},\n    \
-         \"misses_per_s\": {sim_mps:.0},\n    \
-         \"queue_pushed\": {},\n    \"queue_popped\": {},\n    \
-         \"queue_remaining\": {},\n    \"queue_promoted\": {},\n    \
-         \"queue_reconciled\": true,\n    \"link_reconciled\": true\n  }},\n  \
-         \"dispatch\": {{\n    \"workload\": \"OLTP\",\n    \
-         \"protocol\": \"multicast-owner-group\",\n    \
-         \"events_per_rep\": {dispatch_events},\n    \
-         \"batched_events_per_s\": {batched_eps:.0},\n    \
-         \"per_event_events_per_s\": {per_event_eps:.0},\n    \
-         \"speedup\": {dispatch_speedup:.3},\n    \
-         \"order_equivalent\": true\n  }},\n  \
-         \"train\": {{\n    \"workload\": \"OLTP\",\n    \
-         \"protocol\": \"multicast-broadcast-if-shared\",\n    \
-         \"misses_per_node\": {},\n    \"reports_equal\": true,\n    \
-         \"rows\": [\n{}\n    ]\n  }}\n}}\n",
-        accesses.len(),
-        msgs.len(),
-        inline_msgs / alloc_msgs.max(1e-9),
-        queue_events as u64,
-        table_op_count as u64,
-        sim_queue.pushed,
-        sim_queue.popped,
-        sim_queue.remaining,
-        sim_queue.promoted,
-        train_warmup + train_measured,
-        train_json.join(",\n"),
-    )
 }
 
 /// Runs the `degraded` fault-injection sweep and machine-checks its two
@@ -1799,7 +1273,6 @@ fn main() -> ExitCode {
     let names: Vec<&str> = if args.experiment == "all" {
         experiments::ALL_EXPERIMENTS.to_vec()
     } else if args.experiment == "sweep-bench"
-        || args.experiment == "hotpath-bench"
         || experiments::ALL_EXPERIMENTS.contains(&args.experiment.as_str())
     {
         vec![args.experiment.as_str()]
@@ -1836,15 +1309,6 @@ fn main() -> ExitCode {
             // successive PRs can diff it; a copy lands in --out too.
             if !save(Path::new("."), "BENCH_sweep.json", &json)
                 || !save(&args.out_dir, "BENCH_sweep.json", &json)
-            {
-                return ExitCode::FAILURE;
-            }
-            continue;
-        }
-        if name == "hotpath-bench" {
-            let json = hotpath_bench(&args.scale);
-            if !save(Path::new("."), "BENCH_hotpath.json", &json)
-                || !save(&args.out_dir, "BENCH_hotpath.json", &json)
             {
                 return ExitCode::FAILURE;
             }

@@ -4,10 +4,7 @@
 //! byte for byte in behavior: serialization delay recomputed from
 //! floats on every send and arrival times heap-allocated into a fresh
 //! `Vec` per delivery. It is the oracle the property tests compare the
-//! allocation-free crossbar against, and the baseline `repro
-//! hotpath-bench` records `BENCH_hotpath.json` speedups over — one
-//! shared copy, so the benchmark and the equivalence tests can never
-//! drift onto different models.
+//! allocation-free crossbar against.
 //!
 //! It models timing only: traffic statistics are the measured
 //! implementation's concern.

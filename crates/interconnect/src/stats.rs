@@ -81,8 +81,8 @@ impl TrafficStats {
 /// The two sides are counted at different points of the send path, so
 /// any toxic or topology that silently lost or duplicated a delivery
 /// would leave the ledger unbalanced. [`LinkStats::assert_reconciled`]
-/// is the end-of-run invariant behind the `link_reconciled` marker in
-/// the hotpath bench.
+/// is the end-of-run invariant behind the `link_reconciled` marker of
+/// `repro degraded`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LinkStats {
     /// Total deliveries committed at injection time.

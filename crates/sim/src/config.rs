@@ -166,61 +166,25 @@ pub enum TrainingMode {
     Lazy,
 }
 
-/// How the simulator's event loop drains the timing wheel.
-///
-/// Both modes dispatch the exact same `(time, seq)` event sequence —
-/// the property tests in `tests/dispatch_equivalence.rs` pin every
-/// dispatched event and every report byte against each other — so the
-/// choice is purely a throughput knob.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DispatchMode {
-    /// The production path: each wheel slot (all events sharing one
-    /// timestamp, FIFO by push sequence) is drained wholesale into
-    /// struct-of-arrays event lanes and dispatched per-kind in tight
-    /// runs, paying one bitmap scan and one `match` per run instead of
-    /// per event.
-    #[default]
-    Batched,
-    /// The seed path: one pop, one `match`, one handler call per
-    /// event. Kept as the reference implementation and benchmark
-    /// baseline.
-    PerEvent,
-}
-
-/// Compile-time destination-set width selection for a run.
+/// The destination-set width rule of a run.
 ///
 /// The simulator is monomorphized over the [`dsp_types::DestSet`]
 /// word count `W`: machines of at most 64 nodes fit every set in one
 /// word (`DestSet<1>`), which removes the multi-word loops and the
 /// upper-words-zero checks from the tracker, crossbar, and predictor
-/// hot paths. Width is *observationally invisible* — the golden suite
-/// pins every table byte-identical under both widths.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SetWidth {
-    /// Pick from the node count: ≤ 64 nodes runs `DestSet<1>`, larger
-    /// machines `DestSet<4>`.
-    #[default]
-    Auto,
-    /// Force the single-word monomorphization (requires ≤ 64 nodes).
-    Narrow,
-    /// Force the four-word monomorphization (any node count up to 256).
-    Wide,
-}
+/// hot paths; larger machines run `DestSet<4>`. Width is
+/// *observationally invisible* — `tests/width_equivalence.rs` pins
+/// `System::<1>` and `System::<4>` reports against each other.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SetWidth;
 
 impl SetWidth {
-    /// The `DestSet` word count this selection resolves to on a
-    /// machine of `num_nodes` nodes.
+    /// The `DestSet` word count a machine of `num_nodes` nodes runs at.
     pub fn words(self, num_nodes: usize) -> usize {
-        match self {
-            SetWidth::Auto => {
-                if num_nodes <= 64 {
-                    1
-                } else {
-                    4
-                }
-            }
-            SetWidth::Narrow => 1,
-            SetWidth::Wide => 4,
+        if num_nodes <= 64 {
+            1
+        } else {
+            4
         }
     }
 }
@@ -242,11 +206,8 @@ pub struct SimConfig {
     /// Predictor-training delivery (lazy inboxes by default; the eager
     /// per-arrival events survive as the reference).
     pub training: TrainingMode,
-    /// Event-loop draining strategy (batched slot drains by default;
-    /// the per-event pop loop survives as the reference).
-    pub dispatch: DispatchMode,
-    /// Destination-set width selection, honored by the width-dispatch
-    /// entry points ([`crate::simulate`] and friends). `System::<W>`
+    /// Destination-set width rule, applied by the width-dispatch entry
+    /// points ([`crate::simulate`] and friends). `System::<W>`
     /// constructors ignore it — the turbofish already chose.
     pub width: SetWidth,
     /// Interconnect fault-injection chain (empty by default, which
@@ -269,8 +230,7 @@ impl SimConfig {
             measured_misses_per_node: 2000,
             seed: 1,
             training: TrainingMode::default(),
-            dispatch: DispatchMode::default(),
-            width: SetWidth::default(),
+            width: SetWidth,
             toxics: ToxicSpec::none(),
             topology: TopologySpec::Crossbar,
         }
@@ -302,20 +262,6 @@ impl SimConfig {
     #[must_use]
     pub fn training(mut self, training: TrainingMode) -> Self {
         self.training = training;
-        self
-    }
-
-    /// Selects the event-loop draining strategy.
-    #[must_use]
-    pub fn dispatch(mut self, dispatch: DispatchMode) -> Self {
-        self.dispatch = dispatch;
-        self
-    }
-
-    /// Selects the destination-set width.
-    #[must_use]
-    pub fn width(mut self, width: SetWidth) -> Self {
-        self.width = width;
         self
     }
 
@@ -366,6 +312,14 @@ mod tests {
         assert!(ProtocolKind::Multicast(PredictorConfig::group())
             .label()
             .contains("Group"));
+    }
+
+    #[test]
+    fn set_width_rule() {
+        assert_eq!(SetWidth.words(16), 1);
+        assert_eq!(SetWidth.words(64), 1);
+        assert_eq!(SetWidth.words(65), 4);
+        assert_eq!(SetWidth.words(256), 4);
     }
 
     #[test]

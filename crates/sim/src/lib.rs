@@ -45,14 +45,8 @@ mod report;
 mod system;
 mod train;
 
-pub use config::{
-    CpuModel, DispatchMode, ProtocolKind, SetWidth, SimConfig, TargetSystem, TrainingMode,
-};
+pub use config::{CpuModel, ProtocolKind, SetWidth, SimConfig, TargetSystem, TrainingMode};
 pub use dsp_interconnect::{Topology, TopologySpec, Toxic, ToxicSpec};
-pub use queue::{
-    Event, EventBatch, EventKind, EventQueue, QueueCounters, ReferenceQueue, SlotDrain, WheelQueue,
-};
+pub use queue::{Event, EventQueue, QueueCounters, ReferenceQueue, WheelQueue};
 pub use report::{ClassCounts, LatencyHistogram, SimReport};
-pub use system::{
-    simulate, simulate_with_partition, simulate_with_queue_stats, System, TracePartition,
-};
+pub use system::{simulate, simulate_with_partition, System, TracePartition};

@@ -32,8 +32,8 @@ impl PartialOrd for Queued {
 /// `BinaryHeap` over `(time, seq)`.
 ///
 /// Kept as the oracle for [`super::WheelQueue`]'s pop-order equivalence
-/// property tests and as the recorded baseline of the `queue` hot-path
-/// benchmark — every pop pays O(log n) sift with pointer-chasing
+/// property tests and as the baseline of the `event_queue` Criterion
+/// bench — every pop pays O(log n) sift with pointer-chasing
 /// comparisons, which is exactly the cost the timing wheel removes.
 #[derive(Debug, Default)]
 pub struct ReferenceQueue {

@@ -13,10 +13,9 @@ use dsp_trace::{TraceRecord, WorkloadSpec};
 use dsp_types::{DestSet, LineState, MessageClass, NodeId, Owner, ReqType, SystemConfig};
 
 use crate::config::{CpuModel, ProtocolKind, SimConfig, TargetSystem, TrainingMode};
-use crate::queue::{Event, EventBatch, EventKind, EventQueue, QueueCounters, SlotDrain};
+use crate::queue::{Event, EventQueue, QueueCounters};
 use crate::report::SimReport;
 use crate::train::TrainBuffers;
-use crate::DispatchMode;
 
 /// Lazy-training inbox depth that triggers an early forced drain (of
 /// records already behind the current dispatch time, which is always
@@ -117,10 +116,6 @@ pub struct System<const W: usize = 4> {
     end_time: u64,
     mean_gap_instructions: f64,
     report: SimReport,
-    /// When set, every dispatched event appends `(time, seq, kind)` —
-    /// the observable order the batched/per-event equivalence tests
-    /// compare. `None` (the default) keeps the hot loop log-free.
-    dispatch_log: Option<Vec<(u64, u64, EventKind)>>,
 }
 
 impl<const W: usize> System<W> {
@@ -221,7 +216,6 @@ impl<const W: usize> System<W> {
             mean_gap_instructions: spec.mean_gap_instructions(),
             sim,
             report: SimReport::default(),
-            dispatch_log: None,
         }
     }
 
@@ -232,30 +226,14 @@ impl<const W: usize> System<W> {
 
     /// Runs to completion, also returning the event queue's occupancy
     /// counters (pushes/pops/promotions/remaining) — the queue-pressure
-    /// trend line the `hotpath-bench` `sim` row records. The counters
-    /// always reconcile (`pushed == popped + remaining`); their split
-    /// differs between dispatch modes, because a finishing batch drains
-    /// (pops) its whole timestamp while the per-event loop leaves
-    /// post-completion events queued.
+    /// figures the benchmark in `perfbench/` reports as `sim.events` and
+    /// `sim.queue_promoted`. The counters always reconcile
+    /// (`pushed == popped + remaining`).
     pub fn run_with_queue_stats(mut self) -> (SimReport, QueueCounters) {
         self.run_core();
         let counters = self.queue.counters();
         counters.assert_reconciled();
         (self.report, counters)
-    }
-
-    /// Runs to completion, recording every dispatched event as
-    /// `(time, seq, kind)`.
-    ///
-    /// The dispatch log is the observable event order: the
-    /// batched/per-event equivalence property tests run both
-    /// [`crate::DispatchMode`]s and require identical logs *and*
-    /// identical reports.
-    pub fn run_with_dispatch_log(mut self) -> (SimReport, Vec<(u64, u64, EventKind)>) {
-        self.dispatch_log = Some(Vec::new());
-        self.run_core();
-        let log = self.dispatch_log.take().expect("installed above");
-        (self.report, log)
     }
 
     fn run_core(&mut self) {
@@ -273,10 +251,7 @@ impl<const W: usize> System<W> {
         // stops, so the final lazy drain uses it as its limit. A
         // starved run (some node had no misses at all) drains its whole
         // queue, training events included — limit (MAX, MAX).
-        let stop = match self.sim.dispatch {
-            DispatchMode::Batched => self.run_batched(),
-            DispatchMode::PerEvent => self.run_per_event(),
-        };
+        let stop = self.run_events();
         if self.sim.protocol.uses_predictors() {
             for node in 0..n {
                 self.drain_training(node, stop.0, stop.1);
@@ -294,11 +269,9 @@ impl<const W: usize> System<W> {
         self.xbar.assert_conserved();
     }
 
-    /// The per-event loop: pop one entry, dispatch, repeat. Kept both
-    /// as the reference semantics the batched loop must reproduce
-    /// exactly and as the baseline the `dispatch` hot-path bench row
-    /// measures against.
-    fn run_per_event(&mut self) -> (u64, u64) {
+    /// The event loop: pop one entry, dispatch, repeat, until every
+    /// miss has completed. Returns the last dispatched `(time, seq)`.
+    fn run_events(&mut self) -> (u64, u64) {
         let mut stop = (0u64, 0u64);
         while self.completed < self.total_misses {
             let Some((time, seq, event)) = self.queue.pop_entry() else {
@@ -309,141 +282,6 @@ impl<const W: usize> System<W> {
             self.dispatch(time, seq, event);
         }
         stop
-    }
-
-    /// The data-oriented loop: drain each timing-wheel slot (one
-    /// timestamp) as a struct-of-arrays [`EventBatch`] and dispatch its
-    /// same-kind runs in tight per-kind loops.
-    ///
-    /// Exactness: a wheel bucket holds exactly one timestamp in push
-    /// (= sequence) order, every simulator push is at `time >= now`,
-    /// and runs never reorder across kinds — so the dispatch order is
-    /// the per-event loop's `(time, seq)` order, event for event.
-    /// Events pushed at the current time *during* the batch carry later
-    /// sequences and surface in the next `pop_batch`, exactly where the
-    /// per-event loop would pop them. When the final miss completes
-    /// mid-batch the tail of the batch is dropped undispatched — the
-    /// same events the per-event loop would have left queued.
-    fn run_batched(&mut self) -> (u64, u64) {
-        let mut stop = (0u64, 0u64);
-        let mut batch = EventBatch::new();
-        while self.completed < self.total_misses {
-            match self.queue.pop_slot(&mut batch) {
-                SlotDrain::Empty => {
-                    stop = (u64::MAX, u64::MAX);
-                    break;
-                }
-                // Most timestamps hold one event; dispatching it
-                // directly skips lane formation (and is bit-exact with
-                // the per-event loop by construction).
-                SlotDrain::Single(time, seq, event) => {
-                    stop = (time, seq);
-                    self.dispatch(time, seq, event);
-                }
-                SlotDrain::Batch => {
-                    let last_seq = self.dispatch_batch(&batch);
-                    stop = (batch.time, last_seq);
-                }
-            }
-        }
-        stop
-    }
-
-    /// Dispatches `batch` run by run, returning the last dispatched
-    /// sequence. Returns early (dropping the batch tail) as soon as the
-    /// final miss completes.
-    fn dispatch_batch(&mut self, batch: &EventBatch) -> u64 {
-        let time = batch.time;
-        let mut cursors = [0usize; 7];
-        let mut last_seq = 0u64;
-        for &(kind, n) in &batch.runs {
-            let start = cursors[kind as usize];
-            let end = start + n as usize;
-            cursors[kind as usize] = end;
-            match kind {
-                EventKind::CpuIssue => {
-                    for i in start..end {
-                        last_seq = batch.cpu_seq[i];
-                        self.log_dispatch(time, last_seq, kind);
-                        self.try_issue(batch.cpu_node[i] as usize, time);
-                    }
-                }
-                EventKind::Inject => {
-                    for i in start..end {
-                        last_seq = batch.inject_seq[i];
-                        let req = batch.inject_req[i] as usize;
-                        self.log_dispatch(time, last_seq, kind);
-                        self.inject_request(req, time, last_seq);
-                        self.release(req);
-                    }
-                }
-                EventKind::Ordered => {
-                    for i in start..end {
-                        last_seq = batch.ordered_seq[i];
-                        let req = batch.ordered_req[i] as usize;
-                        self.log_dispatch(time, last_seq, kind);
-                        self.ordered(req, batch.ordered_attempt[i], time);
-                        self.release(req);
-                    }
-                }
-                EventKind::RequestArrive => {
-                    for i in start..end {
-                        last_seq = batch.arrive_seq[i];
-                        let req = batch.arrive_req[i] as usize;
-                        self.log_dispatch(time, last_seq, kind);
-                        self.request_arrive(
-                            req,
-                            batch.arrive_node[i] as usize,
-                            batch.arrive_retry[i],
-                            time,
-                            last_seq,
-                        );
-                        self.release(req);
-                    }
-                }
-                EventKind::HomeReady => {
-                    for i in start..end {
-                        last_seq = batch.home_seq[i];
-                        let req = batch.home_req[i] as usize;
-                        self.log_dispatch(time, last_seq, kind);
-                        self.home_ready(req, batch.home_attempt[i], time);
-                        self.release(req);
-                    }
-                }
-                EventKind::OwnerReady => {
-                    for i in start..end {
-                        last_seq = batch.owner_seq[i];
-                        let req = batch.owner_req[i] as usize;
-                        self.log_dispatch(time, last_seq, kind);
-                        self.owner_ready(req, batch.owner_owner[i] as usize, time);
-                        self.release(req);
-                    }
-                }
-                EventKind::Complete => {
-                    for i in start..end {
-                        last_seq = batch.complete_seq[i];
-                        let req = batch.complete_req[i] as usize;
-                        self.log_dispatch(time, last_seq, kind);
-                        self.complete(req, time, last_seq);
-                        self.release(req);
-                        // Only `Complete` advances the completion count,
-                        // so the end-of-run check lives in this lane
-                        // alone; the other kinds dispatch check-free.
-                        if self.completed == self.total_misses {
-                            return last_seq;
-                        }
-                    }
-                }
-            }
-        }
-        last_seq
-    }
-
-    #[inline]
-    fn log_dispatch(&mut self, time: u64, seq: u64, kind: EventKind) {
-        if let Some(log) = &mut self.dispatch_log {
-            log.push((time, seq, kind));
-        }
     }
 
     /// Drops one queued-event reference to slot `req`, recycling the
@@ -458,7 +296,6 @@ impl<const W: usize> System<W> {
     }
 
     fn dispatch(&mut self, time: u64, seq: u64, event: Event) {
-        self.log_dispatch(time, seq, event.kind());
         match event {
             Event::CpuIssue { node } => self.try_issue(node, time),
             Event::Inject { req } => {
@@ -1204,21 +1041,6 @@ pub fn simulate_with_partition(
     }
 }
 
-/// [`simulate_with_partition`], also returning the event queue's
-/// occupancy counters (the `hotpath-bench` `sim` row).
-pub fn simulate_with_queue_stats(
-    sys: &SystemConfig,
-    target: TargetSystem,
-    spec: &WorkloadSpec,
-    sim: SimConfig,
-    partition: TracePartition,
-) -> (SimReport, QueueCounters) {
-    match sim.width.words(sys.num_nodes()) {
-        1 => System::<1>::with_partition(sys, target, spec, sim, partition).run_with_queue_stats(),
-        _ => System::<4>::with_partition(sys, target, spec, sim, partition).run_with_queue_stats(),
-    }
-}
-
 /// A precomputed per-node partition of one workload's miss stream: the
 /// programs [`System`] replays, shareable across simulations.
 ///
@@ -1520,33 +1342,5 @@ mod tests {
         // Between the direct c2c (112) and well under 10x memory (1800):
         // queueing can add, but the system is generously provisioned.
         assert!((112.0..1000.0).contains(&avg), "avg latency {avg}");
-    }
-
-    #[test]
-    fn widths_and_dispatch_modes_agree() {
-        use crate::{simulate, DispatchMode, SetWidth};
-        let sys = SystemConfig::isca03();
-        let base = SimConfig::new(ProtocolKind::Multicast(
-            PredictorConfig::group().indexing(dsp_core::Indexing::Macroblock { bytes: 1024 }),
-        ))
-        .misses(20, 60)
-        .seed(11);
-        let reference = simulate(
-            &sys,
-            TargetSystem::isca03_default(),
-            &spec(),
-            base.clone().width(SetWidth::Wide),
-        );
-        for width in [SetWidth::Auto, SetWidth::Narrow] {
-            for dispatch in [DispatchMode::Batched, DispatchMode::PerEvent] {
-                let r = simulate(
-                    &sys,
-                    TargetSystem::isca03_default(),
-                    &spec(),
-                    base.clone().width(width).dispatch(dispatch),
-                );
-                assert_eq!(r, reference, "{width:?}/{dispatch:?} diverged");
-            }
-        }
     }
 }

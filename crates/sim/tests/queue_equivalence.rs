@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 
-use dsp_sim::{Event, EventBatch, ReferenceQueue, WheelQueue};
+use dsp_sim::{Event, ReferenceQueue, WheelQueue};
 
 /// Wheel horizon (mirrors `WHEEL_SLOTS` in the implementation): the
 /// strategies below straddle it deliberately.
@@ -76,86 +76,6 @@ fn check_equivalence(ops: &[Op]) -> usize {
     popped
 }
 
-/// Replays `ops` against a batch-drained wheel and a per-event
-/// reference heap: each `Pop` takes the next event from the buffered
-/// [`EventBatch`] (refilled via [`WheelQueue::pop_batch`] when empty)
-/// and must match `ReferenceQueue::pop_entry` exactly — the flattened
-/// batch stream is the per-event stream. Also checks the batch-local
-/// invariants (single timestamp per batch, run list consistent with
-/// the lanes) and that the wheel's counters reconcile throughout.
-fn check_batch_equivalence(ops: &[Op]) -> usize {
-    let mut wheel = WheelQueue::new();
-    let mut heap = ReferenceQueue::new();
-    let mut batch = EventBatch::new();
-    let mut buffered: Vec<(u64, u64, Event)> = Vec::new();
-    let mut cursor = 0usize;
-    let mut now = 0u64;
-    let mut popped = 0usize;
-    for op in ops {
-        match *op {
-            Op::Push { delta, tag } => {
-                let time = now.saturating_add(delta);
-                wheel.push(time, Event::Complete { req: tag });
-                heap.push(time, Event::Complete { req: tag });
-            }
-            Op::Pop => {
-                if cursor == buffered.len() {
-                    buffered.clear();
-                    cursor = 0;
-                    if wheel.pop_batch(&mut batch) {
-                        let run_total: u32 = batch.runs.iter().map(|&(_, n)| n).sum();
-                        assert_eq!(run_total as usize, batch.len(), "run list out of sync");
-                        buffered.extend(batch.iter());
-                        assert!(
-                            buffered.iter().all(|&(t, _, _)| t == batch.time),
-                            "batch mixed timestamps"
-                        );
-                    }
-                }
-                let a = if cursor < buffered.len() {
-                    let entry = buffered[cursor];
-                    cursor += 1;
-                    Some(entry)
-                } else {
-                    None
-                };
-                let b = heap.pop_entry();
-                assert_eq!(a, b, "batched pop diverged after {popped} agreeing pops");
-                if let Some((t, _, _)) = a {
-                    now = t;
-                    popped += 1;
-                }
-            }
-        }
-        wheel.counters().assert_reconciled();
-        assert_eq!(wheel.len() + buffered.len() - cursor, heap.len());
-    }
-    loop {
-        if cursor == buffered.len() {
-            buffered.clear();
-            cursor = 0;
-            if wheel.pop_batch(&mut batch) {
-                buffered.extend(batch.iter());
-            }
-        }
-        let a = if cursor < buffered.len() {
-            let entry = buffered[cursor];
-            cursor += 1;
-            Some(entry)
-        } else {
-            None
-        };
-        let b = heap.pop_entry();
-        assert_eq!(a, b, "batched drain diverged");
-        if a.is_none() {
-            break;
-        }
-        popped += 1;
-    }
-    wheel.counters().assert_reconciled();
-    popped
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -191,33 +111,6 @@ proptest! {
     ) {
         check_equivalence(&ops);
     }
-
-    /// Batch draining flattens to the per-event order: simulator-like
-    /// schedules popped through `pop_batch` + `EventBatch::iter` match
-    /// the reference heap event for event.
-    #[test]
-    fn batch_drain_matches_near_horizon(
-        ops in proptest::collection::vec(op_strategy(500), 1..600)
-    ) {
-        check_batch_equivalence(&ops);
-    }
-
-    /// Dense equal-time bursts drain as one batch whose lane order is
-    /// the push order.
-    #[test]
-    fn batch_drain_matches_equal_time_bursts(
-        ops in proptest::collection::vec(op_strategy(2), 1..600)
-    ) {
-        check_batch_equivalence(&ops);
-    }
-
-    /// Overflow promotion feeds batches in (time, seq) order too.
-    #[test]
-    fn batch_drain_matches_far_future_promotion(
-        ops in proptest::collection::vec(op_strategy(HORIZON * 3), 1..400)
-    ) {
-        check_batch_equivalence(&ops);
-    }
 }
 
 /// Deterministic interleaving that forces every wheel regime in one
@@ -242,9 +135,4 @@ fn mixed_regimes_fixed_trace() {
     }
     let popped = check_equivalence(&ops);
     assert!(popped > 200, "trace exercised both levels ({popped} pops)");
-    assert_eq!(
-        check_batch_equivalence(&ops),
-        popped,
-        "batch draining saw a different event count"
-    );
 }
