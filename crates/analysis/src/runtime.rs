@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use dsp_sim::{
     simulate_with_partition, CpuModel, ProtocolKind, SimConfig, SimReport, TargetSystem,
-    TopologySpec, ToxicSpec, TracePartition, TrainingMode,
+    TopologySpec, ToxicSpec, TracePartition,
 };
 use dsp_trace::WorkloadSpec;
 use dsp_types::SystemConfig;
@@ -55,7 +55,6 @@ pub struct RuntimeEvaluator {
     measured: usize,
     seed: u64,
     runs: usize,
-    training: TrainingMode,
     toxics: ToxicSpec,
     topology: TopologySpec,
 }
@@ -72,7 +71,6 @@ impl RuntimeEvaluator {
             measured: 1_000,
             seed: 1,
             runs: 1,
-            training: TrainingMode::default(),
             toxics: ToxicSpec::none(),
             topology: TopologySpec::Crossbar,
         }
@@ -115,15 +113,6 @@ impl RuntimeEvaluator {
     #[must_use]
     pub fn runs(mut self, runs: usize) -> Self {
         self.runs = runs.max(1);
-        self
-    }
-
-    /// Selects the predictor-training delivery mode (lazy by default;
-    /// eager is the seed reference path — the two are observationally
-    /// identical, and the golden-output suite runs both).
-    #[must_use]
-    pub fn training(mut self, training: TrainingMode) -> Self {
-        self.training = training;
         self
     }
 
@@ -180,7 +169,6 @@ impl RuntimeEvaluator {
                 .cpu(self.cpu)
                 .misses(self.warmup, self.measured)
                 .seed(self.seed + r as u64 * 7919)
-                .training(self.training)
                 .toxics(self.toxics.clone())
                 .topology(self.topology);
             let rep =
@@ -319,20 +307,6 @@ mod tests {
         let fresh = e.run(&spec, &[]);
         let shared = e.run_partitioned(&spec, &[], &parts);
         assert_eq!(fresh, shared, "shared partitions must change nothing");
-    }
-
-    #[test]
-    fn eager_and_lazy_training_produce_identical_points() {
-        let protocol = ProtocolKind::Multicast(
-            PredictorConfig::owner_group().indexing(Indexing::Macroblock { bytes: 1024 }),
-        );
-        let spec = spec(Workload::Oltp);
-        let lazy = eval().training(TrainingMode::Lazy).run(&spec, &[protocol]);
-        let eager = eval().training(TrainingMode::Eager).run(&spec, &[protocol]);
-        assert_eq!(
-            lazy, eager,
-            "training mode must be observationally invisible"
-        );
     }
 
     #[test]

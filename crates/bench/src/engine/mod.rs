@@ -73,9 +73,7 @@ use dsp_analysis::{
     TradeoffEvaluator, TradeoffPoint,
 };
 use dsp_core::PredictorConfig;
-use dsp_sim::{
-    CpuModel, ProtocolKind, TargetSystem, TopologySpec, ToxicSpec, TracePartition, TrainingMode,
-};
+use dsp_sim::{CpuModel, ProtocolKind, TargetSystem, TopologySpec, ToxicSpec, TracePartition};
 use dsp_trace::{TraceRecord, Workload, WorkloadSpec};
 use dsp_types::SystemConfig;
 use dsp_verify::{check, Bug, CheckReport, ModelConfig};
@@ -294,10 +292,6 @@ pub struct ExperimentPlan {
     pub scale: Scale,
     /// Base seed for trace generation and the timing simulator.
     pub seed: u64,
-    /// Predictor-training delivery for the plan's timing simulations
-    /// (lazy by default; the eager seed path is selectable so the
-    /// golden suite can diff both modes through whole experiments).
-    pub training: TrainingMode,
     /// Fault-injection chain for the plan's timing simulations (empty
     /// by default; [`Cell::Runtime`] cells may override per cell). The
     /// empty chain on the crossbar topology is byte-identical to the
@@ -318,7 +312,6 @@ impl std::fmt::Debug for ExperimentPlan {
             .field("columns", &self.columns)
             .field("scale", &self.scale)
             .field("seed", &self.seed)
-            .field("training", &self.training)
             .field("toxics", &self.toxics)
             .field("topology", &self.topology)
             .field("cells", &self.cells.len())
@@ -334,21 +327,11 @@ impl ExperimentPlan {
             columns: columns.to_vec(),
             scale: *scale,
             seed: crate::experiments::SEED,
-            training: TrainingMode::default(),
             toxics: ToxicSpec::none(),
             topology: TopologySpec::Crossbar,
             cells: Vec::new(),
             render: Box::new(|_, _, _| {}),
         }
-    }
-
-    /// Selects the training-delivery mode for the plan's timing
-    /// simulations. Output must not change — `golden_outputs.rs` pins
-    /// every experiment golden under both modes.
-    #[must_use]
-    pub fn training(mut self, training: TrainingMode) -> Self {
-        self.training = training;
-        self
     }
 
     /// Sets the fault-injection chain for the plan's timing
@@ -617,7 +600,6 @@ pub(crate) fn execute_cell(
                 .misses(scale.sim_warmup, scale.sim_measured)
                 .runs(scale.sim_runs)
                 .seed(plan.seed)
-                .training(plan.training)
                 .toxics(toxics.clone().unwrap_or_else(|| plan.toxics.clone()))
                 .topology(topology.unwrap_or(plan.topology));
             if let Some(target) = target {

@@ -1,13 +1,14 @@
-//! One driver function per paper table/figure.
+//! One plan per paper table/figure, and the registry naming them.
 //!
-//! Every driver is now a *plan declaration* — a grid of
-//! [`engine::Cell`]s — plus a row-formatting closure; the
-//! [`engine::SweepRunner`] executes the cells in parallel while sharing
-//! one generated trace per (workload, config, footprint, seed, length)
-//! and streaming it into each evaluator. Output is byte-identical to a
-//! single-threaded run (see `engine`'s determinism notes). Each
-//! function returns a [`TextTable`] whose rows are the series the paper
-//! plots; the `repro` binary prints them and saves CSVs. Absolute
+//! Every experiment is a *plan declaration* — a grid of [`Cell`]s —
+//! plus a row-formatting closure; the
+//! [`SweepRunner`](crate::engine::SweepRunner) executes the cells in
+//! parallel while sharing one generated trace per (workload, config,
+//! footprint, seed, length) and streaming it into each evaluator.
+//! Output is byte-identical to a single-threaded run (see `engine`'s
+//! determinism notes). Each plan renders a [`TextTable`] whose rows are
+//! the series the paper plots; the `repro` binary looks plans up by
+//! name in [`EXPERIMENTS`], prints the tables, and saves CSVs. Absolute
 //! values depend on the synthetic substrate, but the *shapes* — who
 //! wins, by what factor, where the crossovers are — reproduce the
 //! paper (see EXPERIMENTS.md for the side-by-side).
@@ -18,7 +19,7 @@ use dsp_sim::{CpuModel, ProtocolKind, TargetSystem, TopologySpec, Toxic, ToxicSp
 use dsp_trace::Workload;
 use dsp_types::SystemConfig;
 
-use crate::engine::{self, Cell, CellOutput, ExperimentPlan, SweepRunner};
+use crate::engine::{Cell, CellOutput, ExperimentPlan};
 use crate::scale::Scale;
 
 /// The deterministic seed every experiment uses.
@@ -118,7 +119,7 @@ fn tradeoff_plan(
     plan.render(standard_tradeoff_render)
 }
 
-/// Table 2 as an [`ExperimentPlan`].
+/// Table 2: workload properties.
 pub fn table2_plan(scale: &Scale) -> ExperimentPlan {
     characterization_plan(
         "Table 2: Workload Properties (synthetic substrate)",
@@ -149,12 +150,8 @@ pub fn table2_plan(scale: &Scale) -> ExperimentPlan {
     })
 }
 
-/// Table 2: workload properties.
-pub fn table2(scale: &Scale) -> TextTable {
-    SweepRunner::new().run(&table2_plan(scale))
-}
-
-/// Figure 2 as an [`ExperimentPlan`].
+/// Figure 2: instantaneous sharing histogram (observers needed per
+/// miss, split read/write).
 pub fn fig2_plan(scale: &Scale) -> ExperimentPlan {
     characterization_plan(
         "Figure 2: Sharing Histogram (% of misses needing n other processors)",
@@ -177,13 +174,8 @@ pub fn fig2_plan(scale: &Scale) -> ExperimentPlan {
     })
 }
 
-/// Figure 2: instantaneous sharing histogram (observers needed per
-/// miss, split read/write).
-pub fn fig2(scale: &Scale) -> TextTable {
-    SweepRunner::new().run(&fig2_plan(scale))
-}
-
-/// Figure 3 as an [`ExperimentPlan`].
+/// Figure 3: blocks touched by n processors, unweighted (a) and
+/// weighted by misses (b).
 pub fn fig3_plan(scale: &Scale) -> ExperimentPlan {
     characterization_plan(
         "Figure 3: Degree of Sharing (percent of blocks / misses at degree n)",
@@ -213,13 +205,8 @@ pub fn fig3_plan(scale: &Scale) -> ExperimentPlan {
     })
 }
 
-/// Figure 3: blocks touched by n processors, unweighted (a) and
-/// weighted by misses (b).
-pub fn fig3(scale: &Scale) -> TextTable {
-    SweepRunner::new().run(&fig3_plan(scale))
-}
-
-/// Figure 4 as an [`ExperimentPlan`].
+/// Figure 4: cumulative distribution of cache-to-cache misses over the
+/// hottest blocks / macroblocks / static instructions.
 pub fn fig4_plan(scale: &Scale) -> ExperimentPlan {
     characterization_plan(
         "Figure 4: Sharing Locality (cumulative % of c2c misses in hottest k entities)",
@@ -248,13 +235,8 @@ pub fn fig4_plan(scale: &Scale) -> ExperimentPlan {
     })
 }
 
-/// Figure 4: cumulative distribution of cache-to-cache misses over the
-/// hottest blocks / macroblocks / static instructions.
-pub fn fig4(scale: &Scale) -> TextTable {
-    SweepRunner::new().run(&fig4_plan(scale))
-}
-
-/// Figure 5 as an [`ExperimentPlan`].
+/// Figure 5: the four standout predictors against both baselines on
+/// every workload (8192 entries, 1024 B macroblock indexing).
 pub fn fig5_plan(scale: &Scale) -> ExperimentPlan {
     tradeoff_plan(
         "Figure 5: Standout Predictor Results (8192 entries, 1024B macroblock)",
@@ -264,13 +246,7 @@ pub fn fig5_plan(scale: &Scale) -> ExperimentPlan {
     )
 }
 
-/// Figure 5: the four standout predictors against both baselines on
-/// every workload (8192 entries, 1024 B macroblock indexing).
-pub fn fig5(scale: &Scale) -> TextTable {
-    SweepRunner::new().run(&fig5_plan(scale))
-}
-
-/// Figure 6(a) as an [`ExperimentPlan`].
+/// Figure 6(a): program-counter vs data-block indexing (unbounded, OLTP).
 pub fn fig6a_plan(scale: &Scale) -> ExperimentPlan {
     let mut predictors = Vec::new();
     for ix in [Indexing::DataBlock, Indexing::ProgramCounter] {
@@ -286,12 +262,7 @@ pub fn fig6a_plan(scale: &Scale) -> ExperimentPlan {
     )
 }
 
-/// Figure 6(a): program-counter vs data-block indexing (unbounded, OLTP).
-pub fn fig6a(scale: &Scale) -> TextTable {
-    SweepRunner::new().run(&fig6a_plan(scale))
-}
-
-/// Figure 6(b) as an [`ExperimentPlan`].
+/// Figure 6(b): macroblock-size sensitivity (unbounded, OLTP).
 pub fn fig6b_plan(scale: &Scale) -> ExperimentPlan {
     let mut predictors = Vec::new();
     for bytes in [64u64, 256, 1024] {
@@ -312,12 +283,8 @@ pub fn fig6b_plan(scale: &Scale) -> ExperimentPlan {
     )
 }
 
-/// Figure 6(b): macroblock-size sensitivity (unbounded, OLTP).
-pub fn fig6b(scale: &Scale) -> TextTable {
-    SweepRunner::new().run(&fig6b_plan(scale))
-}
-
-/// Figure 6(c) as an [`ExperimentPlan`].
+/// Figure 6(c): finite sizes (8192 / 32768 / unbounded) and the
+/// Sticky-Spatial(1) prior-work baseline (OLTP, 1024 B macroblocks).
 pub fn fig6c_plan(scale: &Scale) -> ExperimentPlan {
     let mut predictors = Vec::new();
     for capacity in [
@@ -346,12 +313,6 @@ pub fn fig6c_plan(scale: &Scale) -> ExperimentPlan {
         &[Workload::Oltp],
         &predictors,
     )
-}
-
-/// Figure 6(c): finite sizes (8192 / 32768 / unbounded) and the
-/// Sticky-Spatial(1) prior-work baseline (OLTP, 1024 B macroblocks).
-pub fn fig6c(scale: &Scale) -> TextTable {
-    SweepRunner::new().run(&fig6c_plan(scale))
 }
 
 /// A runtime (Figure 7/8-style) plan: one timing-simulation cell per
@@ -408,7 +369,8 @@ fn runtime_render(cells: &[Cell], outputs: &[CellOutput], table: &mut TextTable)
     }
 }
 
-/// Figure 7 as an [`ExperimentPlan`].
+/// Figure 7: normalized runtime vs normalized traffic, simple CPU
+/// model, all six workloads.
 pub fn fig7_plan(scale: &Scale) -> ExperimentPlan {
     runtime_plan(
         "Figure 7: Runtime vs traffic (simple processor model; directory runtime = 100, snooping traffic = 100)",
@@ -418,13 +380,8 @@ pub fn fig7_plan(scale: &Scale) -> ExperimentPlan {
     )
 }
 
-/// Figure 7: normalized runtime vs normalized traffic, simple CPU
-/// model, all six workloads.
-pub fn fig7(scale: &Scale) -> TextTable {
-    SweepRunner::new().run(&fig7_plan(scale))
-}
-
-/// Figure 8 as an [`ExperimentPlan`].
+/// Figure 8: same with the detailed (out-of-order) CPU model on the
+/// three workloads the paper simulates.
 pub fn fig8_plan(scale: &Scale) -> ExperimentPlan {
     runtime_plan(
         "Figure 8: Runtime vs traffic (detailed processor model)",
@@ -434,13 +391,8 @@ pub fn fig8_plan(scale: &Scale) -> ExperimentPlan {
     )
 }
 
-/// Figure 8: same with the detailed (out-of-order) CPU model on the
-/// three workloads the paper simulates.
-pub fn fig8(scale: &Scale) -> TextTable {
-    SweepRunner::new().run(&fig8_plan(scale))
-}
-
-/// Ablations as an [`ExperimentPlan`].
+/// Ablations of design choices DESIGN.md calls out: macroblock sizes
+/// past 1024 B, Sticky-Spatial neighbor span, and table associativity.
 pub fn ablations_plan(scale: &Scale) -> ExperimentPlan {
     let config = SystemConfig::isca03();
     let mut predictors = Vec::new();
@@ -501,13 +453,10 @@ pub fn ablations_plan(scale: &Scale) -> ExperimentPlan {
     })
 }
 
-/// Ablations of design choices DESIGN.md calls out: macroblock sizes
-/// past 1024 B, Sticky-Spatial neighbor span, and table associativity.
-pub fn ablations(scale: &Scale) -> TextTable {
-    SweepRunner::new().run(&ablations_plan(scale))
-}
-
-/// The extension study as an [`ExperimentPlan`].
+/// Extension study: the Acacio-style predictive directory (cited in the
+/// paper's introduction) against the paper's protocols, under the
+/// timing model. Shows the 3-hop→2-hop conversion and where multicast
+/// snooping still wins.
 pub fn extensions_plan(scale: &Scale) -> ExperimentPlan {
     let config = SystemConfig::isca03();
     let owner_mb = PredictorConfig::owner().indexing(MB);
@@ -544,15 +493,16 @@ pub fn extensions_plan(scale: &Scale) -> ExperimentPlan {
     plan.render(runtime_render)
 }
 
-/// Extension study: the Acacio-style predictive directory (cited in the
-/// paper's introduction) against the paper's protocols, under the
-/// timing model. Shows the 3-hop→2-hop conversion and where multicast
-/// snooping still wins.
-pub fn extensions(scale: &Scale) -> TextTable {
-    SweepRunner::new().run(&extensions_plan(scale))
-}
-
-/// The scaling study as an [`ExperimentPlan`].
+/// Scaling study: how the predictors behave as the machine grows from
+/// 8 to 256 nodes (broadcast cost grows linearly; Group's advantage —
+/// tracking sub-machine sharing groups — grows with it). The 128- and
+/// 256-node rows exercise the multi-word `DestSet` representation and
+/// the queue/table pressure the related work (criticality-aware
+/// multiprocessors, cache-level prediction) motivates. The `(timing
+/// sim)` rows at 64/128/256 nodes run the full discrete-event
+/// simulator — the fig7-style path — at sizes that lazy predictor
+/// training made affordable (wheel traffic no longer scales with the
+/// request fan-out).
 pub fn scaling_plan(scale: &Scale) -> ExperimentPlan {
     let mut plan = ExperimentPlan::new(
         "Scaling: request messages per miss vs system size (OLTP-like sharing)",
@@ -658,21 +608,11 @@ pub fn scaling_plan(scale: &Scale) -> ExperimentPlan {
     })
 }
 
-/// Scaling study: how the predictors behave as the machine grows from
-/// 8 to 256 nodes (broadcast cost grows linearly; Group's advantage —
-/// tracking sub-machine sharing groups — grows with it). The 128- and
-/// 256-node rows exercise the multi-word `DestSet` representation and
-/// the queue/table pressure the related work (criticality-aware
-/// multiprocessors, cache-level prediction) motivates. The `(timing
-/// sim)` rows at 64/128/256 nodes run the full discrete-event
-/// simulator — the fig7-style path — at sizes that lazy predictor
-/// training made affordable (wheel traffic no longer scales with the
-/// request fan-out).
-pub fn scaling(scale: &Scale) -> TextTable {
-    SweepRunner::new().run(&scaling_plan(scale))
-}
-
-/// The bandwidth sweep as an [`ExperimentPlan`].
+/// Bandwidth-sensitivity study (the design-point question the paper's
+/// §5.3 sidesteps by assuming ample 10 GB/s links): sweep the link
+/// bandwidth and watch snooping collapse under contention while the
+/// bandwidth-efficient predictors hold their runtime advantage — the
+/// motivation for the authors' earlier bandwidth-adaptive snooping.
 pub fn bandwidth_plan(scale: &Scale) -> ExperimentPlan {
     let config = SystemConfig::isca03();
     let mut plan = ExperimentPlan::new(
@@ -735,15 +675,6 @@ pub fn bandwidth_plan(scale: &Scale) -> ExperimentPlan {
     })
 }
 
-/// Bandwidth-sensitivity study (the design-point question the paper's
-/// §5.3 sidesteps by assuming ample 10 GB/s links): sweep the link
-/// bandwidth and watch snooping collapse under contention while the
-/// bandwidth-efficient predictors hold their runtime advantage — the
-/// motivation for the authors' earlier bandwidth-adaptive snooping.
-pub fn bandwidth(scale: &Scale) -> TextTable {
-    SweepRunner::new().run(&bandwidth_plan(scale))
-}
-
 /// A named toxic-severity preset for the `degraded` sweep.
 ///
 /// Severities nest: each level keeps the previous level's fault models
@@ -787,21 +718,21 @@ pub fn toxic_severity(name: &str) -> ToxicSpec {
 
 /// One (severity, network, node-count) case of the `degraded` sweep.
 #[derive(Clone, Debug)]
-pub struct DegradedCase {
+struct DegradedCase {
     /// Severity preset name (see [`toxic_severity`]).
-    pub severity: &'static str,
+    severity: &'static str,
     /// The fault chain for this case.
-    pub toxics: ToxicSpec,
+    toxics: ToxicSpec,
     /// Network shape.
-    pub topology: TopologySpec,
+    topology: TopologySpec,
     /// Node count.
-    pub nodes: usize,
+    nodes: usize,
 }
 
 impl DegradedCase {
     /// Row label for the network column (`crossbar/16`,
     /// `mesh8x8@5ns/64`).
-    pub fn network(&self) -> String {
+    fn network(&self) -> String {
         format!("{}/{}", self.topology.label(self.nodes), self.nodes)
     }
 }
@@ -810,7 +741,7 @@ impl DegradedCase {
 /// severity, plus a 64-node 8×8 mesh (15 ns injection channels, 5 ns
 /// per hop) clean and severely degraded. Each group leads with its
 /// `none` case, which anchors the group's runtime normalization.
-pub fn degraded_cases() -> Vec<DegradedCase> {
+fn degraded_cases() -> Vec<DegradedCase> {
     let mesh = TopologySpec::Mesh2d {
         cols: 8,
         link_ns: 15,
@@ -836,11 +767,14 @@ pub fn degraded_cases() -> Vec<DegradedCase> {
     cases
 }
 
-/// The degraded-interconnect sweep as an [`ExperimentPlan`]: predictor
+/// Destination-set prediction under a contended, faulty network — the
+/// scenario the paper's ideal 50 ns crossbar cannot express: predictor
 /// policies × toxic severity, per-cell toxic/topology overrides on the
-/// shared engine. Runtime is normalized to the same group's clean
-/// (`none`) directory run, so each column shows how much of the
-/// predictors' latency advantage survives network degradation.
+/// shared engine. Every toxic is deterministic under seed, so these
+/// rows are as reproducible as the clean ones. Runtime is normalized to
+/// the same group's clean (`none`) directory run, so each column shows
+/// how much of the predictors' latency advantage survives network
+/// degradation.
 pub fn degraded_plan(scale: &Scale) -> ExperimentPlan {
     let cases = degraded_cases();
     let mut plan = ExperimentPlan::new(
@@ -898,15 +832,9 @@ pub fn degraded_plan(scale: &Scale) -> ExperimentPlan {
     })
 }
 
-/// Destination-set prediction under a contended, faulty network — the
-/// scenario the paper's ideal 50 ns crossbar cannot express. Every
-/// toxic is deterministic under seed, so these rows are as reproducible
-/// as the clean ones.
-pub fn degraded(scale: &Scale) -> TextTable {
-    SweepRunner::new().run(&degraded_plan(scale))
-}
-
-/// The model-checking sweep as an [`ExperimentPlan`].
+/// Runs the explicit-state model checker over the multicast protocol
+/// (2- and 3-node models, all destination sets, all interleavings) and
+/// over each injected bug, reporting state counts and verdicts.
 pub fn verify_plan(scale: &Scale) -> ExperimentPlan {
     use dsp_verify::Bug;
     let mut plan = ExperimentPlan::new(
@@ -961,14 +889,8 @@ pub fn verify_plan(scale: &Scale) -> ExperimentPlan {
     })
 }
 
-/// Runs the explicit-state model checker over the multicast protocol
-/// (2- and 3-node models, all destination sets, all interleavings) and
-/// over each injected bug, reporting state counts and verdicts.
-pub fn verify(scale: &Scale) -> TextTable {
-    SweepRunner::new().run(&verify_plan(scale))
-}
-
-/// The headline-claims audit as an [`ExperimentPlan`].
+/// Verifies the paper's headline quantitative claims and prints
+/// PASS/FAIL rows with the measured values.
 ///
 /// Cell layout: `0..6` baselines for every workload, `6` Owner on
 /// Slashcode, `7..13` Broadcast-If-Shared everywhere, `13..19` Group
@@ -1104,67 +1026,53 @@ pub fn claims_plan(scale: &Scale) -> ExperimentPlan {
     })
 }
 
-/// Verifies the paper's headline quantitative claims and prints
-/// PASS/FAIL rows with the measured values.
-pub fn claims(scale: &Scale) -> TextTable {
-    SweepRunner::new().run(&claims_plan(scale))
-}
+/// Builds one experiment's plan at a scale.
+pub type PlanFn = fn(&Scale) -> ExperimentPlan;
 
-/// Every experiment name the harness knows, in `repro all` order.
-pub const ALL_EXPERIMENTS: &[&str] = &[
-    "table2",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6a",
-    "fig6b",
-    "fig6c",
-    "fig7",
-    "fig8",
-    "ablations",
-    "extensions",
-    "scaling",
-    "claims",
-    "bandwidth",
-    "degraded",
-    "verify",
+/// Every experiment the harness knows, in `repro all` order, with the
+/// function that declares its plan.
+pub const EXPERIMENTS: &[(&str, PlanFn)] = &[
+    ("table2", table2_plan),
+    ("fig2", fig2_plan),
+    ("fig3", fig3_plan),
+    ("fig4", fig4_plan),
+    ("fig5", fig5_plan),
+    ("fig6a", fig6a_plan),
+    ("fig6b", fig6b_plan),
+    ("fig6c", fig6c_plan),
+    ("fig7", fig7_plan),
+    ("fig8", fig8_plan),
+    ("ablations", ablations_plan),
+    ("extensions", extensions_plan),
+    ("scaling", scaling_plan),
+    ("claims", claims_plan),
+    ("bandwidth", bandwidth_plan),
+    ("degraded", degraded_plan),
+    ("verify", verify_plan),
 ];
+
+/// Every experiment name, in `repro all` order.
+pub fn names() -> impl Iterator<Item = &'static str> {
+    EXPERIMENTS.iter().map(|(name, _)| *name)
+}
 
 /// Builds the plan for a named experiment, or `None` for an unknown
 /// name.
 pub fn plan_for(name: &str, scale: &Scale) -> Option<ExperimentPlan> {
-    Some(match name {
-        "table2" => table2_plan(scale),
-        "fig2" => fig2_plan(scale),
-        "fig3" => fig3_plan(scale),
-        "fig4" => fig4_plan(scale),
-        "fig5" => fig5_plan(scale),
-        "fig6a" => fig6a_plan(scale),
-        "fig6b" => fig6b_plan(scale),
-        "fig6c" => fig6c_plan(scale),
-        "fig7" => fig7_plan(scale),
-        "fig8" => fig8_plan(scale),
-        "ablations" => ablations_plan(scale),
-        "extensions" => extensions_plan(scale),
-        "scaling" => scaling_plan(scale),
-        "claims" => claims_plan(scale),
-        "bandwidth" => bandwidth_plan(scale),
-        "degraded" => degraded_plan(scale),
-        "verify" => verify_plan(scale),
-        _ => return None,
-    })
-}
-
-/// Runs a named experiment on `runner` (sharing its trace cache), or
-/// `None` for an unknown name.
-pub fn run_with(name: &str, scale: &Scale, runner: &engine::SweepRunner) -> Option<TextTable> {
-    plan_for(name, scale).map(|plan| runner.run(&plan))
+    EXPERIMENTS
+        .iter()
+        .find(|(known, _)| *known == name)
+        .map(|(_, plan)| plan(scale))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::SweepRunner;
+
+    fn run(plan: PlanFn) -> TextTable {
+        SweepRunner::new().run(&plan(&tiny()))
+    }
 
     fn tiny() -> Scale {
         Scale {
@@ -1179,66 +1087,66 @@ mod tests {
 
     #[test]
     fn table2_has_six_rows() {
-        assert_eq!(table2(&tiny()).len(), 6);
+        assert_eq!(run(table2_plan).len(), 6);
     }
 
     #[test]
     fn fig2_has_four_bins_per_workload() {
-        assert_eq!(fig2(&tiny()).len(), 24);
+        assert_eq!(run(fig2_plan).len(), 24);
     }
 
     #[test]
     fn fig3_covers_all_degrees() {
-        assert_eq!(fig3(&tiny()).len(), 6 * 16);
+        assert_eq!(run(fig3_plan).len(), 6 * 16);
     }
 
     #[test]
     fn fig5_rows_per_workload() {
         // 2 baselines + 4 predictors per workload.
-        assert_eq!(fig5(&tiny()).len(), 6 * 6);
+        assert_eq!(run(fig5_plan).len(), 6 * 6);
     }
 
     #[test]
     fn fig6_tables_nonempty() {
-        assert_eq!(fig6a(&tiny()).len(), 2 + 8);
-        assert_eq!(fig6b(&tiny()).len(), 2 + 12);
-        assert_eq!(fig6c(&tiny()).len(), 2 + 15);
+        assert_eq!(run(fig6a_plan).len(), 2 + 8);
+        assert_eq!(run(fig6b_plan).len(), 2 + 12);
+        assert_eq!(run(fig6c_plan).len(), 2 + 15);
     }
 
     #[test]
     fn fig7_rows() {
         // 6 workloads x (2 baselines + 4 predictors).
-        assert_eq!(fig7(&tiny()).len(), 36);
+        assert_eq!(run(fig7_plan).len(), 36);
     }
 
     #[test]
     fn ablation_rows() {
-        assert_eq!(ablations(&tiny()).len(), 11);
+        assert_eq!(run(ablations_plan).len(), 11);
     }
 
     #[test]
     fn extension_rows() {
         // 2 workloads x (2 baselines + 4 extras).
-        assert_eq!(extensions(&tiny()).len(), 12);
+        assert_eq!(run(extensions_plan).len(), 12);
     }
 
     #[test]
     fn scaling_rows() {
         // 6 sizes (8..=256 nodes) x (2 baselines + 3 predictors), plus
         // 3 timing-sim cells (64/128/256) x 3 protocols each.
-        assert_eq!(scaling(&tiny()).len(), 39);
+        assert_eq!(run(scaling_plan).len(), 39);
     }
 
     #[test]
     fn claims_all_present() {
-        let t = claims(&tiny());
+        let t = run(claims_plan);
         assert_eq!(t.len(), 5);
     }
 
     #[test]
     fn bandwidth_rows() {
         // 4 bandwidths x (2 baselines + 1 predictor).
-        assert_eq!(bandwidth(&tiny()).len(), 12);
+        assert_eq!(run(bandwidth_plan).len(), 12);
     }
 
     #[test]
@@ -1254,7 +1162,7 @@ mod tests {
     #[test]
     fn every_named_experiment_has_a_plan() {
         let scale = tiny();
-        for name in ALL_EXPERIMENTS {
+        for name in names() {
             assert!(plan_for(name, &scale).is_some(), "{name}");
         }
         assert!(plan_for("bogus", &scale).is_none());

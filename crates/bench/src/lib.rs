@@ -1,10 +1,9 @@
 //! Experiment harness regenerating every table and figure of the paper.
 //!
-//! The heavy lifting lives in [`experiments`]: one driver per paper
-//! artifact (Table 2, Figures 2–8, plus ablations), each returning a
-//! [`dsp_analysis::TextTable`]. The `repro` binary fronts them with a
-//! CLI; the Criterion benches in `benches/` reuse the same drivers at
-//! reduced scale.
+//! The heavy lifting lives in [`experiments`]: one plan per paper
+//! artifact (Table 2, Figures 2–8, plus ablations), each rendering a
+//! [`dsp_analysis::TextTable`] on the [`engine`]. The `repro` binary
+//! fronts them with a CLI; `perfbench/` times the same plans.
 //!
 //! ```bash
 //! cargo run --release -p dsp-fleet --bin repro -- all --scale standard

@@ -54,12 +54,12 @@ fn all_experiments_deterministic_across_thread_counts() {
     let parallel = SweepRunner::with_threads(4);
     // The model checker and timing sims dominate at any scale; keep the
     // cross-product experiments and skip only the slowest two drivers.
-    for name in experiments::ALL_EXPERIMENTS {
-        if matches!(*name, "fig7" | "fig8") {
+    for &(name, plan_of) in experiments::EXPERIMENTS {
+        if matches!(name, "fig7" | "fig8") {
             continue;
         }
-        let s = serial.run(&experiments::plan_for(name, &scale).expect("known name"));
-        let p = parallel.run(&experiments::plan_for(name, &scale).expect("known name"));
+        let s = serial.run(&plan_of(&scale));
+        let p = parallel.run(&plan_of(&scale));
         assert_eq!(s.to_csv(), p.to_csv(), "{name} diverged across threads");
     }
 }

@@ -16,15 +16,19 @@
 //! Each artifact is checked several ways against the same golden bytes:
 //!
 //! 1. the batch path (`SweepRunner`, a single-shard in-memory session),
-//!    under both the lazy (default) and eager training-delivery modes,
-//!    with an explicitly-empty toxic chain on the explicit crossbar
-//!    topology (the fault-injection layer's identity gate);
+//!    also with an explicitly-empty toxic chain on the explicit
+//!    crossbar topology (the fault-injection layer's identity gate);
 //! 2. a 2-shard run — two sessions journaling to JSONL, then
 //!    `merge_journals`;
 //! 3. a crash-then-resume run — a full journal truncated mid-file, a
 //!    resumed session completing it, then a merge of the healed file;
 //! 4. (implicitly, by 2 and 3) the serde round-trip of every cell
 //!    output through the journal.
+//!
+//! Experiments with timing-sim cells (fig7/fig8) additionally simulate
+//! every cell's runs under both training-delivery modes — the lazy
+//! per-node inboxes (the default) and the eager per-arrival reference
+//! events — and require identical reports.
 //!
 //! Compiled only into release test runs (CI's `cargo test --release
 //! --workspace`): the quick-scale timing simulations behind fig7/fig8
@@ -35,9 +39,15 @@
 
 use std::path::PathBuf;
 
-use dsp_bench::engine::{merge_journals, Cell, ShardSpec, SweepRunner, SweepSession};
+use dsp_bench::engine::{
+    merge_journals, Cell, ExperimentPlan, ShardSpec, SweepRunner, SweepSession,
+};
 use dsp_bench::{experiments, Scale};
-use dsp_sim::{TopologySpec, ToxicSpec, TrainingMode};
+use dsp_sim::{
+    simulate_with_partition, ProtocolKind, SimConfig, TargetSystem, TopologySpec, ToxicSpec,
+    TracePartition, TrainingMode,
+};
+use dsp_trace::WorkloadSpec;
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dsp-golden-{}-{name}", std::process::id()));
@@ -49,22 +59,13 @@ fn tmpdir(name: &str) -> PathBuf {
 fn check(name: &str, golden: &str) {
     let scale = Scale::quick();
 
-    // 1. Batch path (single-shard in-memory session), under BOTH
-    //    training-delivery modes: the lazy per-node inboxes (the
-    //    default) and the eager per-arrival reference events must
-    //    render byte-identical tables — to each other and to the
-    //    pre-refactor golden. The eager re-run only happens for plans
-    //    with timing-sim cells (fig7/fig8): trace-driven experiments
-    //    never touch the simulator, so both modes would execute
-    //    identical code there. This is the whole-experiment end of
-    //    the eager/lazy equivalence argument; the per-call end lives
-    //    in `dsp-sim/tests/train_equivalence.rs`.
+    // 1. Batch path (single-shard in-memory session).
     let plan = experiments::plan_for(name, &scale).expect("known experiment");
     let table = SweepRunner::new().run(&plan);
     assert_eq!(
         table.to_csv(),
         golden,
-        "{name} batch output (lazy training) diverged from the pre-refactor golden"
+        "{name} batch output diverged from the pre-refactor golden"
     );
     // The fault-injection layer's identity gate: an EXPLICIT empty
     // toxic chain on the explicit crossbar topology must be
@@ -83,16 +84,7 @@ fn check(name: &str, golden: &str) {
          diverged from the golden"
     );
 
-    if plan.cells.iter().any(|c| matches!(c, Cell::Runtime { .. })) {
-        let eager_plan = experiments::plan_for(name, &scale)
-            .expect("known experiment")
-            .training(TrainingMode::Eager);
-        assert_eq!(
-            SweepRunner::new().run(&eager_plan).to_csv(),
-            golden,
-            "{name} batch output (eager training) diverged from the pre-refactor golden"
-        );
-    }
+    check_training_modes(name, &plan);
 
     let dir = tmpdir(name);
 
@@ -141,6 +133,63 @@ fn check(name: &str, golden: &str) {
     );
 
     std::fs::remove_dir_all(dir).ok();
+}
+
+/// The whole-experiment end of the eager/lazy training equivalence (the
+/// per-call end lives in `dsp-sim/tests/train_equivalence.rs`): every
+/// protocol of every timing-sim cell, on every perturbed-seed run, must
+/// report the same `SimReport` under eager delivery as under the lazy
+/// default. Runs follow `RuntimeEvaluator`'s seed schedule
+/// (`seed + r·7919`) and both modes replay one shared partition.
+/// Trace-driven cells never touch the simulator and are skipped.
+fn check_training_modes(name: &str, plan: &ExperimentPlan) {
+    let scale = &plan.scale;
+    for cell in &plan.cells {
+        let Cell::Runtime {
+            config,
+            workload,
+            cpu,
+            target,
+            toxics,
+            topology,
+            protocols,
+        } = cell
+        else {
+            continue;
+        };
+        let spec = WorkloadSpec::preset(*workload, config).scaled(scale.footprint);
+        let target = target.unwrap_or_else(TargetSystem::isca03_default);
+        let mut all = vec![ProtocolKind::Snooping, ProtocolKind::Directory];
+        all.extend(protocols.iter().copied());
+        for r in 0..scale.sim_runs.max(1) {
+            let seed = plan.seed + r as u64 * 7919;
+            let partition = TracePartition::build(
+                &spec,
+                seed,
+                config.num_nodes(),
+                scale.sim_warmup + scale.sim_measured,
+            );
+            for &protocol in &all {
+                let simulate = |training| {
+                    let sim = SimConfig::new(protocol)
+                        .cpu(*cpu)
+                        .misses(scale.sim_warmup, scale.sim_measured)
+                        .seed(seed)
+                        .training(training)
+                        .toxics(toxics.clone().unwrap_or_else(|| plan.toxics.clone()))
+                        .topology(topology.unwrap_or(plan.topology));
+                    simulate_with_partition(config, target, &spec, sim, partition.clone())
+                };
+                assert_eq!(
+                    simulate(TrainingMode::Lazy),
+                    simulate(TrainingMode::Eager),
+                    "{name}: {} on {} run {r} differs between lazy and eager training",
+                    protocol.label(),
+                    cell.summary(),
+                );
+            }
+        }
+    }
 }
 
 #[test]
