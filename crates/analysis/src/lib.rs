@@ -40,7 +40,6 @@
 
 mod characterize;
 mod render;
-mod report_io;
 mod runtime;
 mod tradeoff;
 
@@ -48,6 +47,5 @@ pub use characterize::{
     characterize, characterize_trace, CharacterizationReport, LocalityCdf, SharingHistogram,
 };
 pub use render::{fmt_f, TextTable};
-pub use report_io::{load_json, save_json, ReportIoError};
 pub use runtime::{RuntimeEvaluator, RuntimePoint};
 pub use tradeoff::{TradeoffEvaluator, TradeoffPoint};

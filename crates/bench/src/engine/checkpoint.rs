@@ -13,9 +13,9 @@
 //!
 //! * **checkpoint** — `--resume` replays the journaled outputs and
 //!   executes only the missing cells;
-//! * **shard output** — a `--shard i/N` run's journal carries that
-//!   shard's cells; record order is completion order and does not
-//!   matter, because
+//! * **lease output** — a fleet worker's journal carries the cells of
+//!   one lease (an explicit `CellId` set); record order is completion
+//!   order and does not matter, because
 //! * **merge** — [`merge_journals`] folds any set of journals covering
 //!   a plan back into plan-ordered outputs and renders the table, which
 //!   is byte-identical to a serial in-memory run (cell outputs are
@@ -30,7 +30,7 @@ use dsp_analysis::TextTable;
 use serde::{Deserialize, Serialize};
 
 use super::session::SessionError;
-use super::{CellId, CellOutput, CellRecord, CellSink, ExperimentPlan, ShardSpec};
+use super::{manifest_digest, CellId, CellOutput, CellRecord, CellSink, ExperimentPlan};
 
 /// Magic string identifying the journal format (and its version).
 const MAGIC: &str = "dsp-sweep-journal-v1";
@@ -43,11 +43,22 @@ pub(crate) struct JournalHeader {
     cells: usize,
     seed: u64,
     scale: String,
+    /// The writer's coverage, see [`coverage`].
     shard: String,
 }
 
+/// A session's coverage as its journal header records it: `all`, or
+/// `cells:<len>:<digest>` for an explicit (sorted, deduplicated) cell
+/// set, so equal sets render equally.
+pub(crate) fn coverage(cells: Option<&[CellId]>) -> String {
+    match cells {
+        None => "all".to_string(),
+        Some(ids) => format!("cells:{}:{:016x}", ids.len(), manifest_digest(ids)),
+    }
+}
+
 impl JournalHeader {
-    fn for_plan(plan: &ExperimentPlan, shard: &ShardSpec) -> Self {
+    fn for_plan(plan: &ExperimentPlan, cells: Option<&[CellId]>) -> Self {
         JournalHeader {
             journal: MAGIC.to_string(),
             plan: plan.title.clone(),
@@ -56,12 +67,12 @@ impl JournalHeader {
             // Exact footprint bits: two scales that differ in any run
             // parameter produce incompatible journals.
             scale: plan.scale.identity(),
-            shard: shard.to_string(),
+            shard: coverage(cells),
         }
     }
 
     fn validate(&self, plan: &ExperimentPlan, path: &Path) -> Result<(), SessionError> {
-        let expect = JournalHeader::for_plan(plan, &ShardSpec::full());
+        let expect = JournalHeader::for_plan(plan, None);
         let mismatch = |what: &str, got: &str, want: &str| {
             Err(SessionError::Journal {
                 path: path.to_path_buf(),
@@ -112,11 +123,18 @@ pub struct JournalWriter {
 }
 
 impl JournalWriter {
-    /// Creates (truncating) `path` and writes the header line.
-    pub fn create(
+    /// Creates (truncating) `path` and writes the header line of a
+    /// journal covering the whole plan.
+    pub fn create(path: &Path, plan: &ExperimentPlan) -> Result<Self, SessionError> {
+        JournalWriter::create_covering(path, plan, None)
+    }
+
+    /// [`create`](JournalWriter::create) for a session restricted to
+    /// `cells` (`None` = the whole plan).
+    pub(crate) fn create_covering(
         path: &Path,
         plan: &ExperimentPlan,
-        shard: &ShardSpec,
+        cells: Option<&[CellId]>,
     ) -> Result<Self, SessionError> {
         if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
             std::fs::create_dir_all(parent).map_err(|e| SessionError::io(path, e))?;
@@ -127,7 +145,7 @@ impl JournalWriter {
             file: BufWriter::new(file),
             error: None,
         };
-        let header = JournalHeader::for_plan(plan, shard);
+        let header = JournalHeader::for_plan(plan, cells);
         writer.write_line(&serde_json::to_string(&header).expect("header serializes"))?;
         Ok(writer)
     }
@@ -210,9 +228,9 @@ pub(crate) struct JournalContents {
     /// ends in `\n`); a resumed writer truncates the file here so a
     /// torn crash remnant never fuses with the next appended record.
     pub valid_bytes: u64,
-    /// The `i/N` shard spec the journal's writer ran under. Merging
-    /// accepts any shard's journal; *resuming* must run the same shard,
-    /// or the file would silently mix two coverage patterns.
+    /// The coverage the journal's writer ran under. Merging accepts
+    /// any journal; *resuming* must cover the same cells, or the file
+    /// would silently mix two coverage patterns.
     pub shard: String,
 }
 
@@ -284,15 +302,15 @@ pub(crate) fn read_journal(
     })
 }
 
-/// Folds shard journals back into one table.
+/// Folds journals back into one table.
 ///
 /// Plan identity (title, cell count, seed, and the exact scale bits) is
 /// verified against *every* input journal — and since each header must
 /// equal the plan's, all journals are transitively verified against
 /// each other; a journal from a different experiment or run size fails
 /// the merge instead of silently folding into it. Cells may repeat
-/// across journals (e.g. a resumed shard re-merged with its pre-crash
-/// journal, or a lease completed by a worker presumed dead *and* by
+/// across journals (e.g. a resumed journal re-merged with its pre-crash
+/// copy, or a lease completed by a worker presumed dead *and* by
 /// its stealer): outputs are deterministic, so repeats must carry
 /// byte-identical serialized data — a conflicting repeat means the
 /// journals came from incompatible runs and also fails the merge. The
@@ -587,15 +605,17 @@ mod tests {
         let plan = plan(&scale);
         let dir = tmp("missing");
         let path = dir.join("half.jsonl");
-        // A 2-shard session journals only its own cells.
-        let session = SweepSession::new(&plan)
-            .shard(ShardSpec::new(0, 2))
-            .checkpoint(&path);
-        session.run(&mut []).expect("session");
+        // A one-cell session journals only its own cell.
+        let ids = CellId::assign(&plan.cells);
+        SweepSession::new(&plan)
+            .cells(vec![ids[0]])
+            .checkpoint(&path)
+            .run(&mut [])
+            .expect("session");
         match merge_journals(&plan, &[path]) {
             Err(SessionError::Incomplete { missing, total }) => {
                 assert_eq!(total, 2);
-                assert!(missing >= 1);
+                assert_eq!(missing, 1);
             }
             other => panic!("expected incomplete merge, got {other:?}"),
         }

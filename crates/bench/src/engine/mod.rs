@@ -1,5 +1,5 @@
 //! The sweep engine: declarative experiment plans executed as
-//! streaming, shardable, resumable *sessions*.
+//! streaming, resumable *sessions*.
 //!
 //! The paper's evaluation is a cross-product — predictor policy ×
 //! workload × table size × indexing granularity × protocol — and every
@@ -14,31 +14,31 @@
 //!   function that turns their outputs into [`TextTable`] rows. Every
 //!   `table*`/`fig*` driver in [`crate::experiments`] is a plan
 //!   declaration plus a row formatter.
-//! * [`SweepSession`] ([`session`]) — executes one shard of a plan:
-//!   each cell is identified by a stable content-hash [`CellId`]
-//!   ([`shard`]), assigned to a shard by a [`ShardSpec`], streamed out
-//!   through [`CellSink`]s ([`sink`]) as it finishes, and journaled to
-//!   a checkpoint file ([`checkpoint`]) so a crashed run resumes from
-//!   its last completed cell and N shard journals merge into one table
-//!   byte-identical to a serial run.
-//! * [`SweepRunner`] — the batch convenience wrapper: a single-shard
+//! * [`SweepSession`] ([`session`]) — executes a plan, or an explicit
+//!   set of its cells (a fleet lease): each cell is identified by a
+//!   stable content-hash [`CellId`] ([`shard`]), streamed out through
+//!   [`CellSink`]s ([`sink`]) as it finishes, and journaled to a
+//!   checkpoint file ([`checkpoint`]) so a crashed run resumes from its
+//!   last completed cell and the journals of N leases merge into one
+//!   table byte-identical to a serial run.
+//! * [`SweepRunner`] — the batch convenience wrapper: a whole-plan
 //!   in-memory session per plan, sharing one trace cache and one
 //!   timing-sim partition cache across plans (`repro all` generates
 //!   each workload's trace once).
 //!
 //! # Determinism
 //!
-//! Output is byte-identical across thread counts, shard counts, and
+//! Output is byte-identical across thread counts, cell splits, and
 //! crash/resume points:
 //!
 //! * every trace is produced by a generator seeded from the plan's
 //!   fixed seed, never by a generator shared between cells or threads;
 //! * each cell builds its own evaluator/tracker/predictor state, so a
 //!   cell's output is a pure function of the plan — which is what makes
-//!   journaled outputs safe to replay and shards safe to merge;
+//!   journaled outputs safe to replay and lease journals safe to merge;
 //! * rendering walks outputs in plan order on the calling thread,
 //!   whether they come from slots filled in parallel, a checkpoint
-//!   journal, or a merge of several shard journals.
+//!   journal, or a merge of several lease journals.
 //!
 //! ```
 //! use dsp_bench::engine::SweepRunner;
@@ -60,7 +60,7 @@ pub use checkpoint::{
     harvest_journal, merge_journals, scan_journal, tail_journal, JournalTail, JournalWriter,
 };
 pub use session::{SessionError, SessionReport, SweepSession};
-pub use shard::{manifest_digest, CellId, ShardSpec};
+pub use shard::{manifest_digest, CellId};
 pub use sink::{CellRecord, CellSink, Collector, ProgressSink};
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -377,8 +377,8 @@ impl ExperimentPlan {
     /// Renders `outputs` (one per cell, in plan order) into the plan's
     /// table. This is the single formatting path every execution mode
     /// funnels through — parallel slots, resumed journals, and merged
-    /// shards produce byte-identical tables because they all end here
-    /// with the same ordered outputs.
+    /// lease journals produce byte-identical tables because they all
+    /// end here with the same ordered outputs.
     pub fn render_outputs(&self, outputs: &[CellOutput]) -> TextTable {
         let mut table = TextTable::new(self.title.clone(), self.columns.iter().copied());
         (self.render)(&self.cells, outputs, &mut table);
@@ -628,7 +628,7 @@ pub(crate) fn execute_cell(
 }
 
 /// Batch front-end over [`SweepSession`]: runs whole plans in memory
-/// (single shard, no checkpoint), sharing one trace cache and one
+/// (whole plan, no checkpoint), sharing one trace cache and one
 /// partition cache across every plan it executes.
 #[derive(Debug)]
 pub struct SweepRunner {
@@ -695,8 +695,8 @@ impl SweepRunner {
     }
 
     /// A full-coverage in-memory session over `plan`, wired to this
-    /// runner's thread count and shared caches. Callers needing
-    /// sharding or checkpointing configure the returned session
+    /// runner's thread count and shared caches. Callers needing a
+    /// cell subset or checkpointing configure the returned session
     /// further.
     pub fn session<'p>(&self, plan: &'p ExperimentPlan) -> SweepSession<'p> {
         SweepSession::new(plan)
@@ -715,7 +715,7 @@ impl SweepRunner {
     pub fn run_cells(&self, plan: &ExperimentPlan) -> Vec<CellOutput> {
         self.session(plan)
             .run_collect()
-            .expect("in-memory full-shard session cannot fail")
+            .expect("in-memory whole-plan session cannot fail")
     }
 }
 
@@ -851,7 +851,30 @@ mod tests {
     #[test]
     fn cell_output_round_trips_through_json() {
         let scale = tiny();
-        let outputs = SweepRunner::serial().run_cells(&small_plan(&scale));
+        // Every output variant a journal persists: the small plan's
+        // baselines and tradeoff points, plus one characterization, one
+        // timing-sim protocol set, and one model check that finds a
+        // violation (its counterexample exercises the nested enums).
+        let config = SystemConfig::isca03();
+        let mut plan = small_plan(&scale);
+        plan.push(Cell::Characterize {
+            config,
+            workload: Workload::Ocean,
+        });
+        plan.push(Cell::Runtime {
+            config,
+            workload: Workload::Oltp,
+            cpu: CpuModel::Simple,
+            target: None,
+            toxics: None,
+            topology: None,
+            protocols: vec![ProtocolKind::Multicast(PredictorConfig::owner())],
+        });
+        plan.push(Cell::Verify {
+            nodes: 2,
+            bug: Some(Bug::AcceptInsufficient),
+        });
+        let outputs = SweepRunner::serial().run_cells(&plan);
         for output in &outputs {
             let json = serde_json::to_string(output).expect("serialize");
             let back: CellOutput = serde_json::from_str(&json).expect("deserialize");
@@ -869,6 +892,26 @@ mod tests {
                 ) => {
                     assert_eq!(s1, s2);
                     assert_eq!(d1, d2);
+                }
+                (CellOutput::Characterization(a), CellOutput::Characterization(b)) => {
+                    assert_eq!(a.misses, b.misses);
+                    assert_eq!(a.directory_indirections, b.directory_indirections);
+                    assert_eq!(a.degree_misses, b.degree_misses);
+                }
+                (CellOutput::Runtime(a), CellOutput::Runtime(b)) => {
+                    assert_eq!(a.len(), 3, "snooping, directory, one extra protocol");
+                    assert_eq!(a, b, "RuntimePoint must round-trip exactly");
+                }
+                (CellOutput::Verify(a), CellOutput::Verify(b)) => {
+                    assert_eq!(a.states_explored, b.states_explored);
+                    assert_eq!(a.transitions, b.transitions);
+                    let (va, vb) = (
+                        a.violation.as_ref().expect("the injected bug is caught"),
+                        b.violation.as_ref().expect("violation round-trips"),
+                    );
+                    assert_eq!(va.invariant, vb.invariant);
+                    assert_eq!(va.state, vb.state);
+                    assert_eq!(va.trace, vb.trace);
                 }
                 other => panic!("variant changed across round-trip: {other:?}"),
             }

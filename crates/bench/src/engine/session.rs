@@ -1,4 +1,5 @@
-//! One shard of one plan, executed as a streaming, resumable session.
+//! One plan (or an explicit subset of its cells), executed as a
+//! streaming, resumable session.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -8,10 +9,10 @@ use std::sync::{Arc, Mutex};
 
 use dsp_analysis::TextTable;
 
-use super::checkpoint::{read_journal, JournalWriter};
+use super::checkpoint::{coverage, read_journal, JournalWriter};
 use super::{
     execute_cell, parallel_map, CellId, CellOutput, CellRecord, CellSink, Collector,
-    ExperimentPlan, PartitionStore, ShardSpec, TraceKey, TraceStore,
+    ExperimentPlan, PartitionStore, TraceKey, TraceStore,
 };
 
 /// Failures a session (or a merge) can hit. Pure in-memory sessions —
@@ -33,8 +34,8 @@ pub enum SessionError {
         /// What went wrong.
         message: String,
     },
-    /// Outputs do not cover the plan (merging too few shards, or
-    /// collecting from a partial-shard session).
+    /// Outputs do not cover the plan (merging journals that miss some
+    /// cells, or collecting from a session restricted to a cell subset).
     Incomplete {
         /// Cells with no output.
         missing: usize,
@@ -63,8 +64,8 @@ impl fmt::Display for SessionError {
             }
             SessionError::Incomplete { missing, total } => write!(
                 f,
-                "outputs cover only {}/{total} cells ({missing} missing — merge every shard's \
-                 journal, or run without --shard)",
+                "outputs cover only {}/{total} cells ({missing} missing — merge the journals \
+                 of every lease, or run the whole plan)",
                 total - missing
             ),
         }
@@ -85,7 +86,7 @@ impl std::error::Error for SessionError {
 pub struct SessionReport {
     /// Cells in the plan.
     pub cells: usize,
-    /// Cells this shard owns.
+    /// Cells this session covers.
     pub owned: usize,
     /// Owned cells replayed from the checkpoint journal.
     pub replayed: usize,
@@ -93,31 +94,36 @@ pub struct SessionReport {
     pub executed: usize,
 }
 
-/// A configured execution of one shard of an [`ExperimentPlan`].
+/// A configured execution of an [`ExperimentPlan`], or of an explicit
+/// subset of its cells.
 ///
-/// The session owns the run policy — shard assignment, worker count,
+/// The session owns the run policy — cell coverage, worker count,
 /// trace/partition caches, checkpoint journal — while the plan stays a
 /// pure description. Finished cells stream through the caller's
 /// [`CellSink`]s as they complete; nothing is buffered beyond what the
 /// sinks themselves keep.
 ///
 /// ```
-/// use dsp_bench::engine::{merge_journals, ShardSpec, SweepSession};
+/// use dsp_bench::engine::{merge_journals, CellId, SweepSession};
 /// use dsp_bench::{experiments, Scale};
 ///
 /// let scale = Scale::quick();
 /// let plan = experiments::table2_plan(&scale);
 /// let dir = std::env::temp_dir().join("dsp-session-doc");
-/// let shard1 = dir.join("s1.jsonl");
-/// let shard2 = dir.join("s2.jsonl");
-/// // Two shards (normally two processes or machines), then a merge.
-/// for (spec, path) in [("1/2", &shard1), ("2/2", &shard2)] {
+/// let ids = CellId::assign(&plan.cells);
+/// let (first, second) = ids.split_at(ids.len() / 2);
+/// // Two explicit cell sets (normally two fleet leases on two
+/// // workers), each journaled, then a merge.
+/// let mut journals = Vec::new();
+/// for (i, lease) in [first, second].into_iter().enumerate() {
+///     let path = dir.join(format!("lease{i}.jsonl"));
 ///     SweepSession::new(&plan)
-///         .shard(ShardSpec::parse(spec).unwrap())
-///         .checkpoint(path)
+///         .cells(lease.to_vec())
+///         .checkpoint(&path)
 ///         .run(&mut [])?;
+///     journals.push(path);
 /// }
-/// let merged = merge_journals(&plan, &[shard1, shard2])?;
+/// let merged = merge_journals(&plan, &journals)?;
 /// let serial = SweepSession::new(&plan).run_table()?;
 /// assert_eq!(merged.to_csv(), serial.to_csv());
 /// # std::fs::remove_dir_all(dir).ok();
@@ -126,7 +132,9 @@ pub struct SessionReport {
 #[derive(Debug)]
 pub struct SweepSession<'p> {
     plan: &'p ExperimentPlan,
-    shard: ShardSpec,
+    /// The covered cells, sorted and deduplicated; `None` = the whole
+    /// plan.
+    cells: Option<Arc<[CellId]>>,
     threads: usize,
     share_traces: bool,
     store: Arc<TraceStore>,
@@ -140,7 +148,7 @@ impl<'p> SweepSession<'p> {
     pub fn new(plan: &'p ExperimentPlan) -> Self {
         SweepSession {
             plan,
-            shard: ShardSpec::full(),
+            cells: None,
             threads: 1,
             share_traces: true,
             store: Arc::new(TraceStore::default()),
@@ -150,10 +158,13 @@ impl<'p> SweepSession<'p> {
         }
     }
 
-    /// Restricts the session to one shard of the plan.
+    /// Restricts the session to the cells named by `ids` (a fleet
+    /// lease). Order and duplicates do not matter.
     #[must_use]
-    pub fn shard(mut self, shard: ShardSpec) -> Self {
-        self.shard = shard;
+    pub fn cells(mut self, mut ids: Vec<CellId>) -> Self {
+        ids.sort_unstable();
+        ids.dedup();
+        self.cells = Some(ids.into());
         self
     }
 
@@ -199,25 +210,7 @@ impl<'p> SweepSession<'p> {
         self
     }
 
-    /// The plan this session executes.
-    pub fn plan(&self) -> &'p ExperimentPlan {
-        self.plan
-    }
-
-    /// This session's shard.
-    pub fn shard_spec(&self) -> ShardSpec {
-        self.shard.clone()
-    }
-
-    /// Plan indices of the cells this shard owns, in plan order.
-    pub fn owned_indices(&self) -> Vec<usize> {
-        let ids = CellId::assign(&self.plan.cells);
-        (0..self.plan.cells.len())
-            .filter(|&i| self.shard.owns(ids[i]))
-            .collect()
-    }
-
-    /// Executes the shard, streaming each finished cell through every
+    /// Executes the session, streaming each finished cell through every
     /// sink: journaled cells are replayed first (in plan order, marked
     /// `replayed`), then missing cells execute on the worker pool and
     /// arrive in completion order.
@@ -228,9 +221,14 @@ impl<'p> SweepSession<'p> {
     /// corrupt or belongs to another plan, or writing the journal.
     pub fn run(&self, sinks: &mut [&mut dyn CellSink]) -> Result<SessionReport, SessionError> {
         let ids = CellId::assign(&self.plan.cells);
-        let owned: Vec<usize> = (0..self.plan.cells.len())
-            .filter(|&i| self.shard.owns(ids[i]))
+        let owned: Vec<usize> = (0..ids.len())
+            .filter(|&i| {
+                self.cells
+                    .as_ref()
+                    .is_none_or(|cells| cells.binary_search(&ids[i]).is_ok())
+            })
             .collect();
+        let coverage = coverage(self.cells.as_deref());
 
         // Resume: load the journal's completed cells (last write wins;
         // outputs are deterministic so duplicates carry identical data)
@@ -241,13 +239,13 @@ impl<'p> SweepSession<'p> {
         if resuming {
             let path = self.checkpoint.as_deref().expect("checked");
             let contents = read_journal(path, self.plan, &ids)?;
-            if contents.shard != self.shard.to_string() {
+            if contents.shard != coverage {
                 return Err(SessionError::Journal {
                     path: path.to_path_buf(),
                     message: format!(
-                        "shard mismatch: journal was written by shard {}, resuming as {} \
+                        "shard mismatch: journal covers {}, resuming a session covering {} \
                          would mix two coverage patterns",
-                        contents.shard, self.shard
+                        contents.shard, coverage
                     ),
                 });
             }
@@ -261,7 +259,11 @@ impl<'p> SweepSession<'p> {
         // Resume appends after cutting off any torn crash remnant.
         let mut journal = match &self.checkpoint {
             Some(path) if resuming => Some(JournalWriter::append_to(path, journal_valid_bytes)?),
-            Some(path) => Some(JournalWriter::create(path, self.plan, &self.shard)?),
+            Some(path) => Some(JournalWriter::create_covering(
+                path,
+                self.plan,
+                self.cells.as_deref(),
+            )?),
             None => None,
         };
         let mut all_sinks: Vec<&mut dyn CellSink> = Vec::with_capacity(sinks.len() + 1);
@@ -353,7 +355,7 @@ impl<'p> SweepSession<'p> {
     ///
     /// Everything [`run`](SweepSession::run) can raise, plus
     /// [`SessionError::Incomplete`] when the session covers only part
-    /// of the plan (partial shard) — merge journals instead.
+    /// of the plan (a cell subset) — merge journals instead.
     pub fn run_collect(&self) -> Result<Vec<CellOutput>, SessionError> {
         let mut collector = Collector::new(self.plan.cells.len());
         self.run(&mut [&mut collector])?;
@@ -439,73 +441,51 @@ mod tests {
     }
 
     #[test]
-    fn shards_partition_the_plan() {
-        let scale = tiny();
-        let plan = plan(&scale);
-        for count in 1..=3 {
-            let mut seen = vec![0usize; plan.len()];
-            for index in 0..count {
-                for i in SweepSession::new(&plan)
-                    .shard(ShardSpec::new(index, count))
-                    .owned_indices()
-                {
-                    seen[i] += 1;
-                }
-            }
-            assert_eq!(seen, vec![1; plan.len()], "{count} shards");
-        }
-    }
-
-    #[test]
-    fn sharded_sessions_merge_byte_identical() {
-        let scale = tiny();
-        let plan = plan(&scale);
-        let serial = SweepRunner::serial().run(&plan);
-        let dir = tmp("merge");
-        let paths: Vec<PathBuf> = (0..2).map(|i| dir.join(format!("s{i}.jsonl"))).collect();
-        for (i, path) in paths.iter().enumerate() {
-            let report = SweepSession::new(&plan)
-                .shard(ShardSpec::new(i, 2))
-                .threads(4)
-                .checkpoint(path)
-                .run(&mut [])
-                .expect("shard session");
-            assert_eq!(report.cells, plan.len());
-            assert_eq!(report.executed, report.owned);
-        }
-        let merged = super::super::merge_journals(&plan, &paths).expect("merge");
-        assert_eq!(merged.to_csv(), serial.to_csv());
-        assert_eq!(merged.to_string(), serial.to_string());
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
     fn explicit_cell_lease_journals_merge_byte_identical() {
         let scale = tiny();
         let plan = plan(&scale);
         let serial = SweepRunner::serial().run(&plan);
-        let ids = super::super::CellId::assign(&plan.cells);
+        let ids = CellId::assign(&plan.cells);
         let dir = tmp("leases");
-        // Three uneven leases (the coordinator's shape), plan coverage
-        // split by explicit id sets rather than residues.
-        let leases = [
-            ShardSpec::cells(ids[..1].to_vec()),
-            ShardSpec::cells(ids[1..4].to_vec()),
-            ShardSpec::cells(ids[4..].to_vec()),
-        ];
-        let mut paths = Vec::new();
-        for (i, lease) in leases.iter().enumerate() {
-            let path = dir.join(format!("lease{i}.jsonl"));
-            let report = SweepSession::new(&plan)
-                .shard(lease.clone())
-                .checkpoint(&path)
-                .run(&mut [])
-                .expect("lease session");
-            assert_eq!(report.owned, report.executed);
-            paths.push(path);
+        // Uneven leases (the coordinator's shape) and round-robin
+        // splits into 1..=3 groups: every family covers each cell
+        // exactly once and its journals merge byte-identical to serial.
+        let mut families: Vec<Vec<Vec<CellId>>> = vec![vec![
+            ids[..1].to_vec(),
+            ids[1..4].to_vec(),
+            ids[4..].to_vec(),
+        ]];
+        for count in 1..=3 {
+            families.push(
+                (0..count)
+                    .map(|g| (g..ids.len()).step_by(count).map(|i| ids[i]).collect())
+                    .collect(),
+            );
         }
-        let merged = super::super::merge_journals(&plan, &paths).expect("merge");
-        assert_eq!(merged.to_csv(), serial.to_csv());
+        for (f, leases) in families.iter().enumerate() {
+            let mut seen = vec![0usize; plan.len()];
+            let mut paths = Vec::new();
+            for (i, lease) in leases.iter().enumerate() {
+                let path = dir.join(format!("family{f}-lease{i}.jsonl"));
+                let report = SweepSession::new(&plan)
+                    .cells(lease.clone())
+                    .threads(1 + i % 4)
+                    .checkpoint(&path)
+                    .run(&mut [])
+                    .expect("lease session");
+                assert_eq!(report.cells, plan.len());
+                assert_eq!(report.owned, lease.len());
+                assert_eq!(report.executed, report.owned);
+                for (_, index, _) in super::super::harvest_journal(&plan, &path).expect("read") {
+                    seen[index] += 1;
+                }
+                paths.push(path);
+            }
+            assert_eq!(seen, vec![1; plan.len()], "family {f} partitions the plan");
+            let merged = super::super::merge_journals(&plan, &paths).expect("merge");
+            assert_eq!(merged.to_csv(), serial.to_csv(), "family {f}");
+            assert_eq!(merged.to_string(), serial.to_string(), "family {f}");
+        }
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -575,15 +555,16 @@ mod tests {
     fn resume_under_a_different_shard_is_rejected() {
         let scale = tiny();
         let plan = plan(&scale);
+        let ids = CellId::assign(&plan.cells);
         let dir = tmp("shard-mismatch");
-        let path = dir.join("s1of2.jsonl");
+        let path = dir.join("lease.jsonl");
         SweepSession::new(&plan)
-            .shard(ShardSpec::new(0, 2))
+            .cells(ids[..3].to_vec())
             .checkpoint(&path)
             .run(&mut [])
-            .expect("shard 1/2 run");
+            .expect("first lease run");
         let err = SweepSession::new(&plan)
-            .shard(ShardSpec::new(0, 3))
+            .cells(ids[..2].to_vec())
             .checkpoint(&path)
             .resume(true)
             .run(&mut [])
@@ -596,8 +577,9 @@ mod tests {
     fn partial_shard_collection_is_incomplete() {
         let scale = tiny();
         let plan = plan(&scale);
+        let ids = CellId::assign(&plan.cells);
         let err = SweepSession::new(&plan)
-            .shard(ShardSpec::new(0, 2))
+            .cells(ids[..3].to_vec())
             .run_collect()
             .unwrap_err();
         assert!(matches!(err, SessionError::Incomplete { .. }), "{err}");

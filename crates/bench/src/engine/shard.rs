@@ -1,27 +1,17 @@
-//! Stable cell identity and deterministic cell→shard assignment.
+//! Stable cell identity.
 //!
 //! A [`CellId`] is a content hash of a cell's parameters — workload,
 //! system configuration, predictor, protocol set, model size — not its
 //! plan position, so two processes that build the same plan
 //! independently agree on every id without exchanging anything, and
-//! reordering unrelated cells in a plan does not reshuffle which shard
-//! owns a cell. A [`ShardSpec`] then assigns each id to exactly one
-//! owner. Two assignment shapes exist:
-//!
-//! * [`ShardSpec::new`] — residue classes (`i/N`): the static split
-//!   hand-run multi-machine sweeps use, where every machine derives its
-//!   own coverage from nothing but its index.
-//! * [`ShardSpec::cells`] — an explicit `CellId` set: the dynamic
-//!   split the fleet coordinator uses, where a lease names exactly the
-//!   cells a worker owns and the tail of a straggling lease can be
-//!   re-sharded onto an idle worker.
-//!
-//! Either way every cell is owned by exactly one shard of a covering
-//! family, and the union of all shards' journals covers the plan.
+//! reordering unrelated cells in a plan does not change which cells a
+//! lease names. The fleet coordinator leases explicit `CellId` sets to
+//! its workers (see [`SweepSession::cells`](super::SweepSession::cells)),
+//! and [`manifest_digest`] fingerprints the whole id list so both sides
+//! can check they lease against the same plan.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 use dsp_types::hash::mix64;
 
@@ -32,10 +22,9 @@ use super::Cell;
 /// The hash is FNV-1a over the cell's canonical debug rendering (all
 /// cell components are plain data with derived, platform-independent
 /// `Debug` output — enum names, integers, and shortest-round-trip
-/// floats), folded through [`mix64`] so shard residues see avalanched
-/// bits. When a plan contains several cells with *identical*
-/// parameters, each later duplicate mixes in its occurrence index so
-/// ids stay unique within the plan.
+/// floats), folded through [`mix64`]. When a plan contains several
+/// cells with *identical* parameters, each later duplicate mixes in its
+/// occurrence index so ids stay unique within the plan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CellId(u64);
 
@@ -109,112 +98,6 @@ pub fn manifest_digest(ids: &[CellId]) -> u64 {
     mix64(h)
 }
 
-/// One shard of a sharded sweep: either a residue class (`i/N`) or an
-/// explicit `CellId` set (a fleet lease).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ShardSpec {
-    /// This shard owns every cell whose [`CellId`] lands on `index`
-    /// modulo `count`.
-    Residue {
-        /// 0-based shard index.
-        index: usize,
-        /// Total shard count.
-        count: usize,
-    },
-    /// This shard owns exactly the listed cells (sorted by raw id,
-    /// deduplicated). The fleet coordinator leases these.
-    Cells(Arc<[CellId]>),
-}
-
-impl ShardSpec {
-    /// Shard `index` (0-based) of `count`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` is zero or `index >= count`.
-    pub fn new(index: usize, count: usize) -> Self {
-        assert!(count > 0, "shard count must be positive");
-        assert!(index < count, "shard index {index} out of range 0..{count}");
-        ShardSpec::Residue { index, count }
-    }
-
-    /// The single shard covering the whole plan.
-    pub fn full() -> Self {
-        ShardSpec::Residue { index: 0, count: 1 }
-    }
-
-    /// The shard owning exactly `ids` (sorted and deduplicated here, so
-    /// two callers naming the same set in any order build equal specs).
-    pub fn cells(mut ids: Vec<CellId>) -> Self {
-        ids.sort_unstable();
-        ids.dedup();
-        ShardSpec::Cells(ids.into())
-    }
-
-    /// Whether this spec covers the whole plan. Explicit cell sets are
-    /// never considered full: even one that happens to enumerate every
-    /// cell was built as a lease, and callers use fullness to decide
-    /// whether a lone journal can render the whole table.
-    pub fn is_full(&self) -> bool {
-        matches!(self, ShardSpec::Residue { count: 1, .. })
-    }
-
-    /// Whether this shard owns the cell with id `id`.
-    pub fn owns(&self, id: CellId) -> bool {
-        match self {
-            ShardSpec::Residue { index, count } => id.raw() % *count as u64 == *index as u64,
-            ShardSpec::Cells(ids) => ids.binary_search(&id).is_ok(),
-        }
-    }
-
-    /// Parses the CLI form `i/N` (1-based index, e.g. `1/2`, `2/2`).
-    pub fn parse(text: &str) -> Option<ShardSpec> {
-        let (i, n) = text.split_once('/')?;
-        let index: usize = i.parse().ok()?;
-        let count: usize = n.parse().ok()?;
-        if index == 0 || count == 0 || index > count {
-            return None;
-        }
-        Some(ShardSpec::new(index - 1, count))
-    }
-
-    /// Parses a comma-separated list of cell ids in the hex form
-    /// `repro plan` prints (e.g. `1a2b...,3c4d...`).
-    pub fn parse_cells(text: &str) -> Option<ShardSpec> {
-        let ids: Option<Vec<CellId>> = text.split(',').map(CellId::from_hex).collect();
-        let ids = ids?;
-        if ids.is_empty() {
-            return None;
-        }
-        Some(ShardSpec::cells(ids))
-    }
-
-    /// A filesystem-safe tag for default journal names:
-    /// `shard1of2` / `cells4-0123456789abcdef`.
-    pub fn file_stem(&self) -> String {
-        match self {
-            ShardSpec::Residue { index, count } => format!("shard{}of{count}", index + 1),
-            ShardSpec::Cells(ids) => {
-                format!("cells{}-{:016x}", ids.len(), manifest_digest(ids))
-            }
-        }
-    }
-}
-
-impl fmt::Display for ShardSpec {
-    /// Residue shards render as the 1-based CLI form `i/N`; explicit
-    /// sets as `cells:<len>:<digest>` — equal sets render equally, which
-    /// is what the resume-time shard-identity check compares.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ShardSpec::Residue { index, count } => write!(f, "{}/{}", index + 1, count),
-            ShardSpec::Cells(ids) => {
-                write!(f, "cells:{}:{:016x}", ids.len(), manifest_digest(ids))
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,64 +154,6 @@ mod tests {
     }
 
     #[test]
-    fn every_cell_owned_by_exactly_one_shard() {
-        let ids = CellId::assign(&cells());
-        for count in 1..=5 {
-            for &id in &ids {
-                let owners = (0..count)
-                    .filter(|&i| ShardSpec::new(i, count).owns(id))
-                    .count();
-                assert_eq!(owners, 1, "{id} under {count} shards");
-            }
-        }
-    }
-
-    #[test]
-    fn explicit_cell_shards_own_exactly_their_set() {
-        let ids = CellId::assign(&cells());
-        let spec = ShardSpec::cells(vec![ids[2], ids[0], ids[2]]);
-        assert!(spec.owns(ids[0]));
-        assert!(!spec.owns(ids[1]));
-        assert!(spec.owns(ids[2]));
-        assert!(!spec.owns(ids[3]));
-        assert!(!spec.is_full());
-        // Order and duplicates do not change identity.
-        assert_eq!(spec, ShardSpec::cells(vec![ids[0], ids[2]]));
-        assert_eq!(
-            spec.to_string(),
-            ShardSpec::cells(vec![ids[0], ids[2]]).to_string()
-        );
-        // A disjoint family of explicit shards covers like residues do.
-        let a = ShardSpec::cells(ids[..2].to_vec());
-        let b = ShardSpec::cells(ids[2..].to_vec());
-        for &id in &ids {
-            let owners = [&a, &b].iter().filter(|s| s.owns(id)).count();
-            assert_eq!(owners, 1);
-        }
-    }
-
-    #[test]
-    fn parse_is_one_based() {
-        assert_eq!(ShardSpec::parse("1/2"), Some(ShardSpec::new(0, 2)));
-        assert_eq!(ShardSpec::parse("2/2"), Some(ShardSpec::new(1, 2)));
-        assert_eq!(ShardSpec::parse("1/1"), Some(ShardSpec::full()));
-        assert_eq!(ShardSpec::parse("0/2"), None);
-        assert_eq!(ShardSpec::parse("3/2"), None);
-        assert_eq!(ShardSpec::parse("2"), None);
-        assert_eq!(ShardSpec::new(0, 2).to_string(), "1/2");
-    }
-
-    #[test]
-    fn parse_cells_round_trips_hex_lists() {
-        let ids = CellId::assign(&cells());
-        let text = format!("{},{}", ids[1].to_hex(), ids[3].to_hex());
-        let spec = ShardSpec::parse_cells(&text).expect("valid list");
-        assert_eq!(spec, ShardSpec::cells(vec![ids[1], ids[3]]));
-        assert_eq!(ShardSpec::parse_cells(""), None);
-        assert_eq!(ShardSpec::parse_cells("zz"), None);
-    }
-
-    #[test]
     fn manifest_digest_is_order_sensitive_and_stable() {
         let ids = CellId::assign(&cells());
         let d1 = manifest_digest(&ids);
@@ -337,14 +162,5 @@ mod tests {
         let mut rev = ids.clone();
         rev.reverse();
         assert_ne!(d1, manifest_digest(&rev), "digest must be order-sensitive");
-    }
-
-    #[test]
-    fn file_stems_are_filesystem_safe() {
-        let ids = CellId::assign(&cells());
-        assert_eq!(ShardSpec::new(1, 3).file_stem(), "shard2of3");
-        let stem = ShardSpec::cells(ids).file_stem();
-        assert!(stem.starts_with("cells4-"), "{stem}");
-        assert!(!stem.contains([':', '/']), "{stem}");
     }
 }

@@ -17,7 +17,7 @@ pub struct CellRecord {
     /// Stable content identity of the cell.
     pub id: CellId,
     /// The cell's plan position (sinks that need plan order, like the
-    /// collector, index with this; the id is what shards and journals
+    /// collector, index with this; the id is what leases and journals
     /// match on).
     pub index: usize,
     /// `true` when the output was replayed from a checkpoint journal
@@ -59,7 +59,7 @@ impl Collector {
     }
 
     /// The plan-ordered outputs, or `Err(missing_count)` if any cell
-    /// never arrived (e.g. the session covered only one shard).
+    /// never arrived (e.g. the session covered only a cell subset).
     pub fn into_outputs(self) -> Result<Vec<CellOutput>, usize> {
         let missing = self.outputs.iter().filter(|o| o.is_none()).count();
         if missing > 0 {
@@ -80,8 +80,8 @@ impl CellSink for Collector {
 }
 
 /// Prints one progress line per finished cell to stderr — the
-/// incremental rendering for long sharded runs, where the table itself
-/// cannot exist until every shard merges.
+/// incremental rendering for long checkpointed runs, where the table
+/// is rendered only once the journal is complete.
 #[derive(Debug)]
 pub struct ProgressSink {
     done: usize,
@@ -89,7 +89,7 @@ pub struct ProgressSink {
 }
 
 impl ProgressSink {
-    /// A reporter expecting `expected` cells (this shard's share).
+    /// A reporter expecting `expected` cells (the session's share).
     pub fn new(expected: usize) -> Self {
         ProgressSink { done: 0, expected }
     }

@@ -19,6 +19,6 @@ mod scale;
 
 pub use engine::{
     merge_journals, Cell, CellId, CellOutput, CellRecord, CellSink, Collector, ExperimentPlan,
-    ProgressSink, SessionError, SessionReport, ShardSpec, SweepRunner, SweepSession,
+    ProgressSink, SessionError, SessionReport, SweepRunner, SweepSession,
 };
 pub use scale::Scale;

@@ -1,13 +1,13 @@
 //! Determinism and trace-sharing equivalence tests for the sweep
-//! engine (ISSUE 1 acceptance: parallel output must be byte-identical
-//! to single-threaded output, and shared traces must change nothing;
-//! ISSUE 4 acceptance: any shard partition plus any crash/resume point
-//! must merge byte-identical to the serial path).
+//! engine: parallel output must be byte-identical to single-threaded
+//! output, shared traces must change nothing, and any split of a plan
+//! into explicit cell sets plus any crash/resume point must merge
+//! byte-identical to the serial path.
 
 use std::path::PathBuf;
 
 use dsp_bench::engine::{
-    merge_journals, Cell, CellOutput, ExperimentPlan, ShardSpec, SweepRunner, SweepSession,
+    merge_journals, Cell, CellId, CellOutput, ExperimentPlan, SweepRunner, SweepSession,
 };
 use dsp_bench::{experiments, Scale};
 use dsp_core::{Capacity, Indexing, PredictorConfig};
@@ -201,10 +201,11 @@ fn random_plan(scale: &Scale, workload_mask: usize, predictors: usize) -> Experi
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// ISSUE 4 acceptance: for random plans, any `ShardSpec` partition
-    /// plus a simulated mid-run crash (journal truncated to an
-    /// arbitrary record boundary plus a torn fragment) and resume
-    /// merges byte-identical to the serial path.
+    /// For random plans, any split of the plan into explicit cell sets
+    /// (plan index `i` goes to group `i % shards`) plus a simulated
+    /// mid-run crash (journal truncated to an arbitrary record boundary
+    /// plus a torn fragment) and resume merges byte-identical to the
+    /// serial path.
     #[test]
     fn shard_crash_resume_merges_byte_identical(
         workload_mask in 1usize..8,
@@ -224,20 +225,22 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("mkdir");
 
-        // Run every shard, journaling to its own file.
+        // Run every group, journaling to its own file.
+        let ids = CellId::assign(&plan.cells);
+        let group = |g: usize| -> Vec<CellId> { ids.iter().copied().skip(g).step_by(shards).collect() };
         let paths: Vec<PathBuf> = (0..shards)
             .map(|i| dir.join(format!("shard{i}.jsonl")))
             .collect();
         for (i, path) in paths.iter().enumerate() {
             SweepSession::new(&plan)
-                .shard(ShardSpec::new(i, shards))
+                .cells(group(i))
                 .threads(1 + i % 3)
                 .checkpoint(path)
                 .run(&mut [])
                 .expect("shard session");
         }
 
-        // Crash shard 0 at an arbitrary point: keep the header plus
+        // Crash group 0 at an arbitrary point: keep the header plus
         // `crash_keep` records, optionally with a torn fragment of the
         // next record (a process killed mid-write), then resume it.
         let text = std::fs::read_to_string(&paths[0]).expect("read journal");
@@ -252,14 +255,14 @@ proptest! {
         }
         std::fs::write(&paths[0], format!("{}\n{remnant}", kept.join("\n"))).expect("truncate");
         let resumed = SweepSession::new(&plan)
-            .shard(ShardSpec::new(0, shards))
+            .cells(group(0))
             .checkpoint(&paths[0])
             .resume(true)
             .run(&mut [])
             .expect("resumed session");
         prop_assert_eq!(resumed.replayed, keep - 1, "intact records replay");
 
-        // Any shard partition + any crash point merges byte-identical.
+        // Any cell split + any crash point merges byte-identical.
         let merged = merge_journals(&plan, &paths).expect("merge");
         prop_assert_eq!(merged.to_csv(), serial.clone());
         std::fs::remove_dir_all(&dir).ok();

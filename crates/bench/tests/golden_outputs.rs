@@ -15,11 +15,11 @@
 //!
 //! Each artifact is checked several ways against the same golden bytes:
 //!
-//! 1. the batch path (`SweepRunner`, a single-shard in-memory session),
+//! 1. the batch path (`SweepRunner`, a whole-plan in-memory session),
 //!    also with an explicitly-empty toxic chain on the explicit
 //!    crossbar topology (the fault-injection layer's identity gate);
-//! 2. a 2-shard run — two sessions journaling to JSONL, then
-//!    `merge_journals`;
+//! 2. a two-lease run — two sessions, each covering half of the plan's
+//!    `CellId`s, journaling to JSONL, then `merge_journals`;
 //! 3. a crash-then-resume run — a full journal truncated mid-file, a
 //!    resumed session completing it, then a merge of the healed file;
 //! 4. (implicitly, by 2 and 3) the serde round-trip of every cell
@@ -39,9 +39,7 @@
 
 use std::path::PathBuf;
 
-use dsp_bench::engine::{
-    merge_journals, Cell, ExperimentPlan, ShardSpec, SweepRunner, SweepSession,
-};
+use dsp_bench::engine::{merge_journals, Cell, CellId, ExperimentPlan, SweepRunner, SweepSession};
 use dsp_bench::{experiments, Scale};
 use dsp_sim::{
     simulate_with_partition, ProtocolKind, SimConfig, TargetSystem, TopologySpec, ToxicSpec,
@@ -59,7 +57,7 @@ fn tmpdir(name: &str) -> PathBuf {
 fn check(name: &str, golden: &str) {
     let scale = Scale::quick();
 
-    // 1. Batch path (single-shard in-memory session).
+    // 1. Batch path (whole-plan in-memory session).
     let plan = experiments::plan_for(name, &scale).expect("known experiment");
     let table = SweepRunner::new().run(&plan);
     assert_eq!(
@@ -88,21 +86,24 @@ fn check(name: &str, golden: &str) {
 
     let dir = tmpdir(name);
 
-    // 2. Two shards journaled to disk, then merged.
-    let shard_paths: Vec<PathBuf> = (0..2).map(|i| dir.join(format!("s{i}.jsonl"))).collect();
-    for (i, path) in shard_paths.iter().enumerate() {
+    // 2. Two explicit cell-set halves (the fleet's lease shape)
+    //    journaled to disk, then merged.
+    let ids = CellId::assign(&plan.cells);
+    let (first, second) = ids.split_at(ids.len() / 2);
+    let lease_paths: Vec<PathBuf> = (0..2).map(|i| dir.join(format!("l{i}.jsonl"))).collect();
+    for (lease, path) in [first, second].into_iter().zip(&lease_paths) {
         SweepSession::new(&plan)
-            .shard(ShardSpec::new(i, 2))
+            .cells(lease.to_vec())
             .threads(4)
             .checkpoint(path)
             .run(&mut [])
-            .expect("shard session");
+            .expect("lease session");
     }
-    let merged = merge_journals(&plan, &shard_paths).expect("merge");
+    let merged = merge_journals(&plan, &lease_paths).expect("merge");
     assert_eq!(
         merged.to_csv(),
         golden,
-        "{name} 2-shard merged output diverged from the golden"
+        "{name} two-lease merged output diverged from the golden"
     );
 
     // 3. Crash after the first journaled cell, then resume.

@@ -2,8 +2,7 @@
 //!
 //! ```bash
 //! repro <experiment> [--scale quick|standard|paper] [--out DIR] [--threads N]
-//!                    [--shard i/N | --cells HEX,HEX,...] [--checkpoint FILE] [--resume]
-//! repro merge <experiment> [--scale ...] [--out DIR] JOURNAL...
+//!                    [--checkpoint FILE] [--resume]
 //! repro plan <experiment> [--scale ...]
 //! repro fleet <experiment> [--scale ...] [--workers N] [--kill-one]
 //!                          [--dir DIR] [--lease-cells N] [--lease-timeout-ms MS] [--port P]
@@ -22,33 +21,31 @@
 //! run on one [`SweepRunner`], so `repro all` generates each workload
 //! trace once and shares it across every table and figure.
 //!
-//! Long or multi-machine runs use the session flags: `--shard i/N`
-//! executes only the cells assigned to shard `i` of `N` and journals
-//! them (default `<out>/<experiment>.shard<i>of<N>.jsonl`, override
-//! with `--checkpoint`); `--checkpoint FILE` alone journals a full run;
-//! `--resume` re-runs only the cells missing from an existing journal;
-//! and `repro merge <experiment> J1 J2 ...` folds shard journals into
-//! the table, byte-identical to an unsharded run.
+//! Long runs can journal every finished cell: `--checkpoint FILE`
+//! (default `<out>/<experiment>.jsonl` when only `--resume` is given)
+//! writes the journal, and `--resume` re-runs only the cells missing
+//! from an existing one, keeping this process's shared trace cache.
 //!
-//! The fleet commands wrap [`dsp_fleet`]: `repro fleet` runs a
-//! coordinator plus N local single-threaded workers over one
-//! experiment and requires the merged table to be byte-identical to a
-//! serial run (the `fleet_identical` marker) with a reconciled lease
-//! ledger (`leases_reconciled`), even when `--kill-one` murders a
+//! The fleet commands wrap [`dsp_fleet`], the one way to split a sweep
+//! across processes or machines: `repro fleet` runs a coordinator plus
+//! N local single-threaded workers over one experiment (`--workers 0`
+//! serves only workers started elsewhere) and requires a reconciled
+//! lease ledger (`leases_reconciled`), even when `--kill-one` murders a
 //! worker mid-lease; `repro worker` joins any coordinator by address;
 //! `repro plan` prints the `CellId` manifest leases are accounted
-//! against; and `repro fleet-status` polls a running coordinator.
+//! against; and `repro fleet-status` polls a running coordinator. The
+//! fleet never runs the plan itself: every cell is executed by a
+//! worker.
 //!
 //! The hardened control plane rides the same command: `--token T`
 //! closes the fleet to clients that cannot answer the shared-token
 //! challenge; `--chaos SEED` routes every worker through a seeded
-//! flaky-TCP proxy (delays, stalls, mid-message disconnects) and still
-//! demands `fleet_identical`; `--crash-after N` stops the coordinator
-//! cold once N cells are complete, leaving the write-ahead log and
-//! journals on disk; a second invocation with `--recover` (same
-//! experiment, scale, and `--dir`) rebuilds the ledger from the WAL,
-//! prints `recovered_from_wal: true`, and finishes the sweep —
-//! byte-identical to the serial reference.
+//! flaky-TCP proxy (delays, stalls, mid-message disconnects);
+//! `--crash-after N` stops the coordinator cold once N cells are
+//! complete, leaving the write-ahead log and journals on disk; a second
+//! invocation with `--recover` (same experiment, scale, and `--dir`)
+//! rebuilds the ledger from the WAL, prints `recovered_from_wal: true`,
+//! and finishes the sweep.
 //!
 //! The repository's benchmark — end-to-end and per-layer time of
 //! these same plans — lives in `perfbench/` (see its README).
@@ -59,7 +56,7 @@ use std::time::{Duration, Instant};
 
 use dsp_analysis::TextTable;
 use dsp_bench::engine::{
-    manifest_digest, merge_journals, CellId, ExperimentPlan, ProgressSink, ShardSpec, SweepRunner,
+    manifest_digest, merge_journals, CellId, ExperimentPlan, ProgressSink, SweepRunner,
 };
 use dsp_bench::{experiments, Scale};
 use dsp_fleet::{
@@ -70,8 +67,7 @@ use dsp_fleet::{
 fn usage() -> String {
     format!(
         "usage: repro <experiment> [--scale quick|standard|paper] [--out DIR] [--threads N]\n\
-         \x20      [--shard i/N | --cells HEX,HEX,...] [--checkpoint FILE] [--resume]\n\
-         \x20      repro merge <experiment> [--scale ...] [--out DIR] JOURNAL...\n\
+         \x20      [--checkpoint FILE] [--resume]\n\
          \x20      repro plan <experiment> [--scale ...]\n\
          \x20      repro fleet <experiment> [--scale ...] [--workers N] [--kill-one]\n\
          \x20                  [--dir DIR] [--lease-cells N] [--lease-timeout-ms MS] [--port P]\n\
@@ -97,18 +93,14 @@ fn save_csv(out_dir: &Path, name: &str, table: &TextTable) -> Result<(), String>
 /// Parsed command line.
 struct Args {
     /// First positional: an experiment name, `all`, or a subcommand
-    /// (`merge`, `plan`, `fleet`, `worker`, `fleet-status`).
+    /// (`plan`, `fleet`, `worker`, `fleet-status`).
     command: String,
-    /// For `merge`/`plan`/`fleet`: the experiment name (second
-    /// positional).
+    /// For `plan`/`fleet`: the experiment name (second positional).
     target: Option<String>,
-    /// For `merge`: journal paths (remaining positionals).
-    journals: Vec<PathBuf>,
     scale: Scale,
     scale_name: String,
     out_dir: PathBuf,
     threads: Option<usize>,
-    shard: Option<ShardSpec>,
     checkpoint: Option<PathBuf>,
     resume: bool,
     /// For `worker`/`fleet-status`: coordinator address.
@@ -148,12 +140,10 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     let mut parsed = Args {
         command: String::new(),
         target: None,
-        journals: Vec::new(),
         scale: Scale::standard(),
         scale_name: "standard".to_string(),
         out_dir: PathBuf::from("results"),
         threads: None,
-        shard: None,
         checkpoint: None,
         resume: false,
         connect: None,
@@ -194,20 +184,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                     .filter(|n| *n > 0)
                     .ok_or("--threads needs a positive integer")?;
                 parsed.threads = Some(n);
-            }
-            "--shard" => {
-                i += 1;
-                let spec = args.get(i).ok_or("--shard needs i/N (e.g. 1/2)")?;
-                parsed.shard =
-                    Some(ShardSpec::parse(spec).ok_or(format!("bad shard spec '{spec}'"))?);
-            }
-            "--cells" => {
-                i += 1;
-                let list = args
-                    .get(i)
-                    .ok_or("--cells needs a comma-separated hex id list (see `repro plan`)")?;
-                parsed.shard =
-                    Some(ShardSpec::parse_cells(list).ok_or(format!("bad cell list '{list}'"))?);
             }
             "--checkpoint" => {
                 i += 1;
@@ -317,19 +293,13 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         }
     };
     match parsed.command.as_str() {
-        "merge" | "plan" | "fleet" => {
+        "plan" | "fleet" => {
             let what = parsed.command.clone();
             let target = positionals
                 .next()
                 .ok_or(format!("{what} needs an experiment name"))?;
             known(&target)?;
             parsed.target = Some(target);
-            if what == "merge" {
-                parsed.journals = positionals.by_ref().map(PathBuf::from).collect();
-                if parsed.journals.is_empty() {
-                    return Err("merge needs at least one journal file".to_string());
-                }
-            }
         }
         "worker" | "fleet-status" | "all" => {}
         name => known(name)?,
@@ -345,48 +315,39 @@ fn experiment_plan(name: &str, args: &Args) -> ExperimentPlan {
     experiments::plan_for(name, &args.scale).expect("parse_args validates experiment names")
 }
 
-/// Runs one experiment through a checkpointed/sharded session. Renders
-/// the table only when the session covers the whole plan; a partial
-/// shard prints progress and the journal path instead.
+/// Runs one experiment through a checkpointed session, then renders
+/// the table from the completed journal.
 fn run_session(name: &str, args: &Args, runner: &SweepRunner) -> Result<(), String> {
     let plan = experiment_plan(name, args);
-    let shard = args.shard.clone().unwrap_or_else(ShardSpec::full);
-    let journal = args.checkpoint.clone().unwrap_or_else(|| {
-        args.out_dir
-            .join(format!("{name}.{}.jsonl", shard.file_stem()))
-    });
+    let journal = args
+        .checkpoint
+        .clone()
+        .unwrap_or_else(|| args.out_dir.join(format!("{name}.jsonl")));
     let session = runner
         .session(&plan)
-        .shard(shard.clone())
         .checkpoint(&journal)
         .resume(args.resume);
     let started = Instant::now();
-    let mut progress = ProgressSink::new(session.owned_indices().len());
+    let mut progress = ProgressSink::new(plan.len());
     let report = session
         .run(&mut [&mut progress])
         .map_err(|e| e.to_string())?;
     println!(
-        "[{name} shard {shard}: {} of {} cells owned, replayed {}, executed {} in {:.1}s -> {}]",
-        report.owned,
+        "[{name}: {} cells, replayed {}, executed {} in {:.1}s -> {}]",
         report.cells,
         report.replayed,
         report.executed,
         started.elapsed().as_secs_f64(),
         journal.display(),
     );
-    if shard.is_full() {
-        let table = merge_journals(&plan, &[journal]).map_err(|e| e.to_string())?;
-        println!("{table}");
-        save_csv(&args.out_dir, name, &table)?;
-    } else {
-        println!("[partial shard: merge every shard's journal with `repro merge {name} ...`]\n");
-    }
-    Ok(())
+    let table = merge_journals(&plan, &[journal]).map_err(|e| e.to_string())?;
+    println!("{table}");
+    save_csv(&args.out_dir, name, &table)
 }
 
 /// Runs `repro plan <experiment>`: the `CellId` manifest, one line per
 /// cell in plan order — the single source of truth fleet leases are
-/// accounted against, and the ids `--cells` accepts.
+/// accounted against.
 fn run_plan(args: &Args) -> Result<(), String> {
     let name = args.target.as_deref().expect("plan target parsed");
     let plan = experiment_plan(name, args);
@@ -556,25 +517,20 @@ fn kill_one_mid_lease(addr: &str, children: &mut [Child]) -> Option<String> {
     None
 }
 
-/// Runs `repro fleet <experiment>`: a serial reference first, then a
-/// coordinator in-process (fresh or `--recover`ed) with `--workers`
-/// single-threaded `repro worker` children — optionally routed through
-/// a seeded chaos proxy, with an optional mid-lease worker kill or
-/// simulated coordinator crash — then the byte-identity and
-/// ledger-reconciliation verdicts.
+/// Runs `repro fleet <experiment>`: a coordinator in-process (fresh or
+/// `--recover`ed) with `--workers` single-threaded `repro worker`
+/// children — optionally routed through a seeded chaos proxy, with an
+/// optional mid-lease worker kill or simulated coordinator crash — then
+/// the ledger-reconciliation verdict. Only the workers run cells.
 fn run_fleet(args: &Args) -> Result<(), String> {
     let name = args.target.as_deref().expect("fleet target parsed");
     let plan = experiment_plan(name, args);
-    let reference = SweepRunner::serial().run(&plan);
     let dir = args
         .fleet_dir
         .clone()
         .unwrap_or_else(|| args.out_dir.join(format!("fleet-{name}")));
     let workers = args.workers;
     let cells = plan.len();
-    if !args.recover {
-        let _ = std::fs::remove_dir_all(&dir);
-    }
     let mut config = FleetConfig::new(name, &args.scale_name, &dir);
     config.lease_cells = args
         .lease_cells
@@ -685,7 +641,6 @@ fn run_fleet(args: &Args) -> Result<(), String> {
         }
     }
     coordinator.shutdown();
-    let identical = report.csv == reference.to_csv();
 
     println!("{}", report.rendered);
     let c = &report.counters;
@@ -730,34 +685,16 @@ fn run_fleet(args: &Args) -> Result<(), String> {
         println!("recovered_from_wal: true");
     }
     println!("leases_reconciled: {}", report.reconciled);
-    println!("fleet_identical: {identical}");
     save(&args.out_dir, &format!("{name}.csv"), &report.csv)?;
     if !report.reconciled {
         return Err("lease ledger did not reconcile".to_string());
     }
-    if !identical {
-        return Err("fleet output diverged from the serial reference".to_string());
-    }
     Ok(())
 }
 
-/// Runs `repro merge <experiment> J1 J2 ...`.
-fn run_merge(args: &Args) -> Result<(), String> {
-    let name = args.target.as_deref().expect("merge target parsed");
-    let table =
-        merge_journals(&experiment_plan(name, args), &args.journals).map_err(|e| e.to_string())?;
-    println!("{table}");
-    println!(
-        "[merged {} journal(s) into {} rows]\n",
-        args.journals.len(),
-        table.len()
-    );
-    save_csv(&args.out_dir, name, &table)
-}
-
 /// Runs one experiment, or every experiment for `all`, on one shared
-/// runner. The session flags journal (and possibly shard) each run;
-/// otherwise each table is rendered in memory.
+/// runner. The session flags journal each run; otherwise each table is
+/// rendered in memory.
 fn run_experiments(args: &Args) -> Result<(), String> {
     let all = args.command == "all";
     if all && args.checkpoint.is_some() {
@@ -765,8 +702,8 @@ fn run_experiments(args: &Args) -> Result<(), String> {
         // rejected as a plan mismatch) by every experiment after the
         // first; `all` always journals per experiment under --out.
         return Err(
-            "--checkpoint cannot be combined with 'all'; each experiment journals \
-                    to <out>/<name>.shard<i>of<N>.jsonl"
+            "--checkpoint cannot be combined with 'all'; with --resume each experiment \
+                    journals to <out>/<name>.jsonl"
                 .to_string(),
         );
     }
@@ -779,7 +716,7 @@ fn run_experiments(args: &Args) -> Result<(), String> {
         Some(n) => SweepRunner::with_threads(n),
         None => SweepRunner::new(),
     };
-    let session_mode = args.shard.is_some() || args.checkpoint.is_some() || args.resume;
+    let session_mode = args.checkpoint.is_some() || args.resume;
     for name in names {
         if session_mode {
             run_session(name, args, &runner)?;
@@ -817,7 +754,6 @@ fn main() -> ExitCode {
             )
         })
         .and_then(|()| match args.command.as_str() {
-            "merge" => run_merge(&args),
             "plan" => run_plan(&args),
             "fleet" => run_fleet(&args),
             "worker" => run_worker_cmd(&args),

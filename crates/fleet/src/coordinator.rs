@@ -17,13 +17,14 @@
 //!
 //! Every accepted cell completion (streamed over the wire, or harvested
 //! from a dead worker's journal) is appended to a **master journal** —
-//! a plain full-shard checkpoint journal, so the ordinary `repro merge`
-//! and `--resume` machinery can read it. When the last cell lands, the
-//! coordinator compacts the master plus every surviving lease journal
-//! through `merge_journals`: identical duplicates (a cell journaled by
-//! a worker presumed dead *and* re-run by its stealer) fold silently,
-//! while a conflicting duplicate — impossible unless two incompatible
-//! binaries joined one fleet — fails the run loudly.
+//! a plain whole-plan checkpoint journal, so the ordinary
+//! `merge_journals` and `--resume` machinery can read it. When the
+//! last cell lands, the coordinator compacts the master plus every
+//! surviving lease journal through `merge_journals`: identical
+//! duplicates (a cell journaled by a worker presumed dead *and* re-run
+//! by its stealer) fold silently, while a conflicting duplicate —
+//! impossible unless two incompatible binaries joined one fleet —
+//! fails the run loudly.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -37,7 +38,7 @@ use std::time::{Duration, Instant};
 
 use dsp_bench::engine::{
     harvest_journal, merge_journals, scan_journal, tail_journal, CellId, CellOutput, CellRecord,
-    ExperimentPlan, JournalWriter, ShardSpec,
+    ExperimentPlan, JournalWriter,
 };
 
 use crate::auth::{fresh_nonce, mac64};
@@ -186,12 +187,24 @@ impl Coordinator {
     /// # Errors
     ///
     /// Filesystem failures creating the fleet directory, log, or
-    /// master journal; failure to bind the listener.
+    /// master journal, or removing an earlier run's lease journals;
+    /// failure to bind the listener.
     pub fn start(plan: ExperimentPlan, config: FleetConfig) -> io::Result<CoordinatorHandle> {
         std::fs::create_dir_all(&config.dir)?;
+        // A fresh fleet replaces only the files it names: the log,
+        // master journal, and WAL are truncated below, and an earlier
+        // run's lease journals for this experiment are removed here.
+        // Everything else in the directory is left alone.
+        for entry in std::fs::read_dir(&config.dir)? {
+            let entry = entry?;
+            let name = entry.file_name();
+            if is_lease_journal(&config.experiment, &name.to_string_lossy()) {
+                std::fs::remove_file(entry.path())?;
+            }
+        }
         let log_file = File::create(config.dir.join("coordinator.log"))?;
         let master_path = master_path(&config);
-        let master = JournalWriter::create(&master_path, &plan, &ShardSpec::full())
+        let master = JournalWriter::create(&master_path, &plan)
             .map_err(|e| io::Error::other(e.to_string()))?;
         let identity = PlanIdentity::of(&config.experiment, &plan);
         let wal = WalWriter::create(&wal_path(&config), &identity)?;
@@ -408,6 +421,22 @@ fn master_path(config: &FleetConfig) -> PathBuf {
 
 fn wal_path(config: &FleetConfig) -> PathBuf {
     config.dir.join(format!("{}.wal.jsonl", config.experiment))
+}
+
+/// The fleet-directory file name of a lease's journal.
+fn lease_journal_name(experiment: &str, lease: u64, worker: &str) -> String {
+    format!("{experiment}.lease{lease}.{worker}.jsonl")
+}
+
+/// Whether `name` is a [`lease_journal_name`] of `experiment`.
+fn is_lease_journal(experiment: &str, name: &str) -> bool {
+    name.strip_prefix(experiment)
+        .and_then(|rest| rest.strip_prefix(".lease"))
+        .and_then(|rest| rest.strip_suffix(".jsonl"))
+        .and_then(|rest| rest.split_once('.'))
+        .is_some_and(|(lease, worker)| {
+            !lease.is_empty() && lease.bytes().all(|b| b.is_ascii_digit()) && !worker.is_empty()
+        })
 }
 
 /// Binds the listener and spawns the service thread for a fully-built
@@ -920,8 +949,7 @@ fn handle(shared: &Shared, request: Request, auth: &mut ConnAuth) -> Reply {
                     cells,
                     stolen,
                 } => {
-                    let journal =
-                        format!("{}.lease{lease}.{worker}.jsonl", shared.config.experiment);
+                    let journal = lease_journal_name(&shared.config.experiment, lease, &worker);
                     let path = shared.config.dir.join(&journal);
                     state.lease_journals.insert(lease, path.clone());
                     state.journals.push(path);
@@ -1070,6 +1098,31 @@ fn handle(shared: &Shared, request: Request, auth: &mut ConnAuth) -> Reply {
                 start: start.min(total),
                 cells,
             })
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lease_journal_names_are_recognized_exactly() {
+        let name = lease_journal_name("fig5", 12, "w3");
+        assert_eq!(name, "fig5.lease12.w3.jsonl");
+        assert!(is_lease_journal("fig5", &name));
+        for other in [
+            "fig5.master.jsonl",
+            "fig5.wal.jsonl",
+            "coordinator.log",
+            "fig50.lease1.w1.jsonl",
+            "fig6a.lease1.w1.jsonl",
+            "fig5.leasex.w1.jsonl",
+            "fig5.lease1.jsonl",
+            "fig5.lease1.w1.csv",
+            "notes.txt",
+        ] {
+            assert!(!is_lease_journal("fig5", other), "{other}");
         }
     }
 }

@@ -1,11 +1,11 @@
-//! Fleet orchestration for sharded sweeps: a coordinator that leases
-//! cells to workers, watches their liveness, steals straggler tails,
-//! and folds every journal back into one byte-identical table.
+//! Fleet orchestration, the one way to split a sweep across processes
+//! or machines: a coordinator that leases cells to workers, watches
+//! their liveness, steals straggler tails, and folds every journal back
+//! into one byte-identical table.
 //!
-//! The sweep engine (`dsp_bench::engine`) already makes every cell
-//! content-addressed, idempotent, and merge-deterministic; multi-machine
-//! runs were still "hand-run N `repro --shard i/N` processes, then
-//! `repro merge`". This crate turns that checkpoint layer into a
+//! The sweep engine (`dsp_bench::engine`) makes every cell
+//! content-addressed, idempotent, and merge-deterministic, and journals
+//! each finished cell. This crate turns that checkpoint layer into a
 //! serving system:
 //!
 //! * [`protocol`] — a std-only newline-delimited-JSON message set over
@@ -33,11 +33,11 @@
 //!   over a coordinator nonce) so unauthenticated or version-skewed
 //!   clients get a typed refusal instead of a lease.
 //! * sessions — every authenticated worker holds a `SessionId`; a
-//!   worker that loses TCP but kept its shard journal reconnects with
+//!   worker that loses TCP but kept its lease journal reconnects with
 //!   the same id and its live leases are *re-adopted*, not harvested.
 //! * [`wal`] — the coordinator write-ahead-logs every ledger transition
 //!   next to the master journal; `repro fleet --recover` replays it,
-//!   re-adopts the master journal, harvests orphaned shard journals,
+//!   re-adopts the master journal, harvests orphaned lease journals,
 //!   and finishes the sweep with the ledger still reconciling.
 //! * [`chaos`] — a seeded flaky-TCP proxy (delays, stalls, mid-message
 //!   disconnects) the e2e tests and `repro fleet --chaos` push whole

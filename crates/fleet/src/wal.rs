@@ -66,7 +66,7 @@ pub enum WalEvent {
         worker: String,
         /// The granted cells, in plan order.
         cells: Vec<String>,
-        /// The shard journal filename assigned to the lease, relative
+        /// The journal filename assigned to the lease, relative
         /// to the fleet directory — recovery harvests it.
         journal: String,
     },

@@ -6,11 +6,12 @@
 //! and scale preset the coordinator advertises), verifies the full
 //! [`PlanIdentity`] — manifest digest, seed, exact scale bits — and
 //! then loops on leases: each grant becomes a
-//! `SweepSession` over an explicit [`ShardSpec::cells`] set with a
-//! checkpoint journal at the coordinator-assigned path, so every
+//! `SweepSession` over the lease's explicit `CellId` set (see
+//! [`SweepSession::cells`](dsp_bench::engine::SweepSession::cells))
+//! with a checkpoint journal at the coordinator-assigned path, so every
 //! completed cell is durable locally *before* it is reported. If the
 //! worker dies mid-lease, the coordinator harvests that journal; if the
-//! coordinator dies, the journal still merges by hand.
+//! coordinator dies, `repro fleet --recover` harvests it.
 //!
 //! # Sessions and reconnects
 //!
@@ -26,7 +27,7 @@
 //! `Duplicate`, and the `SweepSession` keeps running throughout — no
 //! journaled cell is ever re-run. Only when the budget is exhausted is
 //! the coordinator declared gone, and by then every finished cell is
-//! durable in the shard journal anyway.
+//! durable in the lease journal anyway.
 //!
 //! One `SweepRunner` lives across all of a worker's leases, so traces
 //! and timing-sim partitions generated for one lease are reused by the
@@ -37,7 +38,7 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use dsp_bench::engine::{CellId, CellRecord, CellSink, ExperimentPlan, ShardSpec, SweepRunner};
+use dsp_bench::engine::{CellId, CellRecord, CellSink, ExperimentPlan, SweepRunner};
 use dsp_bench::{experiments, Scale};
 use dsp_types::hash::mix64;
 
@@ -212,7 +213,7 @@ fn lease_loop(
                 };
                 let session = runner
                     .session(plan)
-                    .shard(ShardSpec::cells(cell_ids))
+                    .cells(cell_ids)
                     .checkpoint(config.dir.join(&journal));
                 session
                     .run(&mut [&mut sink])

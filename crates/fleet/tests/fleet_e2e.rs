@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use dsp_bench::engine::{
-    harvest_journal, Cell, CellId, CellOutput, ExperimentPlan, ShardSpec, SweepRunner, SweepSession,
+    harvest_journal, Cell, CellId, CellOutput, ExperimentPlan, SweepRunner, SweepSession,
 };
 use dsp_bench::Scale;
 use dsp_core::PredictorConfig;
@@ -270,7 +270,7 @@ fn killed_worker_is_harvested_and_reassigned() {
     // Journal the first two cells exactly as a real worker would...
     let journal_path = dir.join(&journal);
     SweepSession::new(&plan)
-        .shard(ShardSpec::cells(granted[..2].to_vec()))
+        .cells(granted[..2].to_vec())
         .checkpoint(&journal_path)
         .run(&mut [])
         .expect("rogue session");
@@ -385,7 +385,7 @@ fn reconnect_resumes_session_and_keeps_the_lease() {
     // dies.
     let journal_path = dir.join(&journal);
     SweepSession::new(&plan)
-        .shard(ShardSpec::cells(granted.clone()))
+        .cells(granted.clone())
         .checkpoint(&journal_path)
         .run(&mut [])
         .expect("lease session");
@@ -438,7 +438,7 @@ fn reconnect_resumes_session_and_keeps_the_lease() {
     // Resume the sweep from the journal: every journaled cell replays,
     // nothing re-runs.
     let session_report = SweepSession::new(&plan)
-        .shard(ShardSpec::cells(granted.clone()))
+        .cells(granted.clone())
         .checkpoint(&journal_path)
         .resume(true)
         .run(&mut [])

@@ -1,6 +1,8 @@
-//! The `repro` binary's command line: unknown names are refused with
-//! the registry's usage line, an experiment's CSV does not depend on
-//! the thread count, and no run leaves files in the working directory.
+//! The `repro` binary's command line: unknown names and removed flags
+//! are refused with the usage line, an experiment's CSV does not depend
+//! on the thread count or on a checkpoint/resume round trip, a fleet
+//! replaces only its own files in `--dir`, and no run leaves files in
+//! the working directory.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -90,6 +92,86 @@ fn degraded_csv_is_identical_across_thread_counts() {
     assert!(
         String::from_utf8_lossy(&serial).contains(",mesh8x8@5ns/64,"),
         "degraded.csv has no 64-node mesh row"
+    );
+    assert_no_bench_files(&cwd);
+    std::fs::remove_dir_all(cwd).ok();
+}
+
+/// Runs `repro <command line>` in `cwd` and requires exit status 0.
+fn repro_ok(cwd: &Path, command_line: &str) -> Output {
+    let args: Vec<&str> = command_line.split_whitespace().collect();
+    let out = repro(cwd, &args);
+    assert!(
+        out.status.success(),
+        "repro {args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    out
+}
+
+#[test]
+fn removed_split_flags_and_merge_exit_1_with_usage() {
+    let cwd = workdir("removed");
+    // The static split's two flags (a residue class and an explicit
+    // cell list) and its merge subcommand.
+    let shard = format!("--{}", "shard");
+    let cells = format!("--{}", "cells");
+    for args in [
+        vec!["fig5", "--scale", "quick", &shard, "1/2"],
+        vec!["fig5", "--scale", "quick", &cells, "0123456789abcdef"],
+        vec!["merge", "fig5", "x.jsonl"],
+    ] {
+        let out = repro(&cwd, &args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: exit status");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.lines().any(|line| line.starts_with("usage: repro")),
+            "{args:?}: no usage line: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(cwd).ok();
+}
+
+#[test]
+fn resuming_a_completed_checkpoint_executes_nothing() {
+    let cwd = workdir("resume");
+    let table2 = |flags: &str| repro_ok(&cwd, &format!("table2 --scale quick {flags}"));
+    table2("--out plain");
+    table2("--checkpoint table2.jsonl --out first");
+    let resumed = table2("--checkpoint table2.jsonl --resume --out resumed");
+    let stdout = String::from_utf8_lossy(&resumed.stdout);
+    assert!(stdout.contains("executed 0"), "{stdout}");
+    let csv = |dir: &str| std::fs::read(cwd.join(dir).join("table2.csv")).expect("table2.csv");
+    assert_eq!(csv("first"), csv("plain"), "checkpointed CSV differs");
+    assert_eq!(csv("resumed"), csv("plain"), "resumed CSV differs");
+    assert_no_bench_files(&cwd);
+    std::fs::remove_dir_all(cwd).ok();
+}
+
+#[test]
+fn fleet_dir_keeps_files_the_fleet_does_not_name() {
+    let cwd = workdir("fleetdir");
+    let dir = cwd.join("shared");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let sentinel = dir.join("notes.txt");
+    std::fs::write(&sentinel, "not the fleet's").expect("sentinel");
+    // A lease journal left behind by an earlier run is the fleet's own.
+    let stale = dir.join("table2.lease99.w9.jsonl");
+    std::fs::write(&stale, "stale").expect("stale journal");
+    repro_ok(
+        &cwd,
+        "fleet table2 --scale quick --workers 1 --dir shared --out fleet",
+    );
+    assert_eq!(
+        std::fs::read_to_string(&sentinel).expect("sentinel survives"),
+        "not the fleet's"
+    );
+    assert!(!stale.exists(), "stale lease journal was not replaced");
+    repro_ok(&cwd, "table2 --scale quick --out serial");
+    assert_eq!(
+        std::fs::read(cwd.join("fleet/table2.csv")).expect("fleet csv"),
+        std::fs::read(cwd.join("serial/table2.csv")).expect("serial csv"),
+        "fleet table differs from the serial run"
     );
     assert_no_bench_files(&cwd);
     std::fs::remove_dir_all(cwd).ok();

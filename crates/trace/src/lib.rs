@@ -43,7 +43,7 @@ mod zipf;
 
 pub use generator::TraceGenerator;
 pub use holders::HolderMap;
-pub use io::{read_trace_bin, read_trace_json, write_trace_bin, write_trace_json, TraceIoError};
+pub use io::{read_trace_json, write_trace_json, TraceIoError};
 pub use record::TraceRecord;
 pub use spec::{ClassSpec, SharingClass, Workload, WorkloadSpec};
 pub use zipf::ZipfSampler;
