@@ -1,13 +1,14 @@
 //! Checkpoint journals: durable JSONL records of completed cells.
 //!
-//! A journal is one JSON object per line. The first line is a
-//! [`JournalHeader`] identifying the plan (title, cell count, seed, and
-//! the full scale parameters) so a journal can never silently resume or
-//! merge against a different experiment or run size. Every following
-//! line is a [`JournalRecord`]: the cell's [`CellId`] plus its
-//! serialized [`CellOutput`]. Records are flushed line-by-line as cells
-//! finish, so a crash loses at most the cell in flight — a torn final
-//! line is expected and tolerated on read.
+//! A journal is one JSON object per line, written through the shared
+//! [`JsonlWriter`] framing. The first line is a header identifying the
+//! plan (title, cell count, seed, and the full scale parameters) so a
+//! journal can never silently resume or merge against a different
+//! experiment or run size. Every following line is one completed cell:
+//! its [`CellId`] plus its serialized [`CellOutput`]. Records are
+//! flushed line-by-line as cells finish, so a crash loses at most the
+//! cell in flight — a torn final line is expected and tolerated on
+//! read.
 //!
 //! The same file format serves three roles:
 //!
@@ -23,14 +24,134 @@
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use dsp_analysis::TextTable;
+use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 
 use super::session::SessionError;
 use super::{manifest_digest, CellId, CellOutput, CellRecord, CellSink, ExperimentPlan};
+
+/// Appends flushed single-line JSON values after a header line — the
+/// crash-tolerant framing shared by checkpoint journals and the fleet
+/// coordinator's write-ahead log. [`read_jsonl`] reads it back.
+#[derive(Debug)]
+pub struct JsonlWriter {
+    file: BufWriter<File>,
+}
+
+impl JsonlWriter {
+    /// Creates (truncating) `path` and writes `header` as its first
+    /// line.
+    ///
+    /// # Errors
+    ///
+    /// Filesystem or serialization failure.
+    pub fn create(path: &Path, header: &impl Serialize) -> io::Result<Self> {
+        let mut writer = JsonlWriter {
+            file: BufWriter::new(File::create(path)?),
+        };
+        writer.append(header)?;
+        Ok(writer)
+    }
+
+    /// Reopens an existing file for appending, first cutting it back to
+    /// `valid_bytes` ([`JsonlFile::valid_bytes`]) so a torn crash
+    /// remnant can never fuse with the first appended line.
+    ///
+    /// # Errors
+    ///
+    /// Filesystem failure opening or truncating the file.
+    pub fn append_to(path: &Path, valid_bytes: u64) -> io::Result<Self> {
+        OpenOptions::new()
+            .write(true)
+            .open(path)?
+            .set_len(valid_bytes)?;
+        Ok(JsonlWriter {
+            file: BufWriter::new(OpenOptions::new().append(true).open(path)?),
+        })
+    }
+
+    /// Appends one value as a line, flushed before returning: a crash
+    /// loses at most the line in flight.
+    ///
+    /// # Errors
+    ///
+    /// Serialization or write failure.
+    pub fn append(&mut self, value: &impl Serialize) -> io::Result<()> {
+        let line =
+            serde_json::to_string(value).map_err(|e| invalid(format!("cannot encode: {e}")))?;
+        debug_assert!(!line.contains('\n'), "JSONL lines must be single-line");
+        self.file.write_all(line.as_bytes())?;
+        self.file.write_all(b"\n")?;
+        self.file.flush()
+    }
+}
+
+/// The durable prefix of a [`JsonlWriter`] file: its header and the
+/// record lines after it.
+#[derive(Debug)]
+pub struct JsonlFile<H> {
+    /// The first line, parsed.
+    pub header: H,
+    /// Every newline-terminated line after the header.
+    body: String,
+    /// Byte offset just past the last newline-terminated line;
+    /// [`JsonlWriter::append_to`] truncates here.
+    pub valid_bytes: u64,
+}
+
+impl<H> JsonlFile<H> {
+    /// Parses every record line as `R`, in file order.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidData`] naming the first malformed line.
+    pub fn records<R: DeserializeOwned>(&self) -> io::Result<Vec<R>> {
+        self.body
+            .lines()
+            .enumerate()
+            .map(|(pos, line)| {
+                serde_json::from_str(line)
+                    .map_err(|e| invalid(format!("malformed record at line {}: {e}", pos + 2)))
+            })
+            .collect()
+    }
+}
+
+/// Reads a [`JsonlWriter`] file and parses its header.
+///
+/// Only newline-*terminated* lines count: the writer terminates and
+/// flushes every line, so an unterminated final line is exactly the
+/// remnant of a crash mid-write and is skipped (even if it happens to
+/// parse — an unterminated line was never known durable).
+///
+/// # Errors
+///
+/// I/O failure, or [`io::ErrorKind::InvalidData`] for a missing or
+/// malformed header.
+pub fn read_jsonl<H: DeserializeOwned>(path: &Path) -> io::Result<JsonlFile<H>> {
+    let mut text = std::fs::read_to_string(path)?;
+    text.truncate(text.rfind('\n').map_or(0, |end| end + 1));
+    let valid_bytes = text.len() as u64;
+    let Some((header_line, _)) = text.split_once('\n') else {
+        return Err(invalid("empty or headerless file".to_string()));
+    };
+    let header =
+        serde_json::from_str(header_line).map_err(|e| invalid(format!("malformed header: {e}")))?;
+    let body = text.split_off(header_line.len() + 1);
+    Ok(JsonlFile {
+        header,
+        body,
+        valid_bytes,
+    })
+}
+
+fn invalid(message: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, message)
+}
 
 /// Magic string identifying the journal format (and its version).
 const MAGIC: &str = "dsp-sweep-journal-v1";
@@ -110,28 +231,34 @@ pub(crate) struct JournalRecord {
     output: CellOutput,
 }
 
+/// A framing failure is a bad journal; anything else is I/O.
+fn journal_error(path: &Path, error: io::Error) -> SessionError {
+    match error.kind() {
+        io::ErrorKind::InvalidData => SessionError::Journal {
+            path: path.to_path_buf(),
+            message: error.to_string(),
+        },
+        _ => SessionError::io(path, error),
+    }
+}
+
 /// Appends completed cells to a journal file, one flushed JSON line per
 /// cell. Implements [`CellSink`], so a session streams into it like any
 /// other consumer; records replayed *from* a journal are skipped (they
 /// are already on disk).
 #[derive(Debug)]
-pub struct JournalWriter {
+pub(crate) struct JournalWriter {
     path: PathBuf,
-    file: BufWriter<File>,
+    lines: JsonlWriter,
     /// First write/serialization failure; surfaced by `finish`.
     error: Option<SessionError>,
 }
 
 impl JournalWriter {
     /// Creates (truncating) `path` and writes the header line of a
-    /// journal covering the whole plan.
-    pub fn create(path: &Path, plan: &ExperimentPlan) -> Result<Self, SessionError> {
-        JournalWriter::create_covering(path, plan, None)
-    }
-
-    /// [`create`](JournalWriter::create) for a session restricted to
-    /// `cells` (`None` = the whole plan).
-    pub(crate) fn create_covering(
+    /// journal for a session restricted to `cells` (`None` = the whole
+    /// plan).
+    pub(crate) fn create(
         path: &Path,
         plan: &ExperimentPlan,
         cells: Option<&[CellId]>,
@@ -139,69 +266,29 @@ impl JournalWriter {
         if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
             std::fs::create_dir_all(parent).map_err(|e| SessionError::io(path, e))?;
         }
-        let file = File::create(path).map_err(|e| SessionError::io(path, e))?;
-        let mut writer = JournalWriter {
-            path: path.to_path_buf(),
-            file: BufWriter::new(file),
-            error: None,
-        };
         let header = JournalHeader::for_plan(plan, cells);
-        writer.write_line(&serde_json::to_string(&header).expect("header serializes"))?;
-        Ok(writer)
-    }
-
-    /// Opens an existing journal for appending (resume), first cutting
-    /// it back to `valid_bytes` — the end of its last intact line as
-    /// reported by the reader — so a torn crash remnant can never fuse
-    /// with the first appended record. The header is assumed to have
-    /// been validated by the reader.
-    pub fn append_to(path: &Path, valid_bytes: u64) -> Result<Self, SessionError> {
-        let truncate = OpenOptions::new()
-            .write(true)
-            .open(path)
-            .map_err(|e| SessionError::io(path, e))?;
-        truncate
-            .set_len(valid_bytes)
-            .map_err(|e| SessionError::io(path, e))?;
-        drop(truncate);
-        let file = OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| SessionError::io(path, e))?;
         Ok(JournalWriter {
             path: path.to_path_buf(),
-            file: BufWriter::new(file),
+            lines: JsonlWriter::create(path, &header).map_err(|e| SessionError::io(path, e))?,
             error: None,
         })
     }
 
-    fn write_line(&mut self, line: &str) -> Result<(), SessionError> {
-        debug_assert!(!line.contains('\n'), "journal lines must be single-line");
-        let io = |e| SessionError::io(&self.path, e);
-        self.file.write_all(line.as_bytes()).map_err(io)?;
-        self.file.write_all(b"\n").map_err(io)?;
-        // One cell, one durable line: a crash loses at most the cell in
-        // flight.
-        self.file.flush().map_err(io)
-    }
-
-    /// Appends one completed cell.
-    pub fn append(&mut self, record: &CellRecord) -> Result<(), SessionError> {
-        let line = serde_json::to_string(&JournalRecord {
-            cell: record.id.to_hex(),
-            index: record.index,
-            output: record.output.clone(),
+    /// Opens an existing journal for appending (resume) at
+    /// `valid_bytes`, as [`JsonlWriter::append_to`] does. The header is
+    /// assumed to have been validated by the reader.
+    pub(crate) fn append_to(path: &Path, valid_bytes: u64) -> Result<Self, SessionError> {
+        Ok(JournalWriter {
+            path: path.to_path_buf(),
+            lines: JsonlWriter::append_to(path, valid_bytes)
+                .map_err(|e| SessionError::io(path, e))?,
+            error: None,
         })
-        .map_err(|e| SessionError::Journal {
-            path: self.path.clone(),
-            message: format!("cannot serialize cell {}: {e}", record.id),
-        })?;
-        self.write_line(&line)
     }
 
     /// The first error any [`CellSink`] delivery hit, ending the
     /// writer's useful life.
-    pub fn finish(self) -> Result<(), SessionError> {
+    pub(crate) fn finish(self) -> Result<(), SessionError> {
         match self.error {
             Some(e) => Err(e),
             None => Ok(()),
@@ -214,8 +301,13 @@ impl CellSink for JournalWriter {
         if record.replayed || self.error.is_some() {
             return;
         }
-        if let Err(e) = self.append(record) {
-            self.error = Some(e);
+        let line = JournalRecord {
+            cell: record.id.to_hex(),
+            index: record.index,
+            output: record.output.clone(),
+        };
+        if let Err(e) = self.lines.append(&line) {
+            self.error = Some(SessionError::io(&self.path, e));
         }
     }
 }
@@ -223,10 +315,9 @@ impl CellSink for JournalWriter {
 /// All completed cells read from one journal, in file order.
 #[derive(Debug)]
 pub(crate) struct JournalContents {
-    pub records: Vec<(CellId, usize, CellOutput)>,
-    /// Byte offset just past the last intact line (every intact line
-    /// ends in `\n`); a resumed writer truncates the file here so a
-    /// torn crash remnant never fuses with the next appended record.
+    pub records: HarvestedCells,
+    /// Byte offset just past the last intact line; a resumed writer
+    /// truncates the file here.
     pub valid_bytes: u64,
     /// The coverage the journal's writer ran under. Merging accepts
     /// any journal; *resuming* must cover the same cells, or the file
@@ -235,94 +326,83 @@ pub(crate) struct JournalContents {
 }
 
 /// Reads and validates a journal against `plan`, whose cell ids are
-/// `ids`.
-///
-/// Only newline-*terminated* lines count: the writer terminates and
-/// flushes every line, so an unterminated final line is exactly the
-/// remnant of a crash mid-write and is skipped (even if it happens to
-/// parse — an unterminated record was never known durable). A malformed
-/// *terminated* line, an unknown cell id, or a header mismatch is
+/// `ids`. A torn final line is skipped ([`read_jsonl`]); a malformed
+/// terminated line, an unknown cell id, or a header mismatch is
 /// corruption and errors out.
 pub(crate) fn read_journal(
     path: &Path,
     plan: &ExperimentPlan,
     ids: &[CellId],
 ) -> Result<JournalContents, SessionError> {
-    let text = std::fs::read_to_string(path).map_err(|e| SessionError::io(path, e))?;
-    let lines: Vec<&str> = text.lines().collect();
-    let complete = if text.ends_with('\n') {
-        lines.len()
-    } else {
-        lines.len().saturating_sub(1)
-    };
-    let Some(header_line) = lines.first().filter(|_| complete > 0) else {
-        return Err(SessionError::Journal {
-            path: path.to_path_buf(),
-            message: "empty or headerless journal".to_string(),
-        });
-    };
-    let header: JournalHeader =
-        serde_json::from_str(header_line).map_err(|e| SessionError::Journal {
-            path: path.to_path_buf(),
-            message: format!("malformed header: {e}"),
-        })?;
-    header.validate(plan, path)?;
+    let file = read_jsonl::<JournalHeader>(path).map_err(|e| journal_error(path, e))?;
+    file.header.validate(plan, path)?;
     let known: HashMap<CellId, usize> = ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
+    let bad = |message: String| SessionError::Journal {
+        path: path.to_path_buf(),
+        message,
+    };
     let mut records = Vec::new();
-    let mut valid_bytes = (header_line.len() + 1) as u64;
-    for (pos, line) in lines.iter().enumerate().take(complete).skip(1) {
-        let record: JournalRecord =
-            serde_json::from_str(line).map_err(|e| SessionError::Journal {
-                path: path.to_path_buf(),
-                message: format!("malformed record at line {}: {e}", pos + 1),
-            })?;
-        let Some(id) = CellId::from_hex(&record.cell) else {
-            return Err(SessionError::Journal {
-                path: path.to_path_buf(),
-                message: format!("bad cell id {:?} at line {}", record.cell, pos + 1),
-            });
-        };
-        let Some(&index) = known.get(&id) else {
-            return Err(SessionError::Journal {
-                path: path.to_path_buf(),
-                message: format!(
-                    "cell {id} at line {} is not in this plan (journal from another \
-                     experiment or scale?)",
-                    pos + 1
-                ),
-            });
-        };
+    let lines: Vec<JournalRecord> = file.records().map_err(|e| journal_error(path, e))?;
+    for (line, record) in (2..).zip(lines) {
+        let id = CellId::from_hex(&record.cell)
+            .ok_or_else(|| bad(format!("bad cell id {:?} at line {line}", record.cell)))?;
+        let &index = known.get(&id).ok_or_else(|| {
+            bad(format!(
+                "cell {id} at line {line} is not in this plan (journal from another experiment \
+                 or scale?)"
+            ))
+        })?;
         records.push((id, index, record.output));
-        valid_bytes += (line.len() + 1) as u64;
     }
     Ok(JournalContents {
         records,
-        valid_bytes,
-        shard: header.shard,
+        valid_bytes: file.valid_bytes,
+        shard: file.header.shard,
     })
 }
 
-/// Folds journals back into one table.
+/// Folds journals back into one table: reads each of `paths`, then
+/// [`fold_cells`].
 ///
 /// Plan identity (title, cell count, seed, and the exact scale bits) is
 /// verified against *every* input journal — and since each header must
 /// equal the plan's, all journals are transitively verified against
 /// each other; a journal from a different experiment or run size fails
-/// the merge instead of silently folding into it. Cells may repeat
-/// across journals (e.g. a resumed journal re-merged with its pre-crash
-/// copy, or a lease completed by a worker presumed dead *and* by
-/// its stealer): outputs are deterministic, so repeats must carry
-/// byte-identical serialized data — a conflicting repeat means the
-/// journals came from incompatible runs and also fails the merge. The
-/// rendered table is byte-identical to running the plan serially in
-/// memory.
+/// the merge instead of silently folding into it.
 pub fn merge_journals(plan: &ExperimentPlan, paths: &[PathBuf]) -> Result<TextTable, SessionError> {
     let ids = CellId::assign(&plan.cells);
+    let sources = paths
+        .iter()
+        .map(|path| Ok((path.clone(), read_journal(path, plan, &ids)?.records)))
+        .collect::<Result<Vec<_>, SessionError>>()?;
+    fold_cells(plan, sources)
+}
+
+/// Folds durable cell records from several sources — each named by its
+/// file, for errors — into `plan`'s table.
+///
+/// Cells may repeat across sources (e.g. a resumed journal re-merged
+/// with its pre-crash copy, or a lease completed by a worker presumed
+/// dead *and* by its stealer): outputs are deterministic, so repeats
+/// must carry byte-identical serialized data — a conflicting repeat
+/// means the sources came from incompatible runs and fails the fold.
+/// The rendered table is byte-identical to running the plan serially in
+/// memory.
+///
+/// # Errors
+///
+/// [`SessionError::Journal`] for a conflicting repeat,
+/// [`SessionError::Incomplete`] when some cell has no record.
+pub fn fold_cells(
+    plan: &ExperimentPlan,
+    sources: Vec<(PathBuf, HarvestedCells)>,
+) -> Result<TextTable, SessionError> {
+    let (paths, sources): (Vec<PathBuf>, Vec<HarvestedCells>) = sources.into_iter().unzip();
     let mut outputs: Vec<Option<(CellOutput, String, usize)>> =
         (0..plan.cells.len()).map(|_| None).collect();
-    for (journal_idx, path) in paths.iter().enumerate() {
-        let contents = read_journal(path, plan, &ids)?;
-        for (id, index, output) in contents.records {
+    for (source, records) in sources.into_iter().enumerate() {
+        let path = &paths[source];
+        for (id, index, output) in records {
             let rendered = serde_json::to_string(&output).map_err(|e| SessionError::Journal {
                 path: path.clone(),
                 message: format!("cannot re-serialize cell {id}: {e}"),
@@ -332,7 +412,7 @@ pub fn merge_journals(plan: &ExperimentPlan, paths: &[PathBuf]) -> Result<TextTa
                     return Err(SessionError::Journal {
                         path: path.clone(),
                         message: format!(
-                            "cell {id} conflicts with {}: the two journals carry different \
+                            "cell {id} conflicts with {}: the two files carry different \
                              outputs for the same cell — they come from incompatible runs \
                              (code versions?) and must not be folded together",
                             paths[*from].display()
@@ -340,7 +420,7 @@ pub fn merge_journals(plan: &ExperimentPlan, paths: &[PathBuf]) -> Result<TextTa
                     });
                 }
                 Some(_) => {}
-                None => outputs[index] = Some((output, rendered, journal_idx)),
+                None => outputs[index] = Some((output, rendered, source)),
             }
         }
     }
@@ -362,9 +442,9 @@ pub fn merge_journals(plan: &ExperimentPlan, paths: &[PathBuf]) -> Result<TextTa
 ///
 /// # Errors
 ///
-/// Everything [`read_journal`] rejects: I/O failure, a header that does
-/// not match the plan, or a corrupt terminated record. A torn final
-/// line (crash mid-write) is tolerated and skipped.
+/// I/O failure, a header that does not match the plan, or a corrupt
+/// terminated record. A torn final line (crash mid-write) is tolerated
+/// and skipped.
 pub fn harvest_journal(plan: &ExperimentPlan, path: &Path) -> Result<HarvestedCells, SessionError> {
     let ids = CellId::assign(&plan.cells);
     read_journal(path, plan, &ids).map(|contents| contents.records)
@@ -374,25 +454,6 @@ pub fn harvest_journal(plan: &ExperimentPlan, path: &Path) -> Result<HarvestedCe
 /// output)` per cell, in journal order.
 pub type HarvestedCells = Vec<(CellId, usize, CellOutput)>;
 
-/// Like [`harvest_journal`], but also returns the intact byte length,
-/// for callers that will both re-adopt the durable records *and* reopen
-/// the file for appending — the fleet coordinator's crash recovery does
-/// this with its master journal: `scan_journal`, then
-/// [`JournalWriter::append_to`]`(path, valid_bytes)` resumes exactly
-/// where the durable prefix ends.
-///
-/// # Errors
-///
-/// Same as [`harvest_journal`]: I/O failure, a header from a different
-/// plan, or a corrupt terminated record.
-pub fn scan_journal(
-    plan: &ExperimentPlan,
-    path: &Path,
-) -> Result<(HarvestedCells, u64), SessionError> {
-    let ids = CellId::assign(&plan.cells);
-    read_journal(path, plan, &ids).map(|contents| (contents.records, contents.valid_bytes))
-}
-
 /// A cheap liveness probe of a (possibly live) journal file.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct JournalTail {
@@ -400,13 +461,6 @@ pub struct JournalTail {
     pub bytes: u64,
     /// Newline-terminated lines — the header plus one per durable cell.
     pub lines: usize,
-}
-
-impl JournalTail {
-    /// Completed cell records (lines minus the header).
-    pub fn records(&self) -> usize {
-        self.lines.saturating_sub(1)
-    }
 }
 
 /// Probes a journal for liveness without validating or deserializing
@@ -593,7 +647,6 @@ mod tests {
             .expect("session");
         let tail = tail_journal(&path).expect("tail");
         assert_eq!(tail.lines, 3, "header + 2 cells");
-        assert_eq!(tail.records(), 2);
         let harvested = harvest_journal(&plan, &path).expect("harvest");
         assert_eq!(harvested.len(), 2);
         std::fs::remove_dir_all(dir).ok();

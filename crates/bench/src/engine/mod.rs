@@ -57,7 +57,7 @@ pub mod shard;
 pub mod sink;
 
 pub use checkpoint::{
-    harvest_journal, merge_journals, scan_journal, tail_journal, JournalTail, JournalWriter,
+    fold_cells, harvest_journal, merge_journals, read_jsonl, tail_journal, JournalTail, JsonlWriter,
 };
 pub use session::{SessionError, SessionReport, SweepSession};
 pub use shard::{manifest_digest, CellId};
@@ -633,7 +633,6 @@ pub(crate) fn execute_cell(
 #[derive(Debug)]
 pub struct SweepRunner {
     threads: usize,
-    share_traces: bool,
     store: Arc<TraceStore>,
     partitions: Arc<PartitionStore>,
 }
@@ -657,20 +656,9 @@ impl SweepRunner {
     pub fn with_threads(threads: usize) -> Self {
         SweepRunner {
             threads: threads.max(1),
-            share_traces: true,
             store: Arc::new(TraceStore::default()),
             partitions: Arc::new(PartitionStore::default()),
         }
-    }
-
-    /// Disables (or re-enables) the shared trace cache. With sharing
-    /// off every cell regenerates its own trace — the seed drivers'
-    /// behavior, kept as the reference for equivalence tests and as the
-    /// baseline the sweep benchmark measures against.
-    #[must_use]
-    pub fn share_traces(mut self, share: bool) -> Self {
-        self.share_traces = share;
-        self
     }
 
     /// A single-threaded runner (the reference for byte-identical
@@ -701,7 +689,6 @@ impl SweepRunner {
     pub fn session<'p>(&self, plan: &'p ExperimentPlan) -> SweepSession<'p> {
         SweepSession::new(plan)
             .threads(self.threads)
-            .share_traces(self.share_traces)
             .stores(Arc::clone(&self.store), Arc::clone(&self.partitions))
     }
 

@@ -136,7 +136,6 @@ pub struct SweepSession<'p> {
     /// plan.
     cells: Option<Arc<[CellId]>>,
     threads: usize,
-    share_traces: bool,
     store: Arc<TraceStore>,
     partitions: Arc<PartitionStore>,
     checkpoint: Option<PathBuf>,
@@ -150,7 +149,6 @@ impl<'p> SweepSession<'p> {
             plan,
             cells: None,
             threads: 1,
-            share_traces: true,
             store: Arc::new(TraceStore::default()),
             partitions: Arc::new(PartitionStore::default()),
             checkpoint: None,
@@ -172,14 +170,6 @@ impl<'p> SweepSession<'p> {
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Disables (or re-enables) the shared trace cache; see
-    /// [`SweepRunner::share_traces`](super::SweepRunner::share_traces).
-    #[must_use]
-    pub fn share_traces(mut self, share: bool) -> Self {
-        self.share_traces = share;
         self
     }
 
@@ -259,7 +249,7 @@ impl<'p> SweepSession<'p> {
         // Resume appends after cutting off any torn crash remnant.
         let mut journal = match &self.checkpoint {
             Some(path) if resuming => Some(JournalWriter::append_to(path, journal_valid_bytes)?),
-            Some(path) => Some(JournalWriter::create_covering(
+            Some(path) => Some(JournalWriter::create(
                 path,
                 self.plan,
                 self.cells.as_deref(),
@@ -297,17 +287,15 @@ impl<'p> SweepSession<'p> {
 
         // Phase 1: materialize each distinct trace the remaining cells
         // need exactly once.
-        if self.share_traces {
-            let mut keys: Vec<TraceKey> = Vec::new();
-            for &i in &todo {
-                if let Some(key) = self.plan.cells[i].trace_key(self.plan) {
-                    if !keys.contains(&key) {
-                        keys.push(key);
-                    }
+        let mut keys: Vec<TraceKey> = Vec::new();
+        for &i in &todo {
+            if let Some(key) = self.plan.cells[i].trace_key(self.plan) {
+                if !keys.contains(&key) {
+                    keys.push(key);
                 }
             }
-            self.store.ensure(&keys, self.threads);
         }
+        self.store.ensure(&keys, self.threads);
 
         // Phase 2: execute in parallel, emitting each cell as it
         // finishes (under one lock so sinks see whole records).
@@ -315,13 +303,9 @@ impl<'p> SweepSession<'p> {
         let executed = AtomicUsize::new(0);
         parallel_map(&todo, self.threads, |&i| {
             let cell = &self.plan.cells[i];
-            let trace = cell.trace_key(self.plan).map(|key| {
-                if self.share_traces {
-                    self.store.get(&key).expect("trace materialized in phase 1")
-                } else {
-                    key.generate()
-                }
-            });
+            let trace = cell
+                .trace_key(self.plan)
+                .map(|key| self.store.get(&key).expect("trace materialized in phase 1"));
             let output = execute_cell(cell, self.plan, trace, &self.partitions);
             let record = CellRecord {
                 id: ids[i],

@@ -4,8 +4,8 @@
 //! until the end of the run: every finished cell is pushed through the
 //! [`CellSink`]s the caller passed in, as soon as it completes. The
 //! built-in sinks cover the three uses the harness needs — the
-//! checkpoint journal ([`JournalWriter`](super::JournalWriter) is a
-//! sink too), live progress on long `paper`-scale runs
+//! checkpoint journal (a session's checkpoint writer is a sink too),
+//! live progress on long `paper`-scale runs
 //! ([`ProgressSink`]), and the in-memory ordered collection the
 //! existing render path consumes ([`Collector`]).
 

@@ -66,7 +66,9 @@ fn all_experiments_deterministic_across_thread_counts() {
 
 /// Acceptance: evaluating a predictor against the runner's shared
 /// `Arc<[TraceRecord]>` yields the same `TradeoffPoint` as evaluating
-/// against a per-cell regenerated trace (the seed drivers' behavior).
+/// against a per-cell regenerated trace (the seed drivers' behavior):
+/// each cell, run alone as a one-cell plan on a fresh runner, generates
+/// its own trace.
 #[test]
 fn trace_sharing_matches_per_cell_regeneration() {
     let scale = tiny();
@@ -74,20 +76,32 @@ fn trace_sharing_matches_per_cell_regeneration() {
     let predictor = PredictorConfig::group()
         .indexing(Indexing::Macroblock { bytes: 1024 })
         .entries(Capacity::ISCA03);
-    let build = || {
-        let mut plan = ExperimentPlan::new("equiv", &["label"], &scale);
-        for workload in [Workload::Oltp, Workload::Slashcode] {
-            plan.push(Cell::Baselines { config, workload });
-            plan.push(Cell::Tradeoff {
-                config,
-                workload,
-                predictor,
-            });
-        }
-        plan
-    };
-    let shared = SweepRunner::new().run_cells(&build());
-    let regenerated = SweepRunner::new().share_traces(false).run_cells(&build());
+    let mut plan = ExperimentPlan::new("equiv", &["label"], &scale);
+    for workload in [Workload::Oltp, Workload::Slashcode] {
+        plan.push(Cell::Baselines { config, workload });
+        plan.push(Cell::Tradeoff {
+            config,
+            workload,
+            predictor,
+        });
+    }
+    let shared = SweepRunner::new().run_cells(&plan);
+    let regenerated: Vec<CellOutput> = plan
+        .cells
+        .iter()
+        .map(|cell| {
+            let mut alone = ExperimentPlan::new("equiv", &["label"], &scale);
+            alone.push(cell.clone());
+            let runner = SweepRunner::new();
+            let mut outputs = runner.run_cells(&alone);
+            assert_eq!(
+                runner.cached_traces(),
+                1,
+                "the lone cell generated its trace"
+            );
+            outputs.pop().expect("one output")
+        })
+        .collect();
     assert_eq!(shared.len(), regenerated.len());
     for (a, b) in shared.iter().zip(&regenerated) {
         match (a, b) {

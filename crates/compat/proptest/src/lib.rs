@@ -226,7 +226,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::{Range, RangeInclusive};
 
-    /// Length distributions accepted by [`vec`].
+    /// Length distributions accepted by [`vec()`].
     pub trait SizeRange {
         /// Draws a length.
         fn sample_len(&self, rng: &mut SmallRng) -> usize;
@@ -250,7 +250,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     pub struct VecStrategy<S, L> {
         element: S,
         len: L,

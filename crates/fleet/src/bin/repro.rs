@@ -31,7 +31,10 @@
 //! N local single-threaded workers over one experiment (`--workers 0`
 //! serves only workers started elsewhere) and requires a reconciled
 //! lease ledger (`leases_reconciled`), even when `--kill-one` murders a
-//! worker mid-lease; `repro worker` joins any coordinator by address;
+//! worker mid-lease; `repro worker` joins a coordinator by address (the
+//! coordinator listens on 127.0.0.1 only, so a remote worker connects
+//! through a tunnel, and journal harvest needs its `--dir` to be the
+//! coordinator's);
 //! `repro plan` prints the `CellId` manifest leases are accounted
 //! against; and `repro fleet-status` polls a running coordinator. The
 //! fleet never runs the plan itself: every cell is executed by a
@@ -42,10 +45,11 @@
 //! challenge; `--chaos SEED` routes every worker through a seeded
 //! flaky-TCP proxy (delays, stalls, mid-message disconnects);
 //! `--crash-after N` stops the coordinator cold once N cells are
-//! complete, leaving the write-ahead log and journals on disk; a second
-//! invocation with `--recover` (same experiment, scale, and `--dir`)
-//! rebuilds the ledger from the WAL, prints `recovered_from_wal: true`,
-//! and finishes the sweep.
+//! complete, leaving the write-ahead log (the coordinator's only
+//! durable log, accepted outputs included) and the lease journals on
+//! disk; a second invocation with `--recover` (same experiment, scale,
+//! and `--dir`) rebuilds the ledger from the WAL, prints
+//! `recovered_from_wal: true`, and finishes the sweep.
 //!
 //! The repository's benchmark — end-to-end and per-layer time of
 //! these same plans — lives in `perfbench/` (see its README).
@@ -663,12 +667,11 @@ fn run_fleet(args: &Args) -> Result<(), String> {
         },
     );
     println!(
-        "[fleet: {} sessions resumed, {} leases re-adopted, {} WAL events replayed, \
-         {} cells recovered | lease size min {} max {} final {}]",
+        "[fleet: {} sessions resumed, {} leases re-adopted, {} WAL events replayed | \
+         lease size min {} max {} final {}]",
         c.sessions_resumed,
         c.leases_readopted,
         c.wal_events_replayed,
-        c.cells_recovered,
         report.lease_sizes.0,
         report.lease_sizes.1,
         report.lease_sizes.2,

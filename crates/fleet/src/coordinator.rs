@@ -4,29 +4,31 @@
 //!
 //! # Threading model
 //!
-//! Plain `std::net` — a non-blocking accept loop on one service thread,
-//! one thread per connection, shared state behind a single mutex. The
-//! service thread doubles as the maintenance clock: every poll tick it
-//! tails active lease journals (growth is liveness), expires leases
-//! with no evidence of life within the timeout, **harvests the durable
-//! prefix of a dead worker's journal before requeueing the rest**, and
-//! checks for completion. Connection threads read with a short timeout
-//! so everybody notices shutdown within a tick.
+//! Plain `std::net` — a non-blocking accept loop on one service thread
+//! (the listener binds 127.0.0.1 only; remote workers come in through a
+//! tunnel), one thread per connection, shared state behind a single
+//! mutex. The service thread doubles as the maintenance clock: every
+//! poll tick it tails active lease journals (growth is liveness),
+//! expires leases with no evidence of life within the timeout,
+//! **harvests the durable prefix of a dead worker's journal before
+//! requeueing the rest**, and checks for completion. Connection threads
+//! read with a short timeout so everybody notices shutdown within a
+//! tick.
 //!
 //! # Result flow
 //!
 //! Every accepted cell completion (streamed over the wire, or harvested
-//! from a dead worker's journal) is appended to a **master journal** —
-//! a plain whole-plan checkpoint journal, so the ordinary
-//! `merge_journals` and `--resume` machinery can read it. When the
-//! last cell lands, the coordinator compacts the master plus every
-//! surviving lease journal through `merge_journals`: identical
-//! duplicates (a cell journaled by a worker presumed dead *and* re-run
-//! by its stealer) fold silently, while a conflicting duplicate —
-//! impossible unless two incompatible binaries joined one fleet —
-//! fails the run loudly.
+//! from a dead worker's journal) is one append to the write-ahead log:
+//! a [`WalEvent::CellDone`] carrying the cell's output. When the last
+//! cell lands, the coordinator reads those outputs back and folds them
+//! with every surviving lease journal through `fold_cells`, the check
+//! `merge_journals` runs too: identical duplicates (a cell journaled by
+//! a worker presumed dead *and* re-run by its stealer) fold silently,
+//! while a conflicting duplicate — impossible unless two incompatible
+//! binaries joined one fleet — fails the run loudly.
 
 use std::collections::HashMap;
+use std::error::Error;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -36,9 +38,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use dsp_analysis::TextTable;
 use dsp_bench::engine::{
-    harvest_journal, merge_journals, scan_journal, tail_journal, CellId, CellOutput, CellRecord,
-    ExperimentPlan, JournalWriter,
+    fold_cells, harvest_journal, tail_journal, CellId, CellOutput, ExperimentPlan, JsonlWriter,
 };
 
 use crate::auth::{fresh_nonce, mac64};
@@ -47,7 +49,7 @@ use crate::protocol::{
     self, MessageReader, PlanIdentity, ProtocolError, Reply, Request, PROTOCOL_VERSION,
 };
 use crate::stats::{CellProgress, FleetCounters, ResultsPage, StatusReport};
-use crate::wal::{read_wal, WalEvent, WalWriter};
+use crate::wal::{create_wal, read_wal, WalEvent};
 
 /// Coordinator tuning.
 #[derive(Clone, Debug)]
@@ -56,8 +58,7 @@ pub struct FleetConfig {
     pub experiment: String,
     /// Scale preset name workers feed to `Scale::parse`.
     pub scale_name: String,
-    /// Fleet directory: master journal, WAL, lease journals,
-    /// coordinator log. Workers on the same machine journal here too.
+    /// Fleet directory: WAL, lease journals, coordinator log. Workers on the same machine journal here too.
     pub dir: PathBuf,
     /// Maximum cells per lease (the adaptive sizer's clamp).
     pub lease_cells: usize,
@@ -126,10 +127,9 @@ struct Session {
 /// Mutable coordinator state, behind one mutex.
 struct State {
     ledger: LeaseLedger,
-    /// Master journal writer; taken (closed) at completion.
-    master: Option<JournalWriter>,
-    /// Write-ahead log of ledger transitions, for crash recovery.
-    wal: Option<WalWriter>,
+    /// Write-ahead log of ledger transitions and accepted outputs;
+    /// taken (closed) at completion.
+    wal: Option<JsonlWriter>,
     /// Adaptive lease sizing (EWMA of per-cell wall clock).
     sizer: LeaseSizer,
     /// Authenticated sessions by id.
@@ -141,8 +141,7 @@ struct State {
     journals: Vec<PathBuf>,
     /// Accepted-result attribution by plan index.
     worker_of_cell: Vec<Option<String>>,
-    /// First unrecoverable failure (master-journal or WAL I/O, bad
-    /// merge).
+    /// First unrecoverable failure (WAL I/O).
     failure: Option<String>,
     /// Set exactly once, when the sweep finishes (or fails).
     report: Option<Result<FleetReport, String>>,
@@ -153,7 +152,6 @@ struct Shared {
     ids: Vec<CellId>,
     identity: PlanIdentity,
     config: FleetConfig,
-    master_path: PathBuf,
     epoch: Instant,
     state: Mutex<State>,
     done: Condvar,
@@ -186,13 +184,13 @@ impl Coordinator {
     ///
     /// # Errors
     ///
-    /// Filesystem failures creating the fleet directory, log, or
-    /// master journal, or removing an earlier run's lease journals;
-    /// failure to bind the listener.
+    /// Filesystem failures creating the fleet directory, log, or WAL,
+    /// or removing an earlier run's lease journals; failure to bind the
+    /// listener.
     pub fn start(plan: ExperimentPlan, config: FleetConfig) -> io::Result<CoordinatorHandle> {
         std::fs::create_dir_all(&config.dir)?;
-        // A fresh fleet replaces only the files it names: the log,
-        // master journal, and WAL are truncated below, and an earlier
+        // A fresh fleet replaces only the files it names: the log and
+        // WAL are truncated below, and an earlier
         // run's lease journals for this experiment are removed here.
         // Everything else in the directory is left alone.
         for entry in std::fs::read_dir(&config.dir)? {
@@ -203,17 +201,13 @@ impl Coordinator {
             }
         }
         let log_file = File::create(config.dir.join("coordinator.log"))?;
-        let master_path = master_path(&config);
-        let master = JournalWriter::create(&master_path, &plan)
-            .map_err(|e| io::Error::other(e.to_string()))?;
         let identity = PlanIdentity::of(&config.experiment, &plan);
-        let wal = WalWriter::create(&wal_path(&config), &identity)?;
+        let wal = create_wal(&wal_path(&config), &identity)?;
 
         let ids = CellId::assign(&plan.cells);
         let cells = plan.cells.len();
         let state = State {
             ledger: LeaseLedger::new(ids.clone()),
-            master: Some(master),
             wal: Some(wal),
             sizer: LeaseSizer::new(config.target_lease_ms, config.lease_cells),
             sessions: HashMap::new(),
@@ -227,7 +221,6 @@ impl Coordinator {
         let shared = Arc::new(Shared {
             identity,
             config,
-            master_path,
             epoch: Instant::now(),
             state: Mutex::new(state),
             done: Condvar::new(),
@@ -241,40 +234,34 @@ impl Coordinator {
 
     /// Rebuilds a crashed coordinator from its fleet directory and
     /// resumes the sweep: replay the WAL into a fresh ledger (same
-    /// transitions, same lease ids, same churn counters), re-adopt the
-    /// master journal's durable outputs, harvest whatever the orphaned
-    /// leases journaled before the crash, expire them, and serve the
-    /// rest of the plan as usual. Sessions do not survive the crash:
-    /// an old worker that reconnects gets a fresh session, and its old
-    /// lease reports are answered `Stale` — which workers already treat
-    /// as routine.
+    /// transitions, same lease ids, same churn counters), harvest
+    /// whatever the orphaned leases journaled before the crash, expire
+    /// them, and serve the rest of the plan as usual. Sessions do not
+    /// survive the crash: an old worker that reconnects gets a fresh
+    /// session, and its old lease reports are answered `Stale` — which
+    /// workers already treat as routine.
     ///
     /// # Errors
     ///
-    /// A missing/corrupt WAL or master journal, a WAL from a different
-    /// plan, or the same filesystem/bind failures as
-    /// [`start`](Self::start).
+    /// A missing/corrupt WAL, a WAL from a different plan, or the same
+    /// filesystem/bind failures as [`start`](Self::start).
     pub fn recover(plan: ExperimentPlan, config: FleetConfig) -> io::Result<CoordinatorHandle> {
         let log_file = OpenOptions::new()
             .create(true)
             .append(true)
             .open(config.dir.join("coordinator.log"))?;
-        let master_path = master_path(&config);
         let identity = PlanIdentity::of(&config.experiment, &plan);
         let ids = CellId::assign(&plan.cells);
-        let index_of: HashMap<CellId, usize> =
-            ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
         let invalid = |message: String| io::Error::new(ErrorKind::InvalidData, message);
 
         // 1. Replay the WAL: the ledger goes through the exact
         //    transitions the dead coordinator logged.
-        let contents = read_wal(&wal_path(&config), &identity)?;
+        let (events, valid_bytes) = read_wal(&wal_path(&config), &identity)?;
         let mut ledger = LeaseLedger::new(ids.clone());
         let mut lease_journals = HashMap::new();
         let mut journals: Vec<PathBuf> = Vec::new();
         let mut worker_of_cell: Vec<Option<String>> = vec![None; ids.len()];
-        let mut lease_worker: HashMap<u64, String> = HashMap::new();
-        for event in &contents.events {
+        for event in &events {
             match event {
                 WalEvent::Granted {
                     lease,
@@ -292,19 +279,21 @@ impl Coordinator {
                     ledger
                         .replay_granted(*lease, worker, &cell_ids, 0)
                         .map_err(invalid)?;
-                    lease_worker.insert(*lease, worker.clone());
                     let path = config.dir.join(journal);
                     lease_journals.insert(*lease, path.clone());
-                    if !journals.contains(&path) {
-                        journals.push(path);
-                    }
+                    journals.push(path);
                 }
-                WalEvent::CellDone { lease, cell } => {
+                WalEvent::CellDone {
+                    lease, cell, index, ..
+                } => {
                     let id = CellId::from_hex(cell)
-                        .ok_or_else(|| invalid(format!("WAL has bad cell id {cell:?}")))?;
+                        .filter(|id| ids.get(*index) == Some(id))
+                        .ok_or_else(|| {
+                            invalid(format!("WAL has cell {cell:?} at bad plan index {index}"))
+                        })?;
                     match ledger.complete_cell(*lease, id, 0) {
                         CellReport::Accepted => {
-                            worker_of_cell[index_of[&id]] = lease_worker.get(lease).cloned();
+                            worker_of_cell[*index] = ledger.lease(*lease).map(|l| l.worker.clone());
                         }
                         other => {
                             return Err(invalid(format!(
@@ -322,49 +311,11 @@ impl Coordinator {
                 }
             }
         }
-        ledger.counters.wal_events_replayed = contents.events.len() as u64;
-        let mut wal = WalWriter::append_to(&wal_path(&config), contents.valid_bytes)?;
-
-        // 2. Heal the crash window: a master record whose CellDone
-        //    never reached the WAL (the WAL is at most one transition
-        //    behind the master, but scan everything).
-        let (master_records, master_valid) =
-            scan_journal(&plan, &master_path).map_err(|e| invalid(e.to_string()))?;
-        let mut recovered = 0u64;
-        for (id, index, _output) in &master_records {
-            let (_, state_name, holder) = ledger
-                .cell_view(*index)
-                .ok_or_else(|| invalid(format!("master journal cell {id} out of range")))?;
-            if state_name == "done" {
-                continue; // the WAL already replayed this completion
-            }
-            let Some(holder) = holder else {
-                return Err(invalid(format!(
-                    "master journal has cell {id} but no lease holds it in the WAL"
-                )));
-            };
-            if ledger.complete_cell(holder, *id, 0) != CellReport::Accepted {
-                return Err(invalid(format!(
-                    "master journal cell {id} did not re-complete under lease {holder}"
-                )));
-            }
-            wal.append(&WalEvent::CellDone {
-                lease: holder,
-                cell: id.to_hex(),
-            })?;
-            worker_of_cell[*index] = lease_worker.get(&holder).cloned();
-            recovered += 1;
-        }
-        ledger.counters.cells_recovered = recovered;
-        let master = JournalWriter::append_to(&master_path, master_valid)
-            .map_err(|e| io::Error::other(e.to_string()))?;
-
-        let wal_replayed = ledger.counters.wal_events_replayed;
+        ledger.counters.wal_events_replayed = events.len() as u64;
+        let wal = JsonlWriter::append_to(&wal_path(&config), valid_bytes)?;
         let orphans: Vec<u64> = ledger.lease_infos().iter().map(|l| l.lease).collect();
-        let cells = plan.cells.len();
         let state = State {
             ledger,
-            master: Some(master),
             wal: Some(wal),
             sizer: LeaseSizer::new(config.target_lease_ms, config.lease_cells),
             sessions: HashMap::new(),
@@ -378,7 +329,6 @@ impl Coordinator {
         let shared = Arc::new(Shared {
             identity,
             config,
-            master_path,
             epoch: Instant::now(),
             state: Mutex::new(state),
             done: Condvar::new(),
@@ -388,7 +338,7 @@ impl Coordinator {
             plan,
         });
 
-        // 3. The crashed incarnation's leases are orphans (their
+        // 2. The crashed incarnation's leases are orphans (their
         //    workers died with it, or will be told Stale): harvest each
         //    one's journal, then expire it, through the same path a
         //    live coordinator uses for dead workers.
@@ -399,24 +349,17 @@ impl Coordinator {
                 harvest_and_expire(&shared, state, *lease, "orphaned by coordinator crash");
             }
             shared.log(&format!(
-                "recovered from WAL: {} events replayed, {} cells re-adopted from the master \
-                 journal, {} orphaned leases harvested+expired, {}/{} cells already done",
-                wal_replayed,
-                recovered,
+                "recovered from WAL: {} events replayed, {} orphaned leases harvested+expired, \
+                 {}/{} cells already done",
+                state.ledger.counters.wal_events_replayed,
                 orphans.len(),
                 state.ledger.completed(),
-                cells,
+                state.ledger.total(),
             ));
             maybe_finish(&shared, state);
         }
         serve(shared, "recovered and up")
     }
-}
-
-fn master_path(config: &FleetConfig) -> PathBuf {
-    config
-        .dir
-        .join(format!("{}.master.jsonl", config.experiment))
 }
 
 fn wal_path(config: &FleetConfig) -> PathBuf {
@@ -494,7 +437,7 @@ impl CoordinatorHandle {
     ///
     /// # Errors
     ///
-    /// The coordinator's failure (master-journal I/O, merge conflict),
+    /// The coordinator's failure (WAL I/O, compaction conflict),
     /// or a timeout message when `deadline` elapses first.
     pub fn wait(&self, deadline: Duration) -> Result<FleetReport, String> {
         let started = Instant::now();
@@ -645,8 +588,8 @@ fn harvest_and_expire(shared: &Shared, state: &mut State, lease: u64, reason: &s
     ));
 }
 
-/// Routes one accepted completion into the ledger and, when it is the
-/// first for its cell, the master journal.
+/// Routes one completion into the ledger and, when it is the first for
+/// its cell, the WAL.
 #[allow(clippy::too_many_arguments)]
 fn accept_cell(
     shared: &Shared,
@@ -661,27 +604,14 @@ fn accept_cell(
     let verdict = state.ledger.complete_cell(lease, id, now);
     if verdict == CellReport::Accepted {
         state.worker_of_cell[index] = Some(worker.to_string());
-        if let Some(master) = state.master.as_mut() {
-            let record = CellRecord {
-                id,
-                index,
-                replayed: false,
-                output,
-            };
-            if let Err(e) = master.append(&record) {
-                let message = format!("master journal write failed: {e}");
-                shared.log(&message);
-                state.failure.get_or_insert(message);
-            }
-        }
-        // Master first, then WAL: a WAL completion always has a durable
-        // output behind it (recovery heals the converse window).
         wal_append(
             shared,
             state,
             &WalEvent::CellDone {
                 lease,
                 cell: id.to_hex(),
+                index,
+                output: Box::new(output),
             },
         );
     }
@@ -703,44 +633,35 @@ fn maybe_finish(shared: &Shared, state: &mut State) {
             wal_append(shared, state, &WalEvent::LeaseDone { lease: info.lease });
         }
     }
-    if let Some(master) = state.master.take() {
-        if let Err(e) = master.finish() {
-            state
-                .failure
-                .get_or_insert(format!("master journal failed: {e}"));
-        }
-    }
     // The WAL's job ends with the sweep; close it so the file is whole
-    // for the CI artifact upload.
+    // for the compaction below and the CI artifact upload.
     state.wal = None;
-    // Compact: the master plus every surviving lease journal. Lease
-    // journals hold identical duplicates of master records (and that
-    // is asserted — a conflicting duplicate fails the merge).
-    let mut paths = vec![shared.master_path.clone()];
-    for path in &state.journals {
-        if path.exists() && !paths.contains(path) {
-            paths.push(path.clone());
-        }
-    }
+    let journals: Vec<PathBuf> = state
+        .journals
+        .iter()
+        .filter(|p| p.exists())
+        .cloned()
+        .collect();
     let counters = state.ledger.counters;
     let reconciled = counters.reconciled(state.ledger.total() as u64);
-    let result = match (&state.failure, merge_journals(&shared.plan, &paths)) {
-        (Some(failure), _) => Err(failure.clone()),
-        (None, Err(e)) => Err(format!("final compaction failed: {e}")),
-        (None, Ok(table)) => Ok(FleetReport {
-            csv: table.to_csv(),
-            rendered: table.to_string(),
-            counters,
-            reconciled,
-            cells: state.ledger.total(),
-            wall_s: shared.epoch.elapsed().as_secs_f64(),
-            lease_sizes: state.sizer.trajectory(),
-        }),
+    let result = match &state.failure {
+        Some(failure) => Err(failure.clone()),
+        None => compact(shared, &journals)
+            .map_err(|e| format!("final compaction failed: {e}"))
+            .map(|table| FleetReport {
+                csv: table.to_csv(),
+                rendered: table.to_string(),
+                counters,
+                reconciled,
+                cells: state.ledger.total(),
+                wall_s: shared.epoch.elapsed().as_secs_f64(),
+                lease_sizes: state.sizer.trajectory(),
+            }),
     };
     shared.log(&format!(
         "sweep complete: {} cells | leases granted {} completed {} expired {} | cells granted {} \
          completed {} stolen {} harvested {} stale-rejected {} | sessions resumed {} leases \
-         re-adopted {} | wal replayed {} cells recovered {} | lease sizes {:?} | compacted {} \
+         re-adopted {} | wal replayed {} | lease sizes {:?} | compacted the WAL + {} lease \
          journals | leases_reconciled: {reconciled}",
         state.ledger.total(),
         counters.leases_granted,
@@ -754,15 +675,34 @@ fn maybe_finish(shared: &Shared, state: &mut State) {
         counters.sessions_resumed,
         counters.leases_readopted,
         counters.wal_events_replayed,
-        counters.cells_recovered,
         state.sizer.trajectory(),
-        paths.len(),
+        journals.len(),
     ));
     if let Err(e) = &result {
         shared.log(&format!("sweep FAILED: {e}"));
     }
     state.report = Some(result);
     shared.done.notify_all();
+}
+
+/// The final compaction: the WAL's accepted outputs folded with every
+/// surviving lease journal, whose records are identical duplicates of
+/// accepted cells (asserted — a conflicting duplicate fails the fold).
+fn compact(shared: &Shared, journals: &[PathBuf]) -> Result<TextTable, Box<dyn Error>> {
+    let wal = wal_path(&shared.config);
+    let (events, _) = read_wal(&wal, &shared.identity)?;
+    let accepted = events
+        .into_iter()
+        .filter_map(|event| match event {
+            WalEvent::CellDone { index, output, .. } => Some((shared.ids[index], index, *output)),
+            _ => None,
+        })
+        .collect();
+    let mut sources = vec![(wal, accepted)];
+    for path in journals {
+        sources.push((path.clone(), harvest_journal(&shared.plan, path)?));
+    }
+    Ok(fold_cells(&shared.plan, sources)?)
 }
 
 /// Where a connection stands in the v2 handshake.

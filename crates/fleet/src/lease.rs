@@ -19,7 +19,7 @@
 //! ([`CellReport::Stale`]), not merged: outputs are deterministic, so
 //! re-running the cell under its new lease produces identical bytes and
 //! nothing is lost — while accepting them would let one cell's result
-//! enter the master journal from two workers, which is exactly what the
+//! enter the WAL from two workers, which is exactly what the
 //! reconciliation check forbids.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};

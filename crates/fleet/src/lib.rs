@@ -19,8 +19,8 @@
 //! * [`coordinator`] — owns an `ExperimentPlan` and the ledger, serves
 //!   leases and incremental results, tails worker journals as
 //!   heartbeats, harvests the durable prefix of a dead worker's journal
-//!   before re-leasing the rest, and compacts every journal through
-//!   `merge_journals` into the final table.
+//!   before re-leasing the rest, and folds its WAL and every lease
+//!   journal into the final table.
 //! * [`worker`] — wraps `SweepSession`: pull a lease, run its cells
 //!   (journaling locally), stream each finished cell back, repeat until
 //!   the coordinator says the sweep is done.
@@ -35,10 +35,10 @@
 //! * sessions — every authenticated worker holds a `SessionId`; a
 //!   worker that loses TCP but kept its lease journal reconnects with
 //!   the same id and its live leases are *re-adopted*, not harvested.
-//! * [`wal`] — the coordinator write-ahead-logs every ledger transition
-//!   next to the master journal; `repro fleet --recover` replays it,
-//!   re-adopts the master journal, harvests orphaned lease journals,
-//!   and finishes the sweep with the ledger still reconciling.
+//! * [`wal`] — the coordinator write-ahead-logs every ledger transition,
+//!   accepted cell outputs included, in its only durable log;
+//!   `repro fleet --recover` replays it, harvests orphaned lease
+//!   journals, and finishes the sweep with the ledger still reconciling.
 //! * [`chaos`] — a seeded flaky-TCP proxy (delays, stalls, mid-message
 //!   disconnects) the e2e tests and `repro fleet --chaos` push whole
 //!   sweeps through; the result must still be byte-identical to serial.
@@ -49,10 +49,10 @@
 //! grants, steals, kills, and harvests yields the same bytes: a cell
 //! journaled by a worker presumed dead and re-run by its stealer
 //! produces *identical* records, which is why the final compaction can
-//! merge the master journal with every surviving lease journal and
-//! still demand byte-identity with a serial run. The merge layer
-//! enforces the contract — differing duplicate outputs fail the merge
-//! loudly instead of folding silently.
+//! fold the WAL's accepted outputs with every surviving lease journal
+//! and still demand byte-identity with a serial run. The fold enforces
+//! the contract — differing duplicate outputs fail it loudly instead of
+//! folding silently.
 //!
 //! [`CellId`]: dsp_bench::engine::CellId
 
@@ -70,5 +70,5 @@ pub use coordinator::{Coordinator, CoordinatorHandle, FleetConfig, FleetReport};
 pub use lease::{CellReport, GrantOutcome, LeaseLedger, LeaseSizer};
 pub use protocol::{MessageReader, PlanIdentity, ProtocolError, Reply, Request, PROTOCOL_VERSION};
 pub use stats::{CellProgress, FleetCounters, LeaseInfo, ResultsPage, StatusReport};
-pub use wal::{read_wal, WalEvent, WalWriter};
+pub use wal::{create_wal, read_wal, WalEvent};
 pub use worker::{query_results, query_status, run_worker, run_worker_with, WorkerConfig};

@@ -40,8 +40,9 @@ use dsp_bench::engine::{manifest_digest, CellId, CellOutput, ExperimentPlan};
 use crate::stats::{ResultsPage, StatusReport};
 
 /// Protocol revision; bumped on any incompatible message change.
-/// v2 added the challenge/auth handshake and session ids.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// v2 added the challenge/auth handshake and session ids; v3 changed
+/// the shape of the status counters.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Typed protocol violations — every way the coordinator can refuse a
 /// client, distinguishable by the client without parsing prose.

@@ -40,9 +40,6 @@ pub struct FleetCounters {
     /// Ledger transitions replayed from the WAL by `--recover` (zero on
     /// a run that never crashed).
     pub wal_events_replayed: u64,
-    /// Completed cells re-adopted from the master journal during
-    /// recovery.
-    pub cells_recovered: u64,
 }
 
 impl FleetCounters {

@@ -1,48 +1,33 @@
-//! The coordinator's write-ahead log: every ledger transition, durable
-//! before it takes effect on the wire.
+//! The coordinator's write-ahead log and only durable log: every ledger
+//! transition, durable before it takes effect on the wire. An accepted
+//! cell's [`WalEvent::CellDone`] carries its output, so one append
+//! makes both the ledger and the output durable.
 //!
-//! The master journal makes accepted *outputs* durable; the WAL makes
-//! the *ledger* durable. Together they let `repro fleet --recover`
-//! rebuild a crashed coordinator: replay the WAL to reconstruct the
-//! lease state machine (same transitions, same lease ids, same churn
-//! counters), re-adopt the master journal's outputs, harvest whatever
-//! the orphaned leases journaled before the crash, and resume the
-//! sweep — with the reconciliation invariant
+//! `repro fleet --recover` replays the WAL to rebuild a crashed
+//! coordinator's lease state machine (same transitions, same lease ids,
+//! same churn counters), harvests whatever the orphaned leases
+//! journaled, and resumes the sweep — with the reconciliation invariant
 //! (`granted == completed + stolen`) still spanning both incarnations.
 //!
-//! Format is the same greppable JSONL dialect as the checkpoint
-//! journals: a header line carrying the full [`PlanIdentity`] (a WAL
+//! The file uses the checkpoint journals' framing ([`JsonlWriter`],
+//! [`read_jsonl`]): a header carrying the full [`PlanIdentity`] (a WAL
 //! can never silently recover a different experiment, seed, or scale),
-//! then one flushed [`WalEvent`] per transition. Only
-//! newline-terminated lines count on read; a torn final line is the
-//! crash remnant and is cut away before the recovered coordinator
-//! appends — exactly the journal-tail discipline.
-//!
-//! # Write ordering
-//!
-//! Two rules make replay sound, both enforced under the coordinator's
-//! state mutex:
-//!
-//! * a [`WalEvent::Granted`] is logged **before** the `Grant` reply is
-//!   sent, so no lease can exist on the wire that the WAL does not
-//!   know;
-//! * a [`WalEvent::CellDone`] is logged **after** the master-journal
-//!   append, so a WAL completion always has a durable output behind it.
-//!   The converse crash window (master has the record, WAL lost the
-//!   completion) is healed at recovery by re-completing the cell from
-//!   the master journal — its lease still holds it in the replayed
-//!   ledger, because the WAL is at most one transition behind.
+//! then one flushed [`WalEvent`] per transition. A [`WalEvent::Granted`]
+//! is logged **before** the `Grant` reply is sent, so no lease exists
+//! on the wire that the WAL does not know. A crash tears at most the
+//! transition in flight; a torn `CellDone` leaves its cell leased to an
+//! orphan, whose lease journal recovery harvests.
 
-use std::fs::{File, OpenOptions};
-use std::io::{self, BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 
+use dsp_bench::engine::{read_jsonl, CellOutput, JsonlWriter};
 use serde::{Deserialize, Serialize};
 
 use crate::protocol::PlanIdentity;
 
 /// Magic string identifying the WAL format (and its version).
-const MAGIC: &str = "dsp-fleet-wal-v1";
+const MAGIC: &str = "dsp-fleet-wal-v2";
 
 /// First line of every WAL: format magic plus the full plan identity.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -53,7 +38,7 @@ struct WalHeader {
 
 /// One ledger transition. Cells travel as fixed-width hex (the same
 /// rendering the wire protocol and `repro plan` use).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub enum WalEvent {
     /// A lease was granted (from the pending queue or by stealing a
     /// straggler's tail — replay re-derives which from the cell
@@ -76,6 +61,10 @@ pub enum WalEvent {
         lease: u64,
         /// The completed cell.
         cell: String,
+        /// The cell's plan index.
+        index: usize,
+        /// The accepted output.
+        output: Box<CellOutput>,
     },
     /// A lease retired cleanly (every cell reported).
     LeaseDone {
@@ -89,154 +78,54 @@ pub enum WalEvent {
     },
 }
 
-/// Appends ledger transitions to the WAL, one flushed JSON line each.
-#[derive(Debug)]
-pub struct WalWriter {
-    path: PathBuf,
-    file: BufWriter<File>,
-}
-
-impl WalWriter {
-    /// Creates (truncating) `path` and writes the header line.
-    ///
-    /// # Errors
-    ///
-    /// Filesystem failure creating or writing the file.
-    pub fn create(path: &Path, identity: &PlanIdentity) -> io::Result<Self> {
-        let file = File::create(path)?;
-        let mut writer = WalWriter {
-            path: path.to_path_buf(),
-            file: BufWriter::new(file),
-        };
-        let header = WalHeader {
-            wal: MAGIC.to_string(),
-            identity: identity.clone(),
-        };
-        writer.write_line(&encode(&header)?)?;
-        Ok(writer)
-    }
-
-    /// Reopens an existing WAL for appending after recovery, first
-    /// truncating it to `valid_bytes` (the end of its last intact line
-    /// as reported by [`read_wal`]) so the torn crash remnant can never
-    /// fuse with the first recovered append.
-    ///
-    /// # Errors
-    ///
-    /// Filesystem failure opening or truncating the file.
-    pub fn append_to(path: &Path, valid_bytes: u64) -> io::Result<Self> {
-        let truncate = OpenOptions::new().write(true).open(path)?;
-        truncate.set_len(valid_bytes)?;
-        drop(truncate);
-        let file = OpenOptions::new().append(true).open(path)?;
-        Ok(WalWriter {
-            path: path.to_path_buf(),
-            file: BufWriter::new(file),
-        })
-    }
-
-    /// The WAL's path (for logs and CI artifacts).
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Appends one transition, durable before the caller acts on it.
-    ///
-    /// # Errors
-    ///
-    /// Serialization or write failure — the caller must treat this as
-    /// fatal for recoverability (the coordinator records it as the
-    /// run's failure).
-    pub fn append(&mut self, event: &WalEvent) -> io::Result<()> {
-        let line = encode(event)?;
-        self.write_line(&line)
-    }
-
-    fn write_line(&mut self, line: &str) -> io::Result<()> {
-        debug_assert!(!line.contains('\n'), "WAL lines must be single-line");
-        self.file.write_all(line.as_bytes())?;
-        self.file.write_all(b"\n")?;
-        // One transition, one durable line: a crash loses at most the
-        // transition in flight.
-        self.file.flush()
-    }
-}
-
-fn encode<T: Serialize>(value: &T) -> io::Result<String> {
-    serde_json::to_string(value)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("cannot encode: {e}")))
-}
-
-/// Everything read back from a WAL.
-#[derive(Debug)]
-pub struct WalContents {
-    /// Intact transitions, in append order.
-    pub events: Vec<WalEvent>,
-    /// Byte offset just past the last intact line; [`WalWriter::append_to`]
-    /// truncates here.
-    pub valid_bytes: u64,
-}
-
-/// Reads a WAL and validates its header against `identity`.
-///
-/// Only newline-terminated lines count: an unterminated final line is
-/// the remnant of a crash mid-append and is skipped. A malformed
-/// *terminated* line, or a header naming a different plan, is
-/// corruption and errors out — recovery must not guess.
+/// Creates (truncating) a WAL at `path` for the plan `identity` names.
 ///
 /// # Errors
 ///
-/// I/O failure, a missing or malformed header, an identity mismatch,
-/// or a corrupt terminated event line.
-pub fn read_wal(path: &Path, identity: &PlanIdentity) -> io::Result<WalContents> {
-    let text = std::fs::read_to_string(path)?;
-    let lines: Vec<&str> = text.lines().collect();
-    let complete = if text.ends_with('\n') {
-        lines.len()
-    } else {
-        lines.len().saturating_sub(1)
+/// Filesystem failure creating or writing the file.
+pub fn create_wal(path: &Path, identity: &PlanIdentity) -> io::Result<JsonlWriter> {
+    let header = WalHeader {
+        wal: MAGIC.to_string(),
+        identity: identity.clone(),
     };
+    JsonlWriter::create(path, &header)
+}
+
+/// Reads a WAL's intact transitions, in append order, and the byte
+/// offset just past the last one ([`JsonlWriter::append_to`] truncates
+/// there). The header is validated against `identity` before any event
+/// is parsed. A malformed *terminated* line, or a header naming another
+/// format or plan, is corruption and errors out — recovery must not
+/// guess.
+///
+/// # Errors
+///
+/// I/O failure, a missing or malformed header, a format or identity
+/// mismatch, or a corrupt terminated event line.
+pub fn read_wal(path: &Path, identity: &PlanIdentity) -> io::Result<(Vec<WalEvent>, u64)> {
+    let named = |e: io::Error| io::Error::new(e.kind(), format!("{}: {e}", path.display()));
     let bad = |message: String| io::Error::new(io::ErrorKind::InvalidData, message);
-    let Some(header_line) = lines.first().filter(|_| complete > 0) else {
-        return Err(bad(format!("{}: empty or headerless WAL", path.display())));
-    };
-    let header: WalHeader = serde_json::from_str(header_line)
-        .map_err(|e| bad(format!("{}: malformed WAL header: {e}", path.display())))?;
-    if header.wal != MAGIC {
+    let file = read_jsonl::<WalHeader>(path).map_err(named)?;
+    if file.header.wal != MAGIC {
         return Err(bad(format!(
             "{}: not a fleet WAL (format {:?})",
             path.display(),
-            header.wal
+            file.header.wal
         )));
     }
-    if let Some(diff) = identity.mismatch(&header.identity) {
+    if let Some(diff) = identity.mismatch(&file.header.identity) {
         return Err(bad(format!(
             "{}: WAL is from a different run ({diff}); refusing to recover",
             path.display()
         )));
     }
-    let mut events = Vec::new();
-    let mut valid_bytes = (header_line.len() + 1) as u64;
-    for (pos, line) in lines.iter().enumerate().take(complete).skip(1) {
-        let event: WalEvent = serde_json::from_str(line).map_err(|e| {
-            bad(format!(
-                "{}: malformed WAL event at line {}: {e}",
-                path.display(),
-                pos + 1
-            ))
-        })?;
-        events.push(event);
-        valid_bytes += (line.len() + 1) as u64;
-    }
-    Ok(WalContents {
-        events,
-        valid_bytes,
-    })
+    Ok((file.records().map_err(named)?, file.valid_bytes))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn identity() -> PlanIdentity {
         PlanIdentity {
@@ -260,9 +149,20 @@ mod tests {
             WalEvent::CellDone {
                 lease: 1,
                 cell: "0000000000001000".into(),
+                index: 0,
+                output: Box::new(CellOutput::Runtime(Vec::new())),
             },
             WalEvent::Expired { lease: 1 },
         ]
+    }
+
+    /// `WalEvent` carries a `CellOutput`, which has no `PartialEq`:
+    /// compare what the WAL would write.
+    fn rendered(events: &[WalEvent]) -> Vec<String> {
+        events
+            .iter()
+            .map(|e| serde_json::to_string(e).expect("encode"))
+            .collect()
     }
 
     fn tmp(name: &str) -> PathBuf {
@@ -273,54 +173,68 @@ mod tests {
     }
 
     #[test]
-    fn wal_round_trips_in_order() {
-        let path = tmp("roundtrip");
-        let mut writer = WalWriter::create(&path, &identity()).expect("create");
-        for event in events() {
-            writer.append(&event).expect("append");
-        }
-        drop(writer);
-        let contents = read_wal(&path, &identity()).expect("read");
-        assert_eq!(contents.events, events());
-        let _ = std::fs::remove_dir_all(path.parent().expect("parent"));
-    }
-
-    #[test]
-    fn torn_tail_is_cut_and_appending_resumes_cleanly() {
+    fn wal_round_trips_and_a_torn_tail_is_cut_before_appending() {
         let path = tmp("torn");
-        let mut writer = WalWriter::create(&path, &identity()).expect("create");
+        let mut writer = create_wal(&path, &identity()).expect("create");
         for event in events() {
             writer.append(&event).expect("append");
         }
         drop(writer);
+        let (read, _) = read_wal(&path, &identity()).expect("read");
+        assert_eq!(rendered(&read), rendered(&events()));
         // Crash mid-append: chop the final line in half.
         let text = std::fs::read_to_string(&path).expect("read");
-        let cut = text.len() - 10;
-        std::fs::write(&path, &text[..cut]).expect("write");
-        let contents = read_wal(&path, &identity()).expect("torn tail tolerated");
-        assert_eq!(contents.events, events()[..2], "only intact events");
+        std::fs::write(&path, &text[..text.len() - 10]).expect("write");
+        let (read, valid_bytes) = read_wal(&path, &identity()).expect("torn tail tolerated");
+        assert_eq!(
+            rendered(&read),
+            rendered(&events()[..2]),
+            "only intact events"
+        );
         // A recovered writer truncates the remnant and appends whole
         // lines after it.
-        let mut writer = WalWriter::append_to(&path, contents.valid_bytes).expect("reopen");
+        let mut writer = JsonlWriter::append_to(&path, valid_bytes).expect("reopen");
         writer
             .append(&WalEvent::LeaseDone { lease: 9 })
             .expect("append");
         drop(writer);
-        let contents = read_wal(&path, &identity()).expect("reread");
-        assert_eq!(contents.events.len(), 3);
-        assert_eq!(contents.events[2], WalEvent::LeaseDone { lease: 9 });
+        let (read, _) = read_wal(&path, &identity()).expect("reread");
+        assert_eq!(read.len(), 3);
+        assert!(matches!(read[2], WalEvent::LeaseDone { lease: 9 }));
         let _ = std::fs::remove_dir_all(path.parent().expect("parent"));
     }
 
     #[test]
     fn mismatched_identity_is_refused() {
         let path = tmp("mismatch");
-        let writer = WalWriter::create(&path, &identity()).expect("create");
-        drop(writer);
+        create_wal(&path, &identity()).expect("create");
         let mut other = identity();
         other.seed ^= 0xdead;
         let err = read_wal(&path, &other).expect_err("must refuse");
         assert!(err.to_string().contains("different run"), "{err}");
+        let _ = std::fs::remove_dir_all(path.parent().expect("parent"));
+    }
+
+    #[test]
+    fn older_format_is_refused_by_its_header() {
+        let path = tmp("v1");
+        let header = WalHeader {
+            wal: "dsp-fleet-wal-v1".into(),
+            identity: identity(),
+        };
+        // A v1 completion carries no output; the header check must
+        // refuse the file before any event is parsed.
+        let v1_done = r#"{"CellDone":{"lease":1,"cell":"0000000000001000"}}"#;
+        std::fs::write(
+            &path,
+            format!(
+                "{}\n{v1_done}\n",
+                serde_json::to_string(&header).expect("header")
+            ),
+        )
+        .expect("write");
+        let err = read_wal(&path, &identity()).expect_err("must refuse");
+        assert!(err.to_string().contains("not a fleet WAL"), "{err}");
         let _ = std::fs::remove_dir_all(path.parent().expect("parent"));
     }
 }

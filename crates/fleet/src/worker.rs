@@ -20,7 +20,7 @@
 //! → `Welcome`, which carries the worker's `SessionId`. Every connect —
 //! initial or reconnect — runs jittered exponential backoff under one
 //! wall-clock budget (`connect_timeout_ms`), with attempts surfaced in
-//! the worker log. When TCP dies mid-run, [`Fleet::exchange`]
+//! the worker log. When TCP dies mid-run, `Fleet::exchange`
 //! reconnects, re-authenticates *with the same `SessionId`*, and
 //! retransmits the request: the coordinator re-adopts the session's
 //! live leases, a retransmitted `CellDone` lands as a harmless

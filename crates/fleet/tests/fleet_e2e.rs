@@ -8,7 +8,7 @@
 
 use std::io::Write;
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use dsp_bench::engine::{
@@ -20,7 +20,7 @@ use dsp_fleet::auth::mac64;
 use dsp_fleet::protocol::{send, PlanIdentity};
 use dsp_fleet::{
     query_results, query_status, run_worker_with, ChaosProxy, ChaosSpec, Coordinator, FleetConfig,
-    MessageReader, ProtocolError, Reply, Request, WorkerConfig, PROTOCOL_VERSION,
+    FleetReport, MessageReader, ProtocolError, Reply, Request, WorkerConfig, PROTOCOL_VERSION,
 };
 use dsp_trace::Workload;
 use dsp_types::hash::mix64;
@@ -557,17 +557,30 @@ fn chaos_proxied_fleet_still_matches_serial() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Coordinator crash recovery: kill the coordinator mid-sweep, then
-/// `recover` from the WAL + journals in the same directory. The
-/// recovered fleet finishes the plan byte-identical to serial without
-/// re-running already-journaled cells, and the ledger still reconciles.
-#[test]
-fn crashed_coordinator_recovers_from_wal() {
-    let dir = fresh_dir("recover");
-    let plan = tiny_plan();
-    let serial = SweepRunner::serial().run(&plan).to_csv();
+/// Blocks until `<dir>/coordinator.log` contains every one of `needles`.
+fn wait_for_log(dir: &Path, needles: &[&str]) {
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        let log = std::fs::read_to_string(dir.join("coordinator.log")).unwrap_or_default();
+        if needles.iter().all(|needle| log.contains(needle)) {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "coordinator log never showed {needles:?}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
 
-    let mut config = FleetConfig::new("e2e", "tiny", &dir);
+/// Runs the tiny plan on two workers and shuts the coordinator down
+/// cold mid-sweep, leaving its WAL and the lease journals in `dir`.
+///
+/// The crash waits until both workers are authenticated: a worker that
+/// never joined exits with `Err` by `run_worker`'s contract, while one
+/// that joined and then lost the coordinator exits cleanly.
+fn crash_mid_sweep(dir: &Path) {
+    let mut config = FleetConfig::new("e2e", "tiny", dir);
     config.lease_cells = 2;
     config.poll_ms = 20;
     config.timeout_ms = 60_000;
@@ -578,13 +591,15 @@ fn crashed_coordinator_recovers_from_wal() {
     // once the coordinator is gone.
     let workers: Vec<_> = (1..=2)
         .map(|i| {
-            let mut config = WorkerConfig::new(&format!("w{i}"), &addr, &dir);
+            let mut config = WorkerConfig::new(&format!("w{i}"), &addr, dir);
             config.connect_timeout_ms = 800;
             spawn_worker_cfg(config)
         })
         .collect();
 
-    // Crash once the sweep is demonstrably mid-flight.
+    // Crash once both workers joined and the sweep is demonstrably
+    // mid-flight.
+    wait_for_log(dir, &["worker w1 authenticated", "worker w2 authenticated"]);
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
         assert!(Instant::now() < deadline, "no progress before crash point");
@@ -602,20 +617,40 @@ fn crashed_coordinator_recovers_from_wal() {
             .expect("join")
             .expect("survivors exit cleanly");
     }
+}
 
-    // Recover from the WAL in the same directory and finish the sweep.
-    let mut config = FleetConfig::new("e2e", "tiny", &dir);
+/// Recovers the coordinator from `dir` and finishes the sweep with two
+/// fresh workers.
+fn recover_and_finish(dir: &Path) -> FleetReport {
+    let mut config = FleetConfig::new("e2e", "tiny", dir);
     config.lease_cells = 2;
     config.poll_ms = 20;
     config.timeout_ms = 60_000;
     let recovered = Coordinator::recover(tiny_plan(), config).expect("recovery from WAL");
     let addr = recovered.addr().to_string();
     let workers: Vec<_> = (1..=2)
-        .map(|i| spawn_worker(&format!("w{i}"), &addr, &dir))
+        .map(|i| spawn_worker(&format!("w{i}"), &addr, dir))
         .collect();
     let report = recovered
         .wait(Duration::from_secs(120))
         .expect("recovered fleet completes");
+    for worker in workers {
+        worker.join().expect("join").expect("worker ok");
+    }
+    recovered.shutdown();
+    report
+}
+
+/// Coordinator crash recovery: kill the coordinator mid-sweep, then
+/// `recover` from the WAL + journals in the same directory. The
+/// recovered fleet finishes the plan byte-identical to serial without
+/// re-running already-journaled cells, and the ledger still reconciles.
+#[test]
+fn crashed_coordinator_recovers_from_wal() {
+    let dir = fresh_dir("recover");
+    let serial = SweepRunner::serial().run(&tiny_plan()).to_csv();
+    crash_mid_sweep(&dir);
+    let report = recover_and_finish(&dir);
 
     assert_eq!(report.csv, serial, "fleet table must be byte-identical");
     assert!(report.reconciled, "ledger: {:?}", report.counters);
@@ -625,10 +660,54 @@ fn crashed_coordinator_recovers_from_wal() {
         "recovery must have replayed the WAL: {:?}",
         report.counters
     );
-    for worker in workers {
-        worker.join().expect("join").expect("worker ok");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A crash that tears the WAL mid-`CellDone`: the torn line (and
+/// everything after it) is lost, so recovery finds that cell still
+/// leased to an orphan and gets its output back by harvesting the
+/// orphan's lease journal — the WAL is the only coordinator log, and
+/// nothing else needs healing.
+#[test]
+fn torn_cell_done_is_recovered_from_the_lease_journal() {
+    let dir = fresh_dir("torn-wal");
+    let serial = SweepRunner::serial().run(&tiny_plan()).to_csv();
+    crash_mid_sweep(&dir);
+
+    // The WAL is the coordinator's only durable log: besides it, the
+    // fleet directory holds the text log and the workers' lease
+    // journals.
+    for entry in std::fs::read_dir(&dir).expect("fleet dir") {
+        let name = entry
+            .expect("entry")
+            .file_name()
+            .into_string()
+            .expect("utf-8");
+        assert!(
+            name == "coordinator.log" || name == "e2e.wal.jsonl" || name.starts_with("e2e.lease"),
+            "unexpected file {name} in the fleet directory"
+        );
     }
-    recovered.shutdown();
+
+    // Cut the WAL in the middle of its last CellDone line.
+    let wal = dir.join("e2e.wal.jsonl");
+    let text = std::fs::read_to_string(&wal).expect("read WAL");
+    let start = text
+        .match_indices("{\"CellDone\"")
+        .map(|(at, _)| at)
+        .last()
+        .expect("the WAL holds a CellDone");
+    let end = start + text[start..].find('\n').expect("terminated line");
+    std::fs::write(&wal, &text[..(start + end) / 2]).expect("tear WAL");
+
+    let report = recover_and_finish(&dir);
+    assert_eq!(report.csv, serial, "fleet table must be byte-identical");
+    assert!(report.reconciled, "ledger: {:?}", report.counters);
+    assert!(
+        report.counters.cells_harvested >= 1,
+        "the torn cell must come back from its lease journal: {:?}",
+        report.counters
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -50,7 +50,7 @@ impl PartialOrd for Far {
 /// A time-ordered event queue with FIFO tie-breaking, built as a
 /// two-level timing wheel.
 ///
-/// The near level is a [`WHEEL_SLOTS`]-entry array of per-nanosecond
+/// The near level is a `WHEEL_SLOTS`-entry array of per-nanosecond
 /// buckets covering `[cursor, cursor + WHEEL_SLOTS)`; push appends to a
 /// bucket (O(1), no comparisons) and pop finds the next non-empty
 /// bucket with a 64-slots-per-instruction bitmap scan. Events beyond

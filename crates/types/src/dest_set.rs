@@ -64,7 +64,7 @@ impl<const W: usize> Deserialize for DestSet<W> {
 /// for paper-scale (16-node) and medium (≤ 64-node) systems.
 pub type DestSet64 = DestSet<1>;
 
-/// A destination set over nodes `0..256` ([`MAX_NODES`]): four words,
+/// A destination set over nodes `0..256` ([`MAX_NODES`](crate::MAX_NODES)): four words,
 /// the width required by the 128- and 256-node scaling studies and the
 /// default for width-agnostic code.
 pub type DestSet256 = DestSet<4>;
