@@ -12,9 +12,10 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use dsp_bench::engine::{
-    harvest_journal, Cell, CellId, CellOutput, ExperimentPlan, SweepRunner, SweepSession,
+    harvest_journal, Cell, CellId, CellOutput, CellRecord, CellSink, Collector, ExperimentPlan,
+    SweepRunner, SweepSession,
 };
-use dsp_bench::Scale;
+use dsp_bench::{experiments, Scale};
 use dsp_core::PredictorConfig;
 use dsp_fleet::auth::mac64;
 use dsp_fleet::protocol::{send, PlanIdentity};
@@ -214,6 +215,96 @@ fn fleet_matches_serial_and_serves_results() {
     // Work stealing may let two workers race the same cell (the loser's
     // report folds away as a duplicate), so the tally is a floor.
     assert!(worker_cells >= 6, "every cell was streamed by some worker");
+    coordinator.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Four timing-sim cells of fig7's shape, each much slower than a tiny
+/// plan's cells: long enough that a lease timeout can sit well below a
+/// single cell's run time.
+fn slow_plan() -> ExperimentPlan {
+    let scale = Scale {
+        footprint: 1.0 / 8.0,
+        trace_warmup: 1_000,
+        trace_measured: 1_000,
+        sim_warmup: 500,
+        sim_measured: 4_000,
+        sim_runs: 1,
+    };
+    let mut plan = experiments::fig7_plan(&scale);
+    plan.cells.truncate(4);
+    plan
+}
+
+/// Heartbeats, not finished cells, keep a lease alive: with a lease
+/// timeout at least 5× shorter than the shortest cell, no cell can
+/// finish inside one timeout, yet the fleet must finish byte-identical
+/// to serial without a single expiry.
+#[test]
+fn lease_timeout_far_below_cell_time_still_finishes() {
+    /// Timestamps each finished cell of a serial session.
+    struct Stamps(Collector, Vec<Instant>);
+    impl CellSink for Stamps {
+        fn on_cell(&mut self, plan: &ExperimentPlan, record: &CellRecord) {
+            self.1.push(Instant::now());
+            self.0.on_cell(plan, record);
+        }
+    }
+
+    let dir = fresh_dir("slow");
+    let plan = slow_plan();
+    let started = Instant::now();
+    let mut stamps = Stamps(Collector::new(plan.len()), Vec::new());
+    SweepSession::new(&plan)
+        .run(&mut [&mut stamps])
+        .expect("serial session");
+    let serial_time = started.elapsed();
+    let shortest = std::iter::once(started)
+        .chain(stamps.1.iter().copied())
+        .zip(&stamps.1)
+        .map(|(from, to)| to.duration_since(from))
+        .min()
+        .expect("cells ran");
+    let serial = plan
+        .render_outputs(&stamps.0.into_outputs().expect("every cell"))
+        .to_csv();
+
+    let timeout_ms = (shortest.as_millis() / 5) as u64;
+    assert!(
+        timeout_ms >= 50,
+        "the shortest cell took {shortest:?}; the test needs >= 250ms cells so a 5x shorter \
+         timeout stays above scheduler jitter"
+    );
+    let mut config = FleetConfig::new("slow", "tiny", &dir);
+    config.lease_cells = 2;
+    config.poll_ms = 10;
+    config.timeout_ms = timeout_ms;
+    let coordinator = Coordinator::start(slow_plan(), config).expect("coordinator starts");
+    let addr = coordinator.addr().to_string();
+    let workers: Vec<_> = (1..=2)
+        .map(|i| {
+            let config = WorkerConfig::new(&format!("w{i}"), &addr, &dir);
+            std::thread::spawn(move || {
+                run_worker_with(&config, |experiment, _| {
+                    (experiment == "slow").then(slow_plan)
+                })
+            })
+        })
+        .collect();
+    let report = coordinator
+        .wait(Duration::from_secs(30) + serial_time * 4)
+        .expect("fleet completes with a lease timeout below the cell time");
+
+    assert_eq!(report.csv, serial, "fleet table must be byte-identical");
+    assert!(report.reconciled, "ledger: {:?}", report.counters);
+    assert_eq!(
+        report.counters.leases_expired, 0,
+        "heartbeats must keep every lease alive ({timeout_ms}ms timeout): {:?}",
+        report.counters
+    );
+    for worker in workers {
+        worker.join().expect("join").expect("worker ok");
+    }
     coordinator.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
