@@ -10,17 +10,16 @@
 //! cell in flight — a torn final line is expected and tolerated on
 //! read.
 //!
-//! The same file format serves three roles:
+//! The same file format serves two roles:
 //!
 //! * **checkpoint** — `--resume` replays the journaled outputs and
 //!   executes only the missing cells;
-//! * **lease output** — a fleet worker's journal carries the cells of
-//!   one lease (an explicit `CellId` set); record order is completion
-//!   order and does not matter, because
 //! * **merge** — [`merge_journals`] folds any set of journals covering
-//!   a plan back into plan-ordered outputs and renders the table, which
+//!   a plan (whole-plan sessions, or sessions over explicit `CellId`
+//!   sets) back into plan-ordered outputs and renders the table, which
 //!   is byte-identical to a serial in-memory run (cell outputs are
-//!   deterministic and the JSON layer round-trips them exactly).
+//!   deterministic and the JSON layer round-trips them exactly). Record
+//!   order is completion order and does not matter.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -315,7 +314,7 @@ impl CellSink for JournalWriter {
 /// All completed cells read from one journal, in file order.
 #[derive(Debug)]
 pub(crate) struct JournalContents {
-    pub records: HarvestedCells,
+    pub records: DurableCells,
     /// Byte offset just past the last intact line; a resumed writer
     /// truncates the file here.
     pub valid_bytes: u64,
@@ -382,8 +381,7 @@ pub fn merge_journals(plan: &ExperimentPlan, paths: &[PathBuf]) -> Result<TextTa
 /// file, for errors — into `plan`'s table.
 ///
 /// Cells may repeat across sources (e.g. a resumed journal re-merged
-/// with its pre-crash copy, or a lease completed by a worker presumed
-/// dead *and* by its stealer): outputs are deterministic, so repeats
+/// with its pre-crash copy): outputs are deterministic, so repeats
 /// must carry byte-identical serialized data — a conflicting repeat
 /// means the sources came from incompatible runs and fails the fold.
 /// The rendered table is byte-identical to running the plan serially in
@@ -395,9 +393,9 @@ pub fn merge_journals(plan: &ExperimentPlan, paths: &[PathBuf]) -> Result<TextTa
 /// [`SessionError::Incomplete`] when some cell has no record.
 pub fn fold_cells(
     plan: &ExperimentPlan,
-    sources: Vec<(PathBuf, HarvestedCells)>,
+    sources: Vec<(PathBuf, DurableCells)>,
 ) -> Result<TextTable, SessionError> {
-    let (paths, sources): (Vec<PathBuf>, Vec<HarvestedCells>) = sources.into_iter().unzip();
+    let (paths, sources): (Vec<PathBuf>, Vec<DurableCells>) = sources.into_iter().unzip();
     let mut outputs: Vec<Option<(CellOutput, String, usize)>> =
         (0..plan.cells.len()).map(|_| None).collect();
     for (source, records) in sources.into_iter().enumerate() {
@@ -435,51 +433,9 @@ pub fn fold_cells(
     Ok(plan.render_outputs(&outputs))
 }
 
-/// Reads every completed cell from one journal, validated against
-/// `plan` — the coordinator's harvest path: when a worker's lease
-/// expires, the cells it durably journaled before dying are recovered
-/// here and only the rest are re-leased.
-///
-/// # Errors
-///
-/// I/O failure, a header that does not match the plan, or a corrupt
-/// terminated record. A torn final line (crash mid-write) is tolerated
-/// and skipped.
-pub fn harvest_journal(plan: &ExperimentPlan, path: &Path) -> Result<HarvestedCells, SessionError> {
-    let ids = CellId::assign(&plan.cells);
-    read_journal(path, plan, &ids).map(|contents| contents.records)
-}
-
-/// Durable cell records recovered from a journal: `(id, plan index,
-/// output)` per cell, in journal order.
-pub type HarvestedCells = Vec<(CellId, usize, CellOutput)>;
-
-/// A cheap liveness probe of a (possibly live) journal file.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct JournalTail {
-    /// File size in bytes (torn tail included).
-    pub bytes: u64,
-    /// Newline-terminated lines — the header plus one per durable cell.
-    pub lines: usize,
-}
-
-/// Probes a journal for liveness without validating or deserializing
-/// it: the coordinator tails every active lease's journal and treats
-/// growth (more bytes or more terminated lines) as a heartbeat, so a
-/// worker that is making durable progress is never expired just because
-/// its network messages are delayed.
-///
-/// # Errors
-///
-/// Propagates filesystem errors; a journal that does not exist yet is
-/// an error the caller treats as "no progress observed".
-pub fn tail_journal(path: &Path) -> std::io::Result<JournalTail> {
-    let text = std::fs::read(path)?;
-    Ok(JournalTail {
-        bytes: text.len() as u64,
-        lines: text.iter().filter(|&&b| b == b'\n').count(),
-    })
-}
+/// Durable cell records read from a journal (or the fleet's WAL):
+/// `(id, plan index, output)` per cell, in file order.
+pub type DurableCells = Vec<(CellId, usize, CellOutput)>;
 
 #[cfg(test)]
 mod tests {
@@ -631,24 +587,6 @@ mod tests {
         // Identical duplicates stay mergeable: the same journal twice
         // is a complete, conflict-free input set.
         merge_journals(&plan, &[a.clone(), a]).expect("identical duplicates merge");
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn harvest_and_tail_observe_journal_progress() {
-        let scale = tiny();
-        let plan = plan(&scale);
-        let dir = tmp("harvest");
-        let path = dir.join("j.jsonl");
-        assert!(tail_journal(&path).is_err(), "no journal yet");
-        SweepSession::new(&plan)
-            .checkpoint(&path)
-            .run(&mut [])
-            .expect("session");
-        let tail = tail_journal(&path).expect("tail");
-        assert_eq!(tail.lines, 3, "header + 2 cells");
-        let harvested = harvest_journal(&plan, &path).expect("harvest");
-        assert_eq!(harvested.len(), 2);
         std::fs::remove_dir_all(dir).ok();
     }
 

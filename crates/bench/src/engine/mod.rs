@@ -17,10 +17,10 @@
 //! * [`SweepSession`] ([`session`]) — executes a plan, or an explicit
 //!   set of its cells (a fleet lease): each cell is identified by a
 //!   stable content-hash [`CellId`] ([`shard`]), streamed out through
-//!   [`CellSink`]s ([`sink`]) as it finishes, and journaled to a
-//!   checkpoint file ([`checkpoint`]) so a crashed run resumes from its
-//!   last completed cell and the journals of N leases merge into one
-//!   table byte-identical to a serial run.
+//!   [`CellSink`]s ([`sink`]) as it finishes, and optionally journaled
+//!   to a checkpoint file ([`checkpoint`]) so a crashed run resumes from
+//!   its last completed cell and the journals of N cell sets merge into
+//!   one table byte-identical to a serial run.
 //! * [`SweepRunner`] — the batch convenience wrapper: a whole-plan
 //!   in-memory session per plan, sharing one trace cache and one
 //!   timing-sim partition cache across plans (`repro all` generates
@@ -35,10 +35,10 @@
 //!   fixed seed, never by a generator shared between cells or threads;
 //! * each cell builds its own evaluator/tracker/predictor state, so a
 //!   cell's output is a pure function of the plan — which is what makes
-//!   journaled outputs safe to replay and lease journals safe to merge;
+//!   journaled outputs safe to replay and journals safe to merge;
 //! * rendering walks outputs in plan order on the calling thread,
 //!   whether they come from slots filled in parallel, a checkpoint
-//!   journal, or a merge of several lease journals.
+//!   journal, a merge of several journals, or a fleet's WAL.
 //!
 //! ```
 //! use dsp_bench::engine::SweepRunner;
@@ -56,9 +56,7 @@ pub mod session;
 pub mod shard;
 pub mod sink;
 
-pub use checkpoint::{
-    fold_cells, harvest_journal, merge_journals, read_jsonl, tail_journal, JournalTail, JsonlWriter,
-};
+pub use checkpoint::{fold_cells, merge_journals, read_jsonl, JsonlWriter};
 pub use session::{SessionError, SessionReport, SweepSession};
 pub use shard::{manifest_digest, CellId};
 pub use sink::{CellRecord, CellSink, Collector, ProgressSink};
@@ -376,9 +374,9 @@ impl ExperimentPlan {
 
     /// Renders `outputs` (one per cell, in plan order) into the plan's
     /// table. This is the single formatting path every execution mode
-    /// funnels through — parallel slots, resumed journals, and merged
-    /// lease journals produce byte-identical tables because they all
-    /// end here with the same ordered outputs.
+    /// funnels through — parallel slots, resumed journals, merged
+    /// journals, and a fleet's WAL produce byte-identical tables
+    /// because they all end here with the same ordered outputs.
     pub fn render_outputs(&self, outputs: &[CellOutput]) -> TextTable {
         let mut table = TextTable::new(self.title.clone(), self.columns.iter().copied());
         (self.render)(&self.cells, outputs, &mut table);

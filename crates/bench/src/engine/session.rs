@@ -425,7 +425,7 @@ mod tests {
     }
 
     #[test]
-    fn explicit_cell_lease_journals_merge_byte_identical() {
+    fn explicit_cell_set_journals_merge_byte_identical() {
         let scale = tiny();
         let plan = plan(&scale);
         let serial = SweepRunner::serial().run(&plan);
@@ -460,7 +460,7 @@ mod tests {
                 assert_eq!(report.cells, plan.len());
                 assert_eq!(report.owned, lease.len());
                 assert_eq!(report.executed, report.owned);
-                for (_, index, _) in super::super::harvest_journal(&plan, &path).expect("read") {
+                for (_, index, _) in read_journal(&path, &plan, &ids).expect("read").records {
                     seen[index] += 1;
                 }
                 paths.push(path);

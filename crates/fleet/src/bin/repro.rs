@@ -7,7 +7,7 @@
 //! repro fleet <experiment> [--scale ...] [--workers N] [--kill-one]
 //!                          [--dir DIR] [--lease-cells N] [--lease-timeout-ms MS] [--port P]
 //!                          [--token T] [--chaos SEED] [--crash-after N] [--recover]
-//! repro worker --connect HOST:PORT [--name W] [--dir DIR] [--threads N] [--token T]
+//! repro worker --connect HOST:PORT [--name W] [--threads N] [--token T]
 //! repro fleet-status --connect HOST:PORT [--start I] [--limit N]
 //!
 //! experiments: table2 fig2 fig3 fig4 fig5 fig6a fig6b fig6c fig7 fig8
@@ -33,8 +33,7 @@
 //! lease ledger (`leases_reconciled`), even when `--kill-one` murders a
 //! worker mid-lease; `repro worker` joins a coordinator by address (the
 //! coordinator listens on 127.0.0.1 only, so a remote worker connects
-//! through a tunnel, and journal harvest needs its `--dir` to be the
-//! coordinator's);
+//! through a tunnel; workers keep no files, so that is all it needs);
 //! `repro plan` prints the `CellId` manifest leases are accounted
 //! against; and `repro fleet-status` polls a running coordinator. The
 //! fleet never runs the plan itself: every cell is executed by a
@@ -46,10 +45,10 @@
 //! flaky-TCP proxy (delays, stalls, mid-message disconnects);
 //! `--crash-after N` stops the coordinator cold once N cells are
 //! complete, leaving the write-ahead log (the coordinator's only
-//! durable log, accepted outputs included) and the lease journals on
-//! disk; a second invocation with `--recover` (same experiment, scale,
-//! and `--dir`) rebuilds the ledger from the WAL, prints
-//! `recovered_from_wal: true`, and finishes the sweep.
+//! durable log, accepted outputs included) on disk; a second
+//! invocation with `--recover` (same experiment, scale, and `--dir`)
+//! rebuilds the ledger from the WAL, prints `recovered_from_wal: true`,
+//! and finishes the sweep.
 //!
 //! The repository's benchmark — end-to-end and per-layer time of
 //! these same plans — lives in `perfbench/` (see its README).
@@ -76,8 +75,7 @@ fn usage() -> String {
          \x20      repro fleet <experiment> [--scale ...] [--workers N] [--kill-one]\n\
          \x20                  [--dir DIR] [--lease-cells N] [--lease-timeout-ms MS] [--port P]\n\
          \x20                  [--token T] [--chaos SEED] [--crash-after N] [--recover]\n\
-         \x20      repro worker --connect HOST:PORT [--name W] [--dir DIR] [--threads N] \
-         [--token T]\n\
+         \x20      repro worker --connect HOST:PORT [--name W] [--threads N] [--token T]\n\
          \x20      repro fleet-status --connect HOST:PORT [--start I] [--limit N]\n\
          experiments: {} all",
         experiments::names().collect::<Vec<_>>().join(" ")
@@ -111,16 +109,17 @@ struct Args {
     connect: Option<String>,
     /// For `worker`: worker name.
     worker_name: Option<String>,
-    /// For `worker`/`fleet`: the fleet directory (journals + log).
+    /// For `fleet`: the fleet directory (WAL + log).
     fleet_dir: Option<PathBuf>,
     /// For `fleet`: local worker count.
     workers: usize,
     /// For `fleet`: kill one worker mid-lease to exercise
-    /// expiry/harvest/re-lease.
+    /// expiry/re-lease.
     kill_one: bool,
     /// For `fleet`: cells per lease (default scales with the plan).
     lease_cells: Option<usize>,
-    /// For `fleet`: lease liveness timeout.
+    /// For `fleet`: lease liveness timeout (default
+    /// `FleetConfig::new`'s).
     lease_timeout_ms: Option<u64>,
     /// For `fleet`: coordinator port (0 = ephemeral).
     port: u16,
@@ -129,10 +128,10 @@ struct Args {
     /// For `fleet`: route workers through a seeded flaky-TCP proxy.
     chaos: Option<u64>,
     /// For `fleet`: simulate a coordinator crash after N completed
-    /// cells, leaving the WAL and journals for `--recover`.
+    /// cells, leaving the WAL for `--recover`.
     crash_after: Option<usize>,
-    /// For `fleet`: rebuild the ledger from the WAL + journals in the
-    /// fleet directory and finish the sweep.
+    /// For `fleet`: rebuild the ledger from the WAL in the fleet
+    /// directory and finish the sweep.
     recover: bool,
     /// For `fleet-status`: results page start.
     start: usize,
@@ -305,6 +304,9 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             known(&target)?;
             parsed.target = Some(target);
         }
+        "worker" if parsed.fleet_dir.is_some() => {
+            return Err("worker takes no --dir: workers keep no files".to_string());
+        }
         "worker" | "fleet-status" | "all" => {}
         name => known(name)?,
     }
@@ -379,13 +381,7 @@ fn run_worker_cmd(args: &Args) -> Result<(), String> {
         .worker_name
         .clone()
         .unwrap_or_else(|| format!("w{}", std::process::id()));
-    let mut config = WorkerConfig::new(
-        &name,
-        connect,
-        args.fleet_dir
-            .clone()
-            .unwrap_or_else(|| args.out_dir.clone()),
-    );
+    let mut config = WorkerConfig::new(&name, connect);
     config.threads = args.threads.unwrap_or(1);
     config.token = args.token.clone();
     let report = run_worker(&config)?;
@@ -419,14 +415,13 @@ fn run_fleet_status(args: &Args) -> Result<(), String> {
     let c = &status.counters;
     println!(
         "leases: {} granted, {} completed, {} expired | cells: {} granted, {} completed, \
-         {} stolen, {} harvested, {} stale reports",
+         {} stolen, {} stale reports",
         c.leases_granted,
         c.leases_completed,
         c.leases_expired,
         c.cells_granted,
         c.cells_completed,
         c.cells_stolen,
-        c.cells_harvested,
         c.stale_reports,
     );
     for lease in &status.leases {
@@ -455,27 +450,18 @@ fn run_fleet_status(args: &Args) -> Result<(), String> {
 }
 
 /// Spawns one local `repro worker` child against `addr`.
-fn spawn_worker_child(
-    exe: &Path,
-    addr: &str,
-    name: &str,
-    dir: &Path,
-    token: &str,
-) -> Result<Child, String> {
+fn spawn_worker_child(exe: &Path, addr: &str, name: &str, token: &str) -> Result<Child, String> {
     use std::process::{Command, Stdio};
     let mut command = Command::new(exe);
-    command
-        .args([
-            "worker",
-            "--connect",
-            addr,
-            "--name",
-            name,
-            "--threads",
-            "1",
-            "--dir",
-        ])
-        .arg(dir);
+    command.args([
+        "worker",
+        "--connect",
+        addr,
+        "--name",
+        name,
+        "--threads",
+        "1",
+    ]);
     if !token.is_empty() {
         command.args(["--token", token]);
     }
@@ -487,9 +473,8 @@ fn spawn_worker_child(
 }
 
 /// Kills one local worker the moment it is mid-lease: at least one cell
-/// journaled (so harvest has something to recover) and at least one
-/// outstanding (so expiry has something to re-lease). Returns the
-/// killed worker's name.
+/// reported and at least one outstanding (so expiry has something to
+/// re-lease). Returns the killed worker's name.
 fn kill_one_mid_lease(addr: &str, children: &mut [Child]) -> Option<String> {
     let deadline = Instant::now() + Duration::from_secs(300);
     while Instant::now() < deadline {
@@ -539,7 +524,9 @@ fn run_fleet(args: &Args) -> Result<(), String> {
     config.lease_cells = args
         .lease_cells
         .unwrap_or_else(|| (cells / (workers.max(1) * 2)).clamp(2, 16));
-    config.timeout_ms = args.lease_timeout_ms.unwrap_or(5_000);
+    if let Some(timeout_ms) = args.lease_timeout_ms {
+        config.timeout_ms = timeout_ms;
+    }
     config.port = args.port;
     config.token = args.token.clone();
     let coordinator = if args.recover {
@@ -582,7 +569,6 @@ fn run_fleet(args: &Args) -> Result<(), String> {
             &exe,
             &worker_addr,
             &format!("w{i}"),
-            &dir,
             &args.token,
         )?);
     }
@@ -594,8 +580,8 @@ fn run_fleet(args: &Args) -> Result<(), String> {
     };
 
     // Simulated coordinator crash: stop serving mid-sweep, leaving the
-    // WAL and every journal exactly as a real crash would. The
-    // directory is then ready for `repro fleet ... --recover`.
+    // WAL exactly as a real crash would. The directory is then ready
+    // for `repro fleet ... --recover`.
     if let Some(limit) = args.crash_after {
         let deadline = Instant::now() + Duration::from_secs(300);
         loop {
@@ -622,7 +608,7 @@ fn run_fleet(args: &Args) -> Result<(), String> {
             proxy.shutdown();
         }
         println!(
-            "[fleet: coordinator crashed after >= {limit} cells; WAL and journals left in {}]",
+            "[fleet: coordinator crashed after >= {limit} cells; WAL left in {}]",
             dir.display()
         );
         println!(
@@ -650,7 +636,7 @@ fn run_fleet(args: &Args) -> Result<(), String> {
     let c = &report.counters;
     println!(
         "[fleet: {} cells in {:.1}s | leases: {} granted, {} completed, {} expired | \
-         cells: {} granted, {} completed, {} stolen, {} harvested, {} stale reports{}]",
+         cells: {} granted, {} completed, {} stolen, {} stale reports{}]",
         report.cells,
         report.wall_s,
         c.leases_granted,
@@ -659,7 +645,6 @@ fn run_fleet(args: &Args) -> Result<(), String> {
         c.cells_granted,
         c.cells_completed,
         c.cells_stolen,
-        c.cells_harvested,
         c.stale_reports,
         match &killed {
             Some(worker) => format!(" | killed {worker} mid-lease"),

@@ -8,24 +8,19 @@
 //! (the listener binds 127.0.0.1 only; remote workers come in through a
 //! tunnel), one thread per connection, shared state behind a single
 //! mutex. The service thread doubles as the maintenance clock: every
-//! poll tick it tails active lease journals (growth is liveness),
-//! expires leases with no evidence of life within the timeout,
-//! **harvests the durable prefix of a dead worker's journal before
-//! requeueing the rest**, and checks for completion. Connection threads
-//! read with a short timeout so everybody notices shutdown within a
-//! tick.
+//! poll tick it expires leases that heard no heartbeat or cell report
+//! within the timeout, requeueing their unreported cells, and checks
+//! for completion. Connection threads read with a short timeout so
+//! everybody notices shutdown within a tick.
 //!
 //! # Result flow
 //!
-//! Every accepted cell completion (streamed over the wire, or harvested
-//! from a dead worker's journal) is one append to the write-ahead log:
-//! a [`WalEvent::CellDone`] carrying the cell's output. When the last
-//! cell lands, the coordinator reads those outputs back and folds them
-//! with every surviving lease journal through `fold_cells`, the check
-//! `merge_journals` runs too: identical duplicates (a cell journaled by
-//! a worker presumed dead *and* re-run by its stealer) fold silently,
-//! while a conflicting duplicate — impossible unless two incompatible
-//! binaries joined one fleet — fails the run loudly.
+//! Every accepted cell completion is one append to the write-ahead log:
+//! a [`WalEvent::CellDone`] carrying the cell's output. The WAL is the
+//! coordinator's only durable state, and workers keep no files at all.
+//! When the last cell lands, the coordinator reads those outputs back
+//! and folds them through `fold_cells`, the check `merge_journals` runs
+//! too, so a cell missing from the WAL fails the run loudly.
 
 use std::collections::HashMap;
 use std::error::Error;
@@ -39,9 +34,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dsp_analysis::TextTable;
-use dsp_bench::engine::{
-    fold_cells, harvest_journal, tail_journal, CellId, CellOutput, ExperimentPlan, JsonlWriter,
-};
+use dsp_bench::engine::{fold_cells, CellId, ExperimentPlan, JsonlWriter};
 
 use crate::auth::{fresh_nonce, mac64};
 use crate::lease::{CellReport, GrantOutcome, LeaseLedger, LeaseSizer};
@@ -58,17 +51,18 @@ pub struct FleetConfig {
     pub experiment: String,
     /// Scale preset name workers feed to `Scale::parse`.
     pub scale_name: String,
-    /// Fleet directory: WAL, lease journals, coordinator log. Workers on the same machine journal here too.
+    /// Fleet directory: the WAL and the coordinator log.
     pub dir: PathBuf,
     /// Maximum cells per lease (the adaptive sizer's clamp).
     pub lease_cells: usize,
     /// Wall-clock budget one lease should represent; the adaptive sizer
     /// divides this by the observed per-cell EWMA.
     pub target_lease_ms: u64,
-    /// Liveness timeout: a lease with no protocol message *and* no
-    /// journal growth for this long is expired and its cells re-leased.
+    /// Liveness timeout: a lease with no heartbeat or cell report for
+    /// this long is expired and its cells re-leased. Workers learn it
+    /// in the `Welcome` and heartbeat every third of it.
     pub timeout_ms: u64,
-    /// Maintenance cadence (journal tailing, expiry, accept polling).
+    /// Maintenance cadence (expiry, accept polling).
     pub poll_ms: u64,
     /// TCP port on 127.0.0.1; 0 picks an ephemeral port.
     pub port: u16,
@@ -87,7 +81,7 @@ impl FleetConfig {
             dir: dir.into(),
             lease_cells: 4,
             target_lease_ms: 1_500,
-            timeout_ms: 10_000,
+            timeout_ms: 5_000,
             poll_ms: 50,
             port: 0,
             token: String::new(),
@@ -135,10 +129,6 @@ struct State {
     /// Authenticated sessions by id.
     sessions: HashMap<u64, Session>,
     next_session: u64,
-    /// Journal path per active lease, for tailing and harvest.
-    lease_journals: HashMap<u64, PathBuf>,
-    /// Every journal path ever assigned, for the final compaction.
-    journals: Vec<PathBuf>,
     /// Accepted-result attribution by plan index.
     worker_of_cell: Vec<Option<String>>,
     /// First unrecoverable failure (WAL I/O).
@@ -184,22 +174,12 @@ impl Coordinator {
     ///
     /// # Errors
     ///
-    /// Filesystem failures creating the fleet directory, log, or WAL,
-    /// or removing an earlier run's lease journals; failure to bind the
-    /// listener.
+    /// Filesystem failures creating the fleet directory, log, or WAL;
+    /// failure to bind the listener.
     pub fn start(plan: ExperimentPlan, config: FleetConfig) -> io::Result<CoordinatorHandle> {
         std::fs::create_dir_all(&config.dir)?;
-        // A fresh fleet replaces only the files it names: the log and
-        // WAL are truncated below, and an earlier
-        // run's lease journals for this experiment are removed here.
-        // Everything else in the directory is left alone.
-        for entry in std::fs::read_dir(&config.dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            if is_lease_journal(&config.experiment, &name.to_string_lossy()) {
-                std::fs::remove_file(entry.path())?;
-            }
-        }
+        // A fresh fleet replaces only the files it names, the log and
+        // the WAL; everything else in the directory is left alone.
         let log_file = File::create(config.dir.join("coordinator.log"))?;
         let identity = PlanIdentity::of(&config.experiment, &plan);
         let wal = create_wal(&wal_path(&config), &identity)?;
@@ -212,8 +192,6 @@ impl Coordinator {
             sizer: LeaseSizer::new(config.target_lease_ms, config.lease_cells),
             sessions: HashMap::new(),
             next_session: 1,
-            lease_journals: HashMap::new(),
-            journals: Vec::new(),
             worker_of_cell: vec![None; cells],
             failure: None,
             report: None,
@@ -234,12 +212,12 @@ impl Coordinator {
 
     /// Rebuilds a crashed coordinator from its fleet directory and
     /// resumes the sweep: replay the WAL into a fresh ledger (same
-    /// transitions, same lease ids, same churn counters), harvest
-    /// whatever the orphaned leases journaled before the crash, expire
-    /// them, and serve the rest of the plan as usual. Sessions do not
-    /// survive the crash: an old worker that reconnects gets a fresh
-    /// session, and its old lease reports are answered `Stale` — which
-    /// workers already treat as routine.
+    /// transitions, same lease ids, same churn counters), expire the
+    /// leases the crash orphaned, and serve the rest of the plan as
+    /// usual. Sessions do not survive the crash: an old worker that
+    /// reconnects gets a fresh session, and its old lease reports and
+    /// heartbeats are answered `Stale` — which workers already treat as
+    /// routine.
     ///
     /// # Errors
     ///
@@ -258,8 +236,6 @@ impl Coordinator {
         //    transitions the dead coordinator logged.
         let (events, valid_bytes) = read_wal(&wal_path(&config), &identity)?;
         let mut ledger = LeaseLedger::new(ids.clone());
-        let mut lease_journals = HashMap::new();
-        let mut journals: Vec<PathBuf> = Vec::new();
         let mut worker_of_cell: Vec<Option<String>> = vec![None; ids.len()];
         for event in &events {
             match event {
@@ -267,7 +243,6 @@ impl Coordinator {
                     lease,
                     worker,
                     cells,
-                    journal,
                 } => {
                     let cell_ids = cells
                         .iter()
@@ -279,9 +254,6 @@ impl Coordinator {
                     ledger
                         .replay_granted(*lease, worker, &cell_ids, 0)
                         .map_err(invalid)?;
-                    let path = config.dir.join(journal);
-                    lease_journals.insert(*lease, path.clone());
-                    journals.push(path);
                 }
                 WalEvent::CellDone {
                     lease, cell, index, ..
@@ -320,8 +292,6 @@ impl Coordinator {
             sizer: LeaseSizer::new(config.target_lease_ms, config.lease_cells),
             sessions: HashMap::new(),
             next_session: 1,
-            lease_journals,
-            journals,
             worker_of_cell,
             failure: None,
             report: None,
@@ -339,17 +309,17 @@ impl Coordinator {
         });
 
         // 2. The crashed incarnation's leases are orphans (their
-        //    workers died with it, or will be told Stale): harvest each
-        //    one's journal, then expire it, through the same path a
-        //    live coordinator uses for dead workers.
+        //    workers died with it, or will be told Stale): expire each
+        //    one through the same path a live coordinator uses for dead
+        //    workers.
         {
             let mut state = shared.state.lock().expect("state lock poisoned");
             let state = &mut *state;
             for lease in &orphans {
-                harvest_and_expire(&shared, state, *lease, "orphaned by coordinator crash");
+                expire(&shared, state, *lease, "orphaned by coordinator crash");
             }
             shared.log(&format!(
-                "recovered from WAL: {} events replayed, {} orphaned leases harvested+expired, \
+                "recovered from WAL: {} events replayed, {} orphaned leases expired, \
                  {}/{} cells already done",
                 state.ledger.counters.wal_events_replayed,
                 orphans.len(),
@@ -364,22 +334,6 @@ impl Coordinator {
 
 fn wal_path(config: &FleetConfig) -> PathBuf {
     config.dir.join(format!("{}.wal.jsonl", config.experiment))
-}
-
-/// The fleet-directory file name of a lease's journal.
-fn lease_journal_name(experiment: &str, lease: u64, worker: &str) -> String {
-    format!("{experiment}.lease{lease}.{worker}.jsonl")
-}
-
-/// Whether `name` is a [`lease_journal_name`] of `experiment`.
-fn is_lease_journal(experiment: &str, name: &str) -> bool {
-    name.strip_prefix(experiment)
-        .and_then(|rest| rest.strip_prefix(".lease"))
-        .and_then(|rest| rest.strip_suffix(".jsonl"))
-        .and_then(|rest| rest.split_once('.'))
-        .is_some_and(|(lease, worker)| {
-            !lease.is_empty() && lease.bytes().all(|b| b.is_ascii_digit()) && !worker.is_empty()
-        })
 }
 
 /// Binds the listener and spawns the service thread for a fully-built
@@ -510,30 +464,15 @@ fn service_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     shared.log("coordinator down");
 }
 
-/// One maintenance tick: journal liveness, expiry + harvest,
-/// completion.
+/// One maintenance tick: expiry of silent leases, then completion.
 fn maintain(shared: &Shared) {
     let now = shared.now_ms();
     let mut state = shared.state.lock().expect("state lock poisoned");
     let state = &mut *state;
-
-    // Journal growth is a heartbeat (and drop tails of dead leases).
-    state
-        .lease_journals
-        .retain(|lease, _| state.ledger.lease(*lease).is_some());
-    for (&lease, path) in &state.lease_journals {
-        if let Ok(tail) = tail_journal(path) {
-            state.ledger.observe_journal(lease, tail, now);
-        }
-    }
-
-    // Expire silent leases — harvesting the durable prefix of each
-    // one's journal first, so work a dead worker finished is kept.
     for lease in state.ledger.stale_leases(now, shared.config.timeout_ms) {
         let reason = format!("{}ms silence", shared.config.timeout_ms);
-        harvest_and_expire(shared, state, lease, &reason);
+        expire(shared, state, lease, &reason);
     }
-
     maybe_finish(shared, state);
 }
 
@@ -549,73 +488,20 @@ fn wal_append(shared: &Shared, state: &mut State, event: &WalEvent) {
     }
 }
 
-/// Kills one lease the way a live coordinator always does: harvest the
-/// durable prefix of its journal (crediting completed cells), then
-/// expire it (requeueing the rest), WAL-logging both steps. Used for
+/// Kills one lease the way a live coordinator always does: expire it
+/// (requeueing its unreported cells) and WAL-log the step. Used for
 /// liveness expiry and for the orphans found by crash recovery.
-fn harvest_and_expire(shared: &Shared, state: &mut State, lease: u64, reason: &str) {
+fn expire(shared: &Shared, state: &mut State, lease: u64, reason: &str) {
     let worker = state
         .ledger
         .lease(lease)
         .map(|l| l.worker.clone())
         .unwrap_or_default();
-    let mut harvested = 0usize;
-    if let Some(path) = state.lease_journals.get(&lease).cloned() {
-        if path.exists() {
-            match harvest_journal(&shared.plan, &path) {
-                Ok(records) => {
-                    let now = shared.now_ms();
-                    for (id, index, output) in records {
-                        if accept_cell(shared, state, lease, &worker, id, index, output, now)
-                            == CellReport::Accepted
-                        {
-                            state.ledger.counters.cells_harvested += 1;
-                            harvested += 1;
-                        }
-                    }
-                }
-                Err(e) => shared.log(&format!(
-                    "harvest of lease {lease} journal failed (results will be re-run): {e}"
-                )),
-            }
-        }
-    }
     let requeued = state.ledger.expire(lease);
     wal_append(shared, state, &WalEvent::Expired { lease });
     shared.log(&format!(
-        "lease {lease} ({worker}) expired after {reason}: {harvested} cells harvested from its \
-         journal, {requeued} requeued",
+        "lease {lease} ({worker}) expired after {reason}: {requeued} cells requeued"
     ));
-}
-
-/// Routes one completion into the ledger and, when it is the first for
-/// its cell, the WAL.
-#[allow(clippy::too_many_arguments)]
-fn accept_cell(
-    shared: &Shared,
-    state: &mut State,
-    lease: u64,
-    worker: &str,
-    id: CellId,
-    index: usize,
-    output: CellOutput,
-    now: u64,
-) -> CellReport {
-    let verdict = state.ledger.complete_cell(lease, id, now);
-    if verdict == CellReport::Accepted {
-        state.worker_of_cell[index] = Some(worker.to_string());
-        wal_append(
-            shared,
-            state,
-            &WalEvent::CellDone {
-                lease,
-                cell: id.to_hex(),
-                index,
-                output: Box::new(output),
-            },
-        );
-    }
-    verdict
 }
 
 /// Completion check: renders the final table exactly once.
@@ -636,17 +522,11 @@ fn maybe_finish(shared: &Shared, state: &mut State) {
     // The WAL's job ends with the sweep; close it so the file is whole
     // for the compaction below and the CI artifact upload.
     state.wal = None;
-    let journals: Vec<PathBuf> = state
-        .journals
-        .iter()
-        .filter(|p| p.exists())
-        .cloned()
-        .collect();
     let counters = state.ledger.counters;
     let reconciled = counters.reconciled(state.ledger.total() as u64);
     let result = match &state.failure {
         Some(failure) => Err(failure.clone()),
-        None => compact(shared, &journals)
+        None => compact(shared)
             .map_err(|e| format!("final compaction failed: {e}"))
             .map(|table| FleetReport {
                 csv: table.to_csv(),
@@ -660,9 +540,8 @@ fn maybe_finish(shared: &Shared, state: &mut State) {
     };
     shared.log(&format!(
         "sweep complete: {} cells | leases granted {} completed {} expired {} | cells granted {} \
-         completed {} stolen {} harvested {} stale-rejected {} | sessions resumed {} leases \
-         re-adopted {} | wal replayed {} | lease sizes {:?} | compacted the WAL + {} lease \
-         journals | leases_reconciled: {reconciled}",
+         completed {} stolen {} stale-rejected {} | sessions resumed {} leases re-adopted {} | \
+         wal replayed {} | lease sizes {:?} | leases_reconciled: {reconciled}",
         state.ledger.total(),
         counters.leases_granted,
         counters.leases_completed,
@@ -670,13 +549,11 @@ fn maybe_finish(shared: &Shared, state: &mut State) {
         counters.cells_granted,
         counters.cells_completed,
         counters.cells_stolen,
-        counters.cells_harvested,
         counters.stale_reports,
         counters.sessions_resumed,
         counters.leases_readopted,
         counters.wal_events_replayed,
         state.sizer.trajectory(),
-        journals.len(),
     ));
     if let Err(e) = &result {
         shared.log(&format!("sweep FAILED: {e}"));
@@ -685,10 +562,9 @@ fn maybe_finish(shared: &Shared, state: &mut State) {
     shared.done.notify_all();
 }
 
-/// The final compaction: the WAL's accepted outputs folded with every
-/// surviving lease journal, whose records are identical duplicates of
-/// accepted cells (asserted — a conflicting duplicate fails the fold).
-fn compact(shared: &Shared, journals: &[PathBuf]) -> Result<TextTable, Box<dyn Error>> {
+/// The final compaction: the WAL's accepted outputs folded into the
+/// table (a cell the WAL lacks fails the fold).
+fn compact(shared: &Shared) -> Result<TextTable, Box<dyn Error>> {
     let wal = wal_path(&shared.config);
     let (events, _) = read_wal(&wal, &shared.identity)?;
     let accepted = events
@@ -698,11 +574,7 @@ fn compact(shared: &Shared, journals: &[PathBuf]) -> Result<TextTable, Box<dyn E
             _ => None,
         })
         .collect();
-    let mut sources = vec![(wal, accepted)];
-    for path in journals {
-        sources.push((path.clone(), harvest_journal(&shared.plan, path)?));
-    }
-    Ok(fold_cells(&shared.plan, sources)?)
+    Ok(fold_cells(&shared.plan, vec![(wal, accepted)])?)
 }
 
 /// Where a connection stands in the v2 handshake.
@@ -874,6 +746,7 @@ fn handle(shared: &Shared, request: Request, auth: &mut ConnAuth) -> Reply {
                 scale: shared.config.scale_name.clone(),
                 identity: shared.identity.clone(),
                 session: sid,
+                lease_timeout_ms: shared.config.timeout_ms,
             }
         }
         Request::Lease { worker } => {
@@ -889,10 +762,6 @@ fn handle(shared: &Shared, request: Request, auth: &mut ConnAuth) -> Reply {
                     cells,
                     stolen,
                 } => {
-                    let journal = lease_journal_name(&shared.config.experiment, lease, &worker);
-                    let path = shared.config.dir.join(&journal);
-                    state.lease_journals.insert(lease, path.clone());
-                    state.journals.push(path);
                     if let Some(s) = state.sessions.get_mut(&session) {
                         s.leases.push(lease);
                     }
@@ -905,11 +774,10 @@ fn handle(shared: &Shared, request: Request, auth: &mut ConnAuth) -> Reply {
                             lease,
                             worker: worker.clone(),
                             cells: cells.iter().map(|id| id.to_hex()).collect(),
-                            journal: journal.clone(),
                         },
                     );
                     shared.log(&format!(
-                        "lease {lease} -> {worker} (session {session}): {} cells{} -> {journal}",
+                        "lease {lease} -> {worker} (session {session}): {} cells{}",
                         cells.len(),
                         if stolen {
                             " (stolen from a straggler)"
@@ -920,7 +788,6 @@ fn handle(shared: &Shared, request: Request, auth: &mut ConnAuth) -> Reply {
                     Reply::Grant {
                         lease,
                         cells: cells.iter().map(|id| id.to_hex()).collect(),
-                        journal,
                     }
                 }
                 GrantOutcome::Wait => Reply::Wait { poll_ms: 300 },
@@ -928,11 +795,17 @@ fn handle(shared: &Shared, request: Request, auth: &mut ConnAuth) -> Reply {
             }
         }
         Request::Heartbeat { lease, .. } => {
-            if !matches!(*auth, ConnAuth::Ready { .. }) {
+            let ConnAuth::Ready { session } = *auth else {
                 return unauthenticated("Heartbeat");
-            }
+            };
             let mut state = shared.state.lock().expect("state lock poisoned");
-            if state.ledger.heartbeat(lease, now) {
+            // Only the holder's session keeps a lease alive: a stray
+            // client must not pin a dead worker's cells forever.
+            let held = state
+                .sessions
+                .get(&session)
+                .is_some_and(|s| s.leases.contains(&lease));
+            if held && state.ledger.heartbeat(lease, now) {
                 Reply::Ack
             } else {
                 Reply::Stale { lease }
@@ -963,18 +836,28 @@ fn handle(shared: &Shared, request: Request, auth: &mut ConnAuth) -> Reply {
                 };
             }
             let mut state = shared.state.lock().expect("state lock poisoned");
+            let state = &mut *state;
             // Per-cell wall clock for the adaptive sizer: measured from
-            // the lease's last accepted progress, wire reports only
-            // (harvest bursts arrive all at once and would poison the
-            // EWMA).
+            // the lease's last accepted progress.
             let progress_base = state.ledger.lease(lease).map(|l| l.last_progress);
-            let verdict = accept_cell(shared, &mut state, lease, &worker, id, index, *output, now);
+            let verdict = state.ledger.complete_cell(lease, id, now);
             if verdict == CellReport::Accepted {
                 if let Some(base) = progress_base {
                     state.sizer.observe(now.saturating_sub(base));
                 }
+                state.worker_of_cell[index] = Some(worker.clone());
+                wal_append(
+                    shared,
+                    state,
+                    &WalEvent::CellDone {
+                        lease,
+                        cell: id.to_hex(),
+                        index,
+                        output,
+                    },
+                );
             }
-            maybe_finish(shared, &mut state);
+            maybe_finish(shared, state);
             match verdict {
                 CellReport::Accepted | CellReport::Duplicate => Reply::Ack,
                 CellReport::Stale => {
@@ -1038,31 +921,6 @@ fn handle(shared: &Shared, request: Request, auth: &mut ConnAuth) -> Reply {
                 start: start.min(total),
                 cells,
             })
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn lease_journal_names_are_recognized_exactly() {
-        let name = lease_journal_name("fig5", 12, "w3");
-        assert_eq!(name, "fig5.lease12.w3.jsonl");
-        assert!(is_lease_journal("fig5", &name));
-        for other in [
-            "fig5.master.jsonl",
-            "fig5.wal.jsonl",
-            "coordinator.log",
-            "fig50.lease1.w1.jsonl",
-            "fig6a.lease1.w1.jsonl",
-            "fig5.leasex.w1.jsonl",
-            "fig5.lease1.jsonl",
-            "fig5.lease1.w1.csv",
-            "notes.txt",
-        ] {
-            assert!(!is_lease_journal("fig5", other), "{other}");
         }
     }
 }

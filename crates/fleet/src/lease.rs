@@ -24,7 +24,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use dsp_bench::engine::{CellId, JournalTail};
+use dsp_bench::engine::CellId;
 
 use crate::stats::{FleetCounters, LeaseInfo};
 
@@ -52,14 +52,13 @@ pub struct Lease {
     pub cells: Vec<CellId>,
     /// Cells completed under this lease.
     pub done: usize,
-    /// Last liveness evidence (protocol message or journal growth).
+    /// Last liveness evidence: the grant, or a heartbeat or cell report
+    /// about this lease.
     pub last_alive: u64,
     /// When the last cell was accepted under this lease (or the grant
     /// time, before any completion) — the baseline the coordinator's
     /// [`LeaseSizer`] measures per-cell wall clock against.
     pub last_progress: u64,
-    /// Last observed journal size, for growth detection.
-    pub journal_tail: JournalTail,
 }
 
 /// What [`LeaseLedger::grant`] produced.
@@ -241,7 +240,6 @@ impl LeaseLedger {
                 done: 0,
                 last_alive: now,
                 last_progress: now,
-                journal_tail: JournalTail::default(),
             },
         );
         GrantOutcome::Granted {
@@ -307,7 +305,6 @@ impl LeaseLedger {
                 done: 0,
                 last_alive: now,
                 last_progress: now,
-                journal_tail: JournalTail::default(),
             },
         );
         self.next_lease = self.next_lease.max(lease + 1);
@@ -323,18 +320,6 @@ impl LeaseLedger {
                 true
             }
             None => false,
-        }
-    }
-
-    /// Records a journal-size observation: growth counts as liveness,
-    /// so a worker making durable progress is never expired just
-    /// because its messages are delayed.
-    pub fn observe_journal(&mut self, lease: u64, tail: JournalTail, now: u64) {
-        if let Some(l) = self.active.get_mut(&lease) {
-            if tail.bytes > l.journal_tail.bytes || tail.lines > l.journal_tail.lines {
-                l.journal_tail = tail;
-                l.last_alive = now;
-            }
         }
     }
 
@@ -382,10 +367,8 @@ impl LeaseLedger {
         }
     }
 
-    /// Leases with no liveness evidence within `timeout_ms` of `now`.
-    /// The caller harvests each one's journal (crediting its durable
-    /// completions via [`complete_cell`](Self::complete_cell)) before
-    /// calling [`expire`](Self::expire).
+    /// Leases with no liveness evidence within `timeout_ms` of `now`;
+    /// the caller [`expire`](Self::expire)s each one.
     pub fn stale_leases(&self, now: u64, timeout_ms: u64) -> Vec<u64> {
         self.active
             .values()
@@ -603,32 +586,6 @@ mod tests {
         assert!(ledger.counters.reconciled(4));
         assert_eq!(ledger.counters.leases_expired, 1);
         assert_eq!(ledger.counters.cells_stolen, 3);
-    }
-
-    #[test]
-    fn journal_growth_counts_as_liveness() {
-        let cells = ids(2);
-        let mut ledger = LeaseLedger::new(cells);
-        let (l1, _, _) = granted(ledger.grant("w1", 0, 2));
-        ledger.observe_journal(
-            l1,
-            JournalTail {
-                bytes: 100,
-                lines: 2,
-            },
-            900,
-        );
-        assert!(ledger.stale_leases(1_800, 1_000).is_empty());
-        // Same size again: no growth, no liveness.
-        ledger.observe_journal(
-            l1,
-            JournalTail {
-                bytes: 100,
-                lines: 2,
-            },
-            1_700,
-        );
-        assert_eq!(ledger.stale_leases(2_000, 1_000), vec![l1]);
     }
 
     #[test]

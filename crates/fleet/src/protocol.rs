@@ -3,8 +3,8 @@
 //! One [`Request`] line in, one [`Reply`] line out, in strict
 //! alternation per connection — no framing beyond `\n`, no pipelining,
 //! no async. Every message is a single line of the same JSON dialect
-//! the checkpoint journals use, so a captured session is greppable next
-//! to the journals it produced.
+//! the coordinator's WAL uses, so a captured session is greppable next
+//! to the WAL it produced.
 //!
 //! Connections are long-lived: a worker holds one connection for its
 //! whole life (hello → challenge → auth → lease → stream cell
@@ -20,7 +20,7 @@
 //! worker → Hello { worker, proto }
 //! coord  → Challenge { nonce }            (or Refused: VersionSkew)
 //! worker → Auth { worker, mac: mac64(token, nonce), session }
-//! coord  → Welcome { proto, scale, identity, session }
+//! coord  → Welcome { proto, scale, identity, session, lease_timeout_ms }
 //!                                         (or Refused: AuthFailure)
 //! ```
 //!
@@ -29,6 +29,13 @@
 //! was welcomed with, and the coordinator re-adopts its live leases
 //! instead of expiring them. Observer requests (`Status` / `Results`)
 //! need no auth — they reveal progress, not control.
+//!
+//! # Liveness
+//!
+//! A lease stays alive only through messages about it: its `CellDone`
+//! reports and, while a cell is still running, a [`Request::Heartbeat`]
+//! every third of the `lease_timeout_ms` the `Welcome` carries. A
+//! heartbeat counts only from the session that holds the lease.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -41,8 +48,9 @@ use crate::stats::{ResultsPage, StatusReport};
 
 /// Protocol revision; bumped on any incompatible message change.
 /// v2 added the challenge/auth handshake and session ids; v3 changed
-/// the shape of the status counters.
-pub const PROTOCOL_VERSION: u32 = 3;
+/// the shape of the status counters; v4 dropped the grant's journal
+/// name and the harvest counter, and added the welcome's lease timeout.
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Typed protocol violations — every way the coordinator can refuse a
 /// client, distinguishable by the client without parsing prose.
@@ -187,9 +195,10 @@ pub enum Request {
         /// Requesting worker.
         worker: String,
     },
-    /// Keep-alive for a held lease (journal growth also counts as
-    /// liveness, so this is only needed when no cell has finished and
-    /// the journal is not visible to the coordinator).
+    /// Keep-alive for a held lease — the liveness signal while a cell
+    /// runs. Workers send one every third of the lease timeout; the
+    /// coordinator answers `Stale` unless the lease is live and held by
+    /// this connection's session.
     Heartbeat {
         /// Reporting worker.
         worker: String,
@@ -250,18 +259,17 @@ pub enum Reply {
         /// The connection's session id — echoed in `Auth.session` when
         /// reconnecting to keep held leases alive.
         session: u64,
+        /// The coordinator's lease timeout: a lease with no message
+        /// about it for this long expires. Workers heartbeat every
+        /// third of it.
+        lease_timeout_ms: u64,
     },
-    /// Work: run exactly these cells, journal to `journal`.
+    /// Work: run exactly these cells.
     Grant {
         /// Lease id, echoed in every report about this work.
         lease: u64,
         /// Cell ids (fixed-width hex), in plan order.
         cells: Vec<String>,
-        /// Journal filename, relative to the fleet directory. Workers
-        /// sharing the coordinator's filesystem journal here so the
-        /// coordinator can tail it for liveness and harvest it on
-        /// expiry.
-        journal: String,
     },
     /// No work available right now (stragglers may yet be re-leased);
     /// ask again after `poll_ms`.

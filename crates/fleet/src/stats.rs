@@ -27,8 +27,6 @@ pub struct FleetCounters {
     /// Cell-reassignment events: stolen from a straggler's tail or
     /// requeued from an expired lease.
     pub cells_stolen: u64,
-    /// Completed cells recovered from a dead worker's journal.
-    pub cells_harvested: u64,
     /// Reports rejected because the reporter no longer held the cell.
     pub stale_reports: u64,
     /// Reconnects that presented a known `SessionId` and were welcomed
@@ -91,8 +89,8 @@ pub struct CellProgress {
     pub cell: String,
     /// `pending` / `leased` / `done`.
     pub state: String,
-    /// For `done`: the worker whose result was accepted (harvested
-    /// cells carry the dead worker's name). For `leased`: the holder.
+    /// For `done`: the worker whose result was accepted. For `leased`:
+    /// the holder.
     pub worker: Option<String>,
 }
 

@@ -5,8 +5,8 @@
 //!
 //! `repro fleet --recover` replays the WAL to rebuild a crashed
 //! coordinator's lease state machine (same transitions, same lease ids,
-//! same churn counters), harvests whatever the orphaned leases
-//! journaled, and resumes the sweep — with the reconciliation invariant
+//! same churn counters), expires the leases the crash orphaned, and
+//! resumes the sweep — with the reconciliation invariant
 //! (`granted == completed + stolen`) still spanning both incarnations.
 //!
 //! The file uses the checkpoint journals' framing ([`JsonlWriter`],
@@ -16,7 +16,7 @@
 //! is logged **before** the `Grant` reply is sent, so no lease exists
 //! on the wire that the WAL does not know. A crash tears at most the
 //! transition in flight; a torn `CellDone` leaves its cell leased to an
-//! orphan, whose lease journal recovery harvests.
+//! orphan, and recovery requeues it to run again.
 
 use std::io;
 use std::path::Path;
@@ -27,7 +27,7 @@ use serde::{Deserialize, Serialize};
 use crate::protocol::PlanIdentity;
 
 /// Magic string identifying the WAL format (and its version).
-const MAGIC: &str = "dsp-fleet-wal-v2";
+const MAGIC: &str = "dsp-fleet-wal-v3";
 
 /// First line of every WAL: format magic plus the full plan identity.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -51,9 +51,6 @@ pub enum WalEvent {
         worker: String,
         /// The granted cells, in plan order.
         cells: Vec<String>,
-        /// The journal filename assigned to the lease, relative
-        /// to the fleet directory — recovery harvests it.
-        journal: String,
     },
     /// A cell completion was accepted under `lease`.
     CellDone {
@@ -144,7 +141,6 @@ mod tests {
                 lease: 1,
                 worker: "w1".into(),
                 cells: vec!["0000000000001000".into(), "0000000000001001".into()],
-                journal: "e2e.lease1.w1.jsonl".into(),
             },
             WalEvent::CellDone {
                 lease: 1,

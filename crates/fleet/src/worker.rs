@@ -5,13 +5,22 @@
 //! rebuilds the coordinator's plan locally (from the experiment name
 //! and scale preset the coordinator advertises), verifies the full
 //! [`PlanIdentity`] — manifest digest, seed, exact scale bits — and
-//! then loops on leases: each grant becomes a
+//! then loops on leases: each grant becomes an in-memory
 //! `SweepSession` over the lease's explicit `CellId` set (see
-//! [`SweepSession::cells`](dsp_bench::engine::SweepSession::cells))
-//! with a checkpoint journal at the coordinator-assigned path, so every
-//! completed cell is durable locally *before* it is reported. If the
-//! worker dies mid-lease, the coordinator harvests that journal; if the
-//! coordinator dies, `repro fleet --recover` harvests it.
+//! [`SweepSession::cells`](dsp_bench::engine::SweepSession::cells)).
+//! The worker keeps no files. A cell is durable once the coordinator
+//! has appended its report to the WAL; a cell whose report never got
+//! there is re-run elsewhere after its lease expires, with identical
+//! output.
+//!
+//! # Liveness
+//!
+//! While a lease's session runs, a scoped heartbeat thread sends
+//! `Heartbeat` every third of the lease timeout the `Welcome`
+//! advertised, so a lease stays alive even when one cell takes many
+//! timeouts. The thread stops as soon as the session returns, or at
+//! the first reply other than `Ack`. It shares the cell reports'
+//! authenticated, reconnecting link behind a mutex.
 //!
 //! # Sessions and reconnects
 //!
@@ -24,10 +33,8 @@
 //! reconnects, re-authenticates *with the same `SessionId`*, and
 //! retransmits the request: the coordinator re-adopts the session's
 //! live leases, a retransmitted `CellDone` lands as a harmless
-//! `Duplicate`, and the `SweepSession` keeps running throughout — no
-//! journaled cell is ever re-run. Only when the budget is exhausted is
-//! the coordinator declared gone, and by then every finished cell is
-//! durable in the lease journal anyway.
+//! `Duplicate`, and the `SweepSession` keeps running throughout. Only
+//! when the budget is exhausted is the coordinator declared gone.
 //!
 //! One `SweepRunner` lives across all of a worker's leases, so traces
 //! and timing-sim partitions generated for one lease are reused by the
@@ -35,7 +42,8 @@
 
 use std::io::{self, ErrorKind};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use dsp_bench::engine::{CellId, CellRecord, CellSink, ExperimentPlan, SweepRunner};
@@ -51,15 +59,11 @@ use crate::stats::{ResultsPage, StatusReport};
 /// Worker tuning.
 #[derive(Clone, Debug)]
 pub struct WorkerConfig {
-    /// Worker name (unique within the fleet; appears in lease journals
-    /// and the coordinator log).
+    /// Worker name (unique within the fleet; appears in the
+    /// coordinator log).
     pub name: String,
     /// Coordinator address, `host:port`.
     pub connect: String,
-    /// Fleet directory where lease journals are written. Must be the
-    /// coordinator's directory when sharing a filesystem (journal
-    /// tailing and harvest depend on it).
-    pub dir: PathBuf,
     /// Sweep threads per lease.
     pub threads: usize,
     /// Wall-clock budget for one connect-and-handshake, initial or
@@ -72,11 +76,10 @@ pub struct WorkerConfig {
 
 impl WorkerConfig {
     /// Defaults for a local fleet worker.
-    pub fn new(name: &str, connect: &str, dir: impl Into<PathBuf>) -> Self {
+    pub fn new(name: &str, connect: &str) -> Self {
         WorkerConfig {
             name: name.to_string(),
             connect: connect.to_string(),
-            dir: dir.into(),
             threads: 1,
             connect_timeout_ms: 10_000,
             token: String::new(),
@@ -110,7 +113,7 @@ pub struct WorkerReport {
 /// protocol violations, or a sweep failure. The coordinator vanishing
 /// *after* contact — and staying gone past the reconnect budget — is
 /// treated as a clean shutdown: the fleet is done or dead, and either
-/// way the worker's journals are already durable.
+/// way every cell the coordinator accepted is already in its WAL.
 pub fn run_worker(config: &WorkerConfig) -> Result<WorkerReport, String> {
     run_worker_with(config, |experiment, scale| {
         let scale = Scale::parse(scale)?;
@@ -124,7 +127,7 @@ pub fn run_worker_with(
     config: &WorkerConfig,
     lookup: impl Fn(&str, &str) -> Option<ExperimentPlan>,
 ) -> Result<WorkerReport, String> {
-    let mut fleet = Fleet::establish(config).map_err(|e| {
+    let fleet = Fleet::establish(config).map_err(|e| {
         format!(
             "worker {}: cannot join fleet at {}: {e}",
             config.name, config.connect
@@ -148,15 +151,10 @@ pub fn run_worker_with(
         ));
     }
     let ids = CellId::assign(&plan.cells);
-
-    std::fs::create_dir_all(&config.dir).map_err(|e| {
-        format!(
-            "worker {}: cannot create {:?}: {e}",
-            config.name, config.dir
-        )
-    })?;
     let runner = SweepRunner::with_threads(config.threads);
-    let mut report = lease_loop(config, &mut fleet, &plan, &ids, &runner)?;
+    let fleet = Mutex::new(fleet);
+    let mut report = lease_loop(config, &fleet, &plan, &ids, &runner)?;
+    let fleet = fleet.into_inner().expect("fleet lock poisoned");
     report.reconnects = fleet.reconnects;
     report.connect_attempts = fleet.connect_attempts;
     Ok(report)
@@ -166,16 +164,19 @@ pub fn run_worker_with(
 /// (or the coordinator stays gone past the reconnect budget).
 fn lease_loop(
     config: &WorkerConfig,
-    fleet: &mut Fleet<'_>,
+    fleet: &Mutex<Fleet<'_>>,
     plan: &ExperimentPlan,
     ids: &[CellId],
     runner: &SweepRunner,
 ) -> Result<WorkerReport, String> {
     let mut report = WorkerReport::default();
     loop {
-        let reply = match fleet.exchange(&Request::Lease {
-            worker: config.name.clone(),
-        }) {
+        let reply = match exchange(
+            fleet,
+            &Request::Lease {
+                worker: config.name.clone(),
+            },
+        ) {
             Ok(Some(reply)) => reply,
             // Coordinator gone past the reconnect budget: treat as
             // shutdown (see the run_worker docs).
@@ -184,11 +185,7 @@ fn lease_loop(
             Err(e) => return Err(format!("worker {}: lease request failed: {e}", config.name)),
         };
         match reply {
-            Reply::Grant {
-                lease,
-                cells,
-                journal,
-            } => {
+            Reply::Grant { lease, cells } => {
                 let mut cell_ids = Vec::with_capacity(cells.len());
                 for text in &cells {
                     let id = CellId::from_hex(text).ok_or_else(|| {
@@ -211,13 +208,15 @@ fn lease_loop(
                     stale: false,
                     failure: None,
                 };
-                let session = runner
-                    .session(plan)
-                    .cells(cell_ids)
-                    .checkpoint(config.dir.join(&journal));
-                session
-                    .run(&mut [&mut sink])
-                    .map_err(|e| format!("worker {}: lease {lease} failed: {e}", config.name))?;
+                let session = runner.session(plan).cells(cell_ids);
+                std::thread::scope(|scope| {
+                    let (stop, stopped) = mpsc::channel::<()>();
+                    scope.spawn(move || heartbeat(fleet, &config.name, lease, &stopped));
+                    let result = session.run(&mut [&mut sink]);
+                    drop(stop);
+                    result
+                })
+                .map_err(|e| format!("worker {}: lease {lease} failed: {e}", config.name))?;
                 let (accepted, stale, failure) = (sink.accepted, sink.stale, sink.failure);
                 if let Some(e) = failure {
                     if coordinator_gone(&e) {
@@ -228,15 +227,18 @@ fn lease_loop(
                 report.cells += accepted;
                 if stale {
                     // The lease was expired or partly stolen while we
-                    // ran; whatever we journaled is durable, the rest
-                    // belongs to someone else now. Ask for fresh work.
+                    // ran; the cells accepted so far are in the WAL, the
+                    // rest belong to someone else now. Ask for fresh work.
                     report.stale_leases += 1;
                     continue;
                 }
-                match fleet.exchange(&Request::Complete {
-                    worker: config.name.clone(),
-                    lease,
-                }) {
+                match exchange(
+                    fleet,
+                    &Request::Complete {
+                        worker: config.name.clone(),
+                        lease,
+                    },
+                ) {
                     Ok(Some(Reply::Ack)) => report.leases += 1,
                     Ok(Some(Reply::Stale { .. })) => report.stale_leases += 1,
                     Ok(Some(other)) => {
@@ -353,6 +355,8 @@ struct Fleet<'a> {
     scale: String,
     /// Plan identity the coordinator advertised.
     identity: PlanIdentity,
+    /// The coordinator's lease timeout, from its latest `Welcome`.
+    lease_timeout_ms: u64,
     reconnects: usize,
     connect_attempts: usize,
 }
@@ -368,7 +372,7 @@ impl<'a> Fleet<'a> {
             let stream = connect_with_backoff(config, started, &mut attempts)?;
             let mut link = Link::new(stream)?;
             match handshake(&mut link, config, None) {
-                Ok((scale, identity, session)) => {
+                Ok((scale, identity, session, lease_timeout_ms)) => {
                     if attempts > 1 {
                         eprintln!(
                             "worker {}: connected to {} after {attempts} attempts",
@@ -381,6 +385,7 @@ impl<'a> Fleet<'a> {
                         session,
                         scale,
                         identity,
+                        lease_timeout_ms,
                         reconnects: 0,
                         connect_attempts: attempts,
                     });
@@ -403,7 +408,7 @@ impl<'a> Fleet<'a> {
             let stream = connect_with_backoff(self.config, started, &mut self.connect_attempts)?;
             let mut link = Link::new(stream)?;
             match handshake(&mut link, self.config, Some(self.session)) {
-                Ok((_, _, session)) => {
+                Ok((_, _, session, lease_timeout_ms)) => {
                     eprintln!(
                         "worker {}: reconnected to {} (session {}{})",
                         self.config.name,
@@ -420,6 +425,7 @@ impl<'a> Fleet<'a> {
                     // reports will be answered Stale, which the sink
                     // already treats as routine.
                     self.session = session;
+                    self.lease_timeout_ms = lease_timeout_ms;
                     self.link = link;
                     self.reconnects += 1;
                     return Ok(());
@@ -461,12 +467,13 @@ impl<'a> Fleet<'a> {
 }
 
 /// The v2 handshake on a fresh connection; `resume` is the previous
-/// `SessionId` when reconnecting. Returns `(scale, identity, session)`.
+/// `SessionId` when reconnecting. Returns the `Welcome`'s
+/// `(scale, identity, session, lease_timeout_ms)`.
 fn handshake(
     link: &mut Link,
     config: &WorkerConfig,
     resume: Option<u64>,
-) -> io::Result<(String, PlanIdentity, u64)> {
+) -> io::Result<(String, PlanIdentity, u64, u64)> {
     let hung_up = || {
         io::Error::new(
             ErrorKind::UnexpectedEof,
@@ -502,6 +509,7 @@ fn handshake(
             scale,
             identity,
             session,
+            lease_timeout_ms,
         } => {
             if proto != PROTOCOL_VERSION {
                 return Err(io::Error::new(
@@ -511,7 +519,7 @@ fn handshake(
                     ),
                 ));
             }
-            Ok((scale, identity, session))
+            Ok((scale, identity, session, lease_timeout_ms))
         }
         Reply::Refused { error } => Err(refused(&error)),
         other => Err(io::Error::new(
@@ -586,13 +594,37 @@ fn connect_with_backoff(
     }
 }
 
+/// [`Fleet::exchange`] on the link the lease loop, the report sink,
+/// and the heartbeat thread share.
+fn exchange(fleet: &Mutex<Fleet<'_>>, request: &Request) -> io::Result<Option<Reply>> {
+    fleet.lock().expect("fleet lock poisoned").exchange(request)
+}
+
+/// Keeps `lease` alive while its session runs: one `Heartbeat` per
+/// third of the lease timeout (so two can go astray before it expires)
+/// until `stop` disconnects (the session returned) or the coordinator
+/// answers anything but `Ack` (the lease is gone, or the coordinator
+/// is; the cell reports find out either way).
+fn heartbeat(fleet: &Mutex<Fleet<'_>>, worker: &str, lease: u64, stop: &Receiver<()>) {
+    let timeout_ms = fleet.lock().expect("fleet lock poisoned").lease_timeout_ms;
+    let period = Duration::from_millis((timeout_ms / 3).max(1));
+    while stop.recv_timeout(period) == Err(RecvTimeoutError::Timeout) {
+        let request = Request::Heartbeat {
+            worker: worker.to_string(),
+            lease,
+        };
+        if !matches!(exchange(fleet, &request), Ok(Some(Reply::Ack))) {
+            return;
+        }
+    }
+}
+
 /// Streams each finished cell to the coordinator as the session
-/// produces it. The journal write happens first (inside the session),
-/// so a cell is durable before it is reported — and because reporting
-/// goes through [`Fleet::exchange`], a dropped TCP session mid-lease
-/// reconnects and resumes without the sweep ever noticing.
+/// produces it. Reporting goes through [`Fleet::exchange`], so a
+/// dropped TCP session mid-lease reconnects and resumes without the
+/// sweep ever noticing.
 struct ReportSink<'a, 'b> {
-    fleet: &'b mut Fleet<'a>,
+    fleet: &'b Mutex<Fleet<'a>>,
     worker: &'b str,
     lease: u64,
     /// Plan-order manifest, for index lookup.
@@ -617,7 +649,7 @@ impl CellSink for ReportSink<'_, '_> {
             output: Box::new(record.output.clone()),
         };
         debug_assert_eq!(self.ids.get(record.index), Some(&record.id));
-        match self.fleet.exchange(&request) {
+        match exchange(self.fleet, &request) {
             Ok(Some(Reply::Ack)) => self.accepted += 1,
             Ok(Some(Reply::Stale { .. })) => self.stale = true,
             Ok(Some(Reply::Refused { error })) => {

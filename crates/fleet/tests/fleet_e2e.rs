@@ -1,7 +1,8 @@
 //! End-to-end fleet tests over a tiny in-process plan: a coordinator
 //! plus in-process workers must produce a table byte-identical to a
-//! serial run — including when a worker dies mid-lease and its journal
-//! is harvested, when every connection runs through a flaky chaos
+//! serial run — including when a worker dies mid-lease and its lease
+//! expires, when cells run far longer than the lease timeout, when
+//! every connection runs through a flaky chaos
 //! proxy, and when the coordinator itself crashes and is recovered
 //! from its write-ahead log — with a lease ledger that reconciles
 //! exactly and a control plane that refuses hostile clients.
@@ -12,8 +13,8 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use dsp_bench::engine::{
-    harvest_journal, Cell, CellId, CellOutput, CellRecord, CellSink, Collector, ExperimentPlan,
-    SweepRunner, SweepSession,
+    Cell, CellId, CellOutput, CellRecord, CellSink, Collector, ExperimentPlan, SweepRunner,
+    SweepSession,
 };
 use dsp_bench::{experiments, Scale};
 use dsp_core::PredictorConfig;
@@ -90,9 +91,8 @@ fn fresh_dir(tag: &str) -> PathBuf {
 fn spawn_worker(
     name: &str,
     addr: &str,
-    dir: &std::path::Path,
 ) -> std::thread::JoinHandle<Result<dsp_fleet::worker::WorkerReport, String>> {
-    spawn_worker_cfg(WorkerConfig::new(name, addr, dir))
+    spawn_worker_cfg(WorkerConfig::new(name, addr))
 }
 
 /// [`spawn_worker`] with a caller-tuned config (token, reconnect
@@ -122,6 +122,46 @@ fn recv_reply(reader: &mut MessageReader<TcpStream>) -> Reply {
             Err(e) => panic!("recv failed: {e}"),
         }
     }
+}
+
+/// Runs `cells` of `plan` in memory, as a worker's lease session
+/// would, and returns their records in plan order.
+fn run_cells(plan: &ExperimentPlan, cells: &[CellId]) -> Vec<CellRecord> {
+    struct Records(Vec<CellRecord>);
+    impl CellSink for Records {
+        fn on_cell(&mut self, _plan: &ExperimentPlan, record: &CellRecord) {
+            self.0.push(record.clone());
+        }
+    }
+    let mut records = Records(Vec::new());
+    SweepSession::new(plan)
+        .cells(cells.to_vec())
+        .run(&mut [&mut records])
+        .expect("lease session");
+    records.0.sort_by_key(|record| record.index);
+    records.0
+}
+
+/// Sends one cell's `CellDone` under `lease` and returns the reply.
+fn report_cell(
+    stream: &mut TcpStream,
+    reader: &mut MessageReader<TcpStream>,
+    worker: &str,
+    lease: u64,
+    record: &CellRecord,
+) -> Reply {
+    send(
+        stream,
+        &Request::CellDone {
+            worker: worker.into(),
+            lease,
+            cell: record.id.to_hex(),
+            index: record.index,
+            output: Box::new(record.output.clone()),
+        },
+    )
+    .expect("report");
+    recv_reply(reader)
 }
 
 /// The v2 handshake for hand-rolled test clients: Hello → Challenge →
@@ -177,7 +217,7 @@ fn fleet_matches_serial_and_serves_results() {
     let addr = coordinator.addr().to_string();
 
     let workers: Vec<_> = (1..=2)
-        .map(|i| spawn_worker(&format!("w{i}"), &addr, &dir))
+        .map(|i| spawn_worker(&format!("w{i}"), &addr))
         .collect();
     let report = coordinator
         .wait(Duration::from_secs(120))
@@ -283,7 +323,7 @@ fn lease_timeout_far_below_cell_time_still_finishes() {
     let addr = coordinator.addr().to_string();
     let workers: Vec<_> = (1..=2)
         .map(|i| {
-            let config = WorkerConfig::new(&format!("w{i}"), &addr, &dir);
+            let config = WorkerConfig::new(&format!("w{i}"), &addr);
             std::thread::spawn(move || {
                 run_worker_with(&config, |experiment, _| {
                     (experiment == "slow").then(slow_plan)
@@ -309,18 +349,16 @@ fn lease_timeout_far_below_cell_time_still_finishes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Failure injection: a rogue client takes a lease, journals two cells,
-/// reports only one, and silently dies. The fleet must still finish —
-/// the journaled-but-unreported cell is harvested (not re-run under a
-/// new name), the rest are re-leased — and the merged table is still
-/// byte-identical to serial.
+/// Failure injection: a rogue client takes a lease, runs two cells,
+/// reports only one, and silently dies. The fleet must still finish:
+/// the dead lease expires, its unreported cells — the one the rogue ran
+/// but never reported included — are re-run by honest workers, and the
+/// merged table is still byte-identical to serial.
 #[test]
-fn killed_worker_is_harvested_and_reassigned() {
+fn killed_worker_lease_expires_and_its_unreported_cell_is_re_run() {
     let dir = fresh_dir("kill");
-    std::fs::create_dir_all(&dir).expect("mkdir");
     let plan = tiny_plan();
     let serial = SweepRunner::serial().run(&plan).to_csv();
-    let manifest = CellId::assign(&plan.cells);
 
     let mut config = FleetConfig::new("e2e", "tiny", &dir);
     config.lease_cells = 3;
@@ -344,12 +382,7 @@ fn killed_worker_is_harvested_and_reassigned() {
         },
     )
     .expect("lease request");
-    let Reply::Grant {
-        lease,
-        cells,
-        journal,
-    } = recv_reply(&mut reader)
-    else {
+    let Reply::Grant { lease, cells } = recv_reply(&mut reader) else {
         panic!("expected Grant");
     };
     assert_eq!(cells.len(), 3);
@@ -358,41 +391,20 @@ fn killed_worker_is_harvested_and_reassigned() {
         .map(|text| CellId::from_hex(text).expect("granted id"))
         .collect();
 
-    // Journal the first two cells exactly as a real worker would...
-    let journal_path = dir.join(&journal);
-    SweepSession::new(&plan)
-        .cells(granted[..2].to_vec())
-        .checkpoint(&journal_path)
-        .run(&mut [])
-        .expect("rogue session");
-    let records = harvest_journal(&plan, &journal_path).expect("read own journal");
+    // Run the first two cells exactly as a real worker would...
+    let records = run_cells(&plan, &granted[..2]);
     assert_eq!(records.len(), 2);
+    assert_eq!(records[0].id, granted[0]);
 
     // ...report only the first, then die without a word.
-    let (id, index, output) = records
-        .iter()
-        .find(|(id, _, _)| *id == granted[0])
-        .cloned()
-        .expect("first granted cell journaled");
-    assert_eq!(manifest[index], id);
-    send(
-        &mut stream,
-        &Request::CellDone {
-            worker: "rogue".into(),
-            lease,
-            cell: id.to_hex(),
-            index,
-            output: Box::new(output),
-        },
-    )
-    .expect("report");
-    assert!(matches!(recv_reply(&mut reader), Reply::Ack));
+    let reply = report_cell(&mut stream, &mut reader, "rogue", lease, &records[0]);
+    assert!(matches!(reply, Reply::Ack), "{reply:?}");
     drop(reader);
     drop(stream);
 
     // Two honest workers finish the sweep around the corpse.
     let workers: Vec<_> = (1..=2)
-        .map(|i| spawn_worker(&format!("w{i}"), &addr, &dir))
+        .map(|i| spawn_worker(&format!("w{i}"), &addr))
         .collect();
     let report = coordinator
         .wait(Duration::from_secs(120))
@@ -409,11 +421,23 @@ fn killed_worker_is_harvested_and_reassigned() {
         "the rogue's lease must expire: {:?}",
         report.counters
     );
-    assert!(
-        report.counters.cells_harvested >= 1,
-        "the journaled-but-unreported cell must be harvested: {:?}",
-        report.counters
-    );
+    // The rogue delivered only the cell it reported; the one it ran but
+    // never reported was re-run by an honest worker.
+    let page = query_results(&addr, 0, 100).expect("results");
+    for (i, id) in granted.iter().enumerate() {
+        let cell = page
+            .cells
+            .iter()
+            .find(|cell| cell.cell == id.to_hex())
+            .expect("granted cell listed");
+        assert_eq!(cell.state, "done");
+        assert_eq!(
+            cell.worker.as_deref() == Some("rogue"),
+            i == 0,
+            "granted cell {i} accepted from {:?}",
+            cell.worker
+        );
+    }
     for worker in workers {
         worker.join().expect("join").expect("worker ok");
     }
@@ -421,14 +445,101 @@ fn killed_worker_is_harvested_and_reassigned() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Reconnect-and-resume: a client that loses TCP mid-lease but kept
-/// its journal re-authenticates with the same `SessionId`, keeps the
-/// lease (no expiry, no harvest), resumes from its journal without
-/// re-running the journaled cell, and completes normally.
+/// Only the session that holds a lease keeps it alive: a second
+/// authenticated client heartbeating someone else's lease — even under
+/// the holder's name — is answered `Stale`, and the silent holder's
+/// lease still expires.
+#[test]
+fn heartbeat_for_another_sessions_lease_is_stale() {
+    let dir = fresh_dir("foreign-heartbeat");
+    let serial = SweepRunner::serial().run(&tiny_plan()).to_csv();
+
+    let mut config = FleetConfig::new("e2e", "tiny", &dir);
+    config.lease_cells = 3;
+    config.poll_ms = 20;
+    config.timeout_ms = 300;
+    let coordinator = Coordinator::start(tiny_plan(), config).expect("coordinator starts");
+    let addr = coordinator.addr().to_string();
+    let connect = || {
+        let stream = TcpStream::connect(&addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        let reader = MessageReader::new(stream.try_clone().expect("clone"));
+        (stream, reader)
+    };
+
+    // The holder takes a lease, then falls silent with its connection
+    // still open.
+    let (mut holder, mut holder_reader) = connect();
+    client_handshake(&mut holder, &mut holder_reader, "holder", "", None);
+    send(
+        &mut holder,
+        &Request::Lease {
+            worker: "holder".into(),
+        },
+    )
+    .expect("lease request");
+    let Reply::Grant { lease, .. } = recv_reply(&mut holder_reader) else {
+        panic!("expected Grant");
+    };
+
+    // Another client keeps heartbeating that lease until it expires.
+    let (mut intruder, mut intruder_reader) = connect();
+    client_handshake(&mut intruder, &mut intruder_reader, "intruder", "", None);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        send(
+            &mut intruder,
+            &Request::Heartbeat {
+                worker: "holder".into(),
+                lease,
+            },
+        )
+        .expect("heartbeat");
+        let reply = recv_reply(&mut intruder_reader);
+        assert!(
+            matches!(reply, Reply::Stale { lease: l } if l == lease),
+            "a foreign heartbeat must be Stale, got {reply:?}"
+        );
+        let status = query_status(&addr).expect("status");
+        if status.counters.leases_expired >= 1 {
+            assert!(
+                status.leases.iter().all(|l| l.lease != lease),
+                "the holder's lease must be gone: {:?}",
+                status.leases
+            );
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the holder's lease never expired"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    drop((holder, holder_reader, intruder, intruder_reader));
+
+    let workers: Vec<_> = (1..=2)
+        .map(|i| spawn_worker(&format!("w{i}"), &addr))
+        .collect();
+    let report = coordinator
+        .wait(Duration::from_secs(120))
+        .expect("fleet completes");
+    assert_eq!(report.csv, serial, "fleet table must be byte-identical");
+    assert!(report.reconciled, "ledger: {:?}", report.counters);
+    for worker in workers {
+        worker.join().expect("join").expect("worker ok");
+    }
+    coordinator.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Reconnect-and-resume: a client that loses TCP mid-lease
+/// re-authenticates with the same `SessionId`, keeps the lease (no
+/// expiry), reports the rest of its cells, and completes normally.
 #[test]
 fn reconnect_resumes_session_and_keeps_the_lease() {
     let dir = fresh_dir("resume");
-    std::fs::create_dir_all(&dir).expect("mkdir");
     let plan = tiny_plan();
     let serial = SweepRunner::serial().run(&plan).to_csv();
 
@@ -437,13 +548,13 @@ fn reconnect_resumes_session_and_keeps_the_lease() {
     config.poll_ms = 20;
     // Expiry must not be what saves this test: the lease has to
     // survive because the session was re-adopted, not because it timed
-    // out and was harvested.
+    // out and was re-leased.
     config.timeout_ms = 60_000;
     config.token = "sesame".into();
     let coordinator = Coordinator::start(tiny_plan(), config).expect("coordinator starts");
     let addr = coordinator.addr().to_string();
 
-    // First connection: authenticate, lease three cells, journal and
+    // First connection: authenticate, lease three cells, run them, and
     // report one.
     let mut stream = TcpStream::connect(&addr).expect("connect");
     stream
@@ -458,12 +569,7 @@ fn reconnect_resumes_session_and_keeps_the_lease() {
         },
     )
     .expect("lease request");
-    let Reply::Grant {
-        lease,
-        cells,
-        journal,
-    } = recv_reply(&mut reader)
-    else {
+    let Reply::Grant { lease, cells } = recv_reply(&mut reader) else {
         panic!("expected Grant");
     };
     assert_eq!(cells.len(), 3);
@@ -471,34 +577,12 @@ fn reconnect_resumes_session_and_keeps_the_lease() {
         .iter()
         .map(|text| CellId::from_hex(text).expect("granted id"))
         .collect();
-    // Journal the whole lease (as a real worker session would), but
-    // only the first cell's report makes it out before the network
-    // dies.
-    let journal_path = dir.join(&journal);
-    SweepSession::new(&plan)
-        .cells(granted.clone())
-        .checkpoint(&journal_path)
-        .run(&mut [])
-        .expect("lease session");
-    let records = harvest_journal(&plan, &journal_path).expect("journal");
+    // The whole lease runs, but only the first cell's report makes it
+    // out before the network dies.
+    let records = run_cells(&plan, &granted);
     assert_eq!(records.len(), 3);
-    let (id, index, output) = records
-        .iter()
-        .find(|(id, _, _)| *id == granted[0])
-        .cloned()
-        .expect("first granted cell journaled");
-    send(
-        &mut stream,
-        &Request::CellDone {
-            worker: "lazarus".into(),
-            lease,
-            cell: id.to_hex(),
-            index,
-            output: Box::new(output),
-        },
-    )
-    .expect("report");
-    assert!(matches!(recv_reply(&mut reader), Reply::Ack));
+    let reply = report_cell(&mut stream, &mut reader, "lazarus", lease, &records[0]);
+    assert!(matches!(reply, Reply::Ack), "{reply:?}");
 
     // The network dies.
     drop(reader);
@@ -526,37 +610,10 @@ fn reconnect_resumes_session_and_keeps_the_lease() {
         "a re-adopted lease must heartbeat as live, not Stale"
     );
 
-    // Resume the sweep from the journal: every journaled cell replays,
-    // nothing re-runs.
-    let session_report = SweepSession::new(&plan)
-        .cells(granted.clone())
-        .checkpoint(&journal_path)
-        .resume(true)
-        .run(&mut [])
-        .expect("resumed session");
-    assert_eq!(
-        session_report.replayed, 3,
-        "journaled cells must not re-run"
-    );
-    assert_eq!(session_report.executed, 0);
-    let records = harvest_journal(&plan, &journal_path).expect("journal");
-    assert_eq!(records.len(), 3);
-    for (id, index, output) in records {
-        if id == granted[0] {
-            continue; // already reported on the first connection
-        }
-        send(
-            &mut stream,
-            &Request::CellDone {
-                worker: "lazarus".into(),
-                lease,
-                cell: id.to_hex(),
-                index,
-                output: Box::new(output),
-            },
-        )
-        .expect("report");
-        assert!(matches!(recv_reply(&mut reader), Reply::Ack));
+    // Report the rest of the lease on the resumed session.
+    for record in &records[1..] {
+        let reply = report_cell(&mut stream, &mut reader, "lazarus", lease, record);
+        assert!(matches!(reply, Reply::Ack), "{reply:?}");
     }
     send(
         &mut stream,
@@ -571,7 +628,7 @@ fn reconnect_resumes_session_and_keeps_the_lease() {
     drop(stream);
 
     // Honest workers mop up the other half of the plan.
-    let mut worker_config = WorkerConfig::new("w1", &addr, &dir);
+    let mut worker_config = WorkerConfig::new("w1", &addr);
     worker_config.token = "sesame".into();
     let worker = spawn_worker_cfg(worker_config);
     let report = coordinator
@@ -619,7 +676,7 @@ fn chaos_proxied_fleet_still_matches_serial() {
     let proxy_addr = proxy.addr().to_string();
 
     let workers: Vec<_> = (1..=3)
-        .map(|i| spawn_worker(&format!("w{i}"), &proxy_addr, &dir))
+        .map(|i| spawn_worker(&format!("w{i}"), &proxy_addr))
         .collect();
     let report = coordinator
         .wait(Duration::from_secs(180))
@@ -665,7 +722,7 @@ fn wait_for_log(dir: &Path, needles: &[&str]) {
 }
 
 /// Runs the tiny plan on two workers and shuts the coordinator down
-/// cold mid-sweep, leaving its WAL and the lease journals in `dir`.
+/// cold mid-sweep, leaving its WAL in `dir`.
 ///
 /// The crash waits until both workers are authenticated: a worker that
 /// never joined exits with `Err` by `run_worker`'s contract, while one
@@ -682,7 +739,7 @@ fn crash_mid_sweep(dir: &Path) {
     // once the coordinator is gone.
     let workers: Vec<_> = (1..=2)
         .map(|i| {
-            let mut config = WorkerConfig::new(&format!("w{i}"), &addr, dir);
+            let mut config = WorkerConfig::new(&format!("w{i}"), &addr);
             config.connect_timeout_ms = 800;
             spawn_worker_cfg(config)
         })
@@ -720,7 +777,7 @@ fn recover_and_finish(dir: &Path) -> FleetReport {
     let recovered = Coordinator::recover(tiny_plan(), config).expect("recovery from WAL");
     let addr = recovered.addr().to_string();
     let workers: Vec<_> = (1..=2)
-        .map(|i| spawn_worker(&format!("w{i}"), &addr, dir))
+        .map(|i| spawn_worker(&format!("w{i}"), &addr))
         .collect();
     let report = recovered
         .wait(Duration::from_secs(120))
@@ -733,9 +790,9 @@ fn recover_and_finish(dir: &Path) -> FleetReport {
 }
 
 /// Coordinator crash recovery: kill the coordinator mid-sweep, then
-/// `recover` from the WAL + journals in the same directory. The
-/// recovered fleet finishes the plan byte-identical to serial without
-/// re-running already-journaled cells, and the ledger still reconciles.
+/// `recover` from the WAL in the same directory. The recovered fleet
+/// finishes the plan byte-identical to serial without re-running cells
+/// the WAL accepted, and the ledger still reconciles.
 #[test]
 fn crashed_coordinator_recovers_from_wal() {
     let dir = fresh_dir("recover");
@@ -756,29 +813,29 @@ fn crashed_coordinator_recovers_from_wal() {
 
 /// A crash that tears the WAL mid-`CellDone`: the torn line (and
 /// everything after it) is lost, so recovery finds that cell still
-/// leased to an orphan and gets its output back by harvesting the
-/// orphan's lease journal — the WAL is the only coordinator log, and
-/// nothing else needs healing.
+/// leased to an orphan, expires the orphan, and the cell is re-run —
+/// the WAL is the fleet's only file besides the text log, and nothing
+/// else needs healing.
 #[test]
-fn torn_cell_done_is_recovered_from_the_lease_journal() {
+fn torn_cell_done_is_re_run_after_recovery() {
     let dir = fresh_dir("torn-wal");
     let serial = SweepRunner::serial().run(&tiny_plan()).to_csv();
     crash_mid_sweep(&dir);
 
-    // The WAL is the coordinator's only durable log: besides it, the
-    // fleet directory holds the text log and the workers' lease
-    // journals.
-    for entry in std::fs::read_dir(&dir).expect("fleet dir") {
-        let name = entry
-            .expect("entry")
-            .file_name()
-            .into_string()
-            .expect("utf-8");
-        assert!(
-            name == "coordinator.log" || name == "e2e.wal.jsonl" || name.starts_with("e2e.lease"),
-            "unexpected file {name} in the fleet directory"
-        );
-    }
+    // Workers keep no files: the fleet directory holds exactly the
+    // coordinator's text log and its WAL.
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .expect("fleet dir")
+        .map(|entry| {
+            entry
+                .expect("entry")
+                .file_name()
+                .into_string()
+                .expect("utf-8")
+        })
+        .collect();
+    names.sort();
+    assert_eq!(names, ["coordinator.log", "e2e.wal.jsonl"]);
 
     // Cut the WAL in the middle of its last CellDone line.
     let wal = dir.join("e2e.wal.jsonl");
@@ -795,8 +852,8 @@ fn torn_cell_done_is_recovered_from_the_lease_journal() {
     assert_eq!(report.csv, serial, "fleet table must be byte-identical");
     assert!(report.reconciled, "ledger: {:?}", report.counters);
     assert!(
-        report.counters.cells_harvested >= 1,
-        "the torn cell must come back from its lease journal: {:?}",
+        report.counters.leases_expired >= 1,
+        "the torn cell's lease must be expired as an orphan: {:?}",
         report.counters
     );
     let _ = std::fs::remove_dir_all(&dir);
@@ -940,7 +997,7 @@ fn hostile_clients_are_refused_and_the_fleet_survives() {
     // After all that abuse, an honest fleet still works.
     let workers: Vec<_> = (1..=2)
         .map(|i| {
-            let mut config = WorkerConfig::new(&format!("w{i}"), &addr, &dir);
+            let mut config = WorkerConfig::new(&format!("w{i}"), &addr);
             config.token = "sesame".into();
             spawn_worker_cfg(config)
         })
@@ -968,7 +1025,7 @@ fn mismatched_plan_identity_is_refused() {
     let coordinator = Coordinator::start(tiny_plan(), config).expect("coordinator starts");
     let addr = coordinator.addr().to_string();
 
-    let worker_config = WorkerConfig::new("skewed", &addr, &dir);
+    let worker_config = WorkerConfig::new("skewed", &addr);
     let err = run_worker_with(&worker_config, |_, _| {
         let mut plan = tiny_plan();
         plan.seed ^= 0xdead;

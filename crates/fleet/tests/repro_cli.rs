@@ -1,7 +1,7 @@
 //! The `repro` binary's command line: unknown names and removed flags
 //! are refused with the usage line, an experiment's CSV does not depend
 //! on the thread count or on a checkpoint/resume round trip, a fleet
-//! replaces only its own files in `--dir`, and no run leaves files in
+//! writes only its log and WAL in `--dir`, and no run leaves files in
 //! the working directory.
 
 use std::path::{Path, PathBuf};
@@ -110,16 +110,18 @@ fn repro_ok(cwd: &Path, command_line: &str) -> Output {
 }
 
 #[test]
-fn removed_split_flags_and_merge_exit_1_with_usage() {
+fn removed_flags_and_merge_exit_1_with_usage() {
     let cwd = workdir("removed");
     // The static split's two flags (a residue class and an explicit
-    // cell list) and its merge subcommand.
+    // cell list), its merge subcommand, and the worker's journal
+    // directory.
     let shard = format!("--{}", "shard");
     let cells = format!("--{}", "cells");
     for args in [
         vec!["fig5", "--scale", "quick", &shard, "1/2"],
         vec!["fig5", "--scale", "quick", &cells, "0123456789abcdef"],
         vec!["merge", "fig5", "x.jsonl"],
+        vec!["worker", "--connect", "127.0.0.1:9", "--dir", "journals"],
     ] {
         let out = repro(&cwd, &args);
         assert_eq!(out.status.code(), Some(1), "{args:?}: exit status");
@@ -155,7 +157,8 @@ fn fleet_dir_keeps_files_the_fleet_does_not_name() {
     std::fs::create_dir_all(&dir).expect("mkdir");
     let sentinel = dir.join("notes.txt");
     std::fs::write(&sentinel, "not the fleet's").expect("sentinel");
-    // A lease journal left behind by an earlier run is the fleet's own.
+    // Workers keep no lease journals any more, so a file shaped like
+    // one of an earlier release is not the fleet's either.
     let stale = dir.join("table2.lease99.w9.jsonl");
     std::fs::write(&stale, "stale").expect("stale journal");
     repro_ok(
@@ -166,7 +169,25 @@ fn fleet_dir_keeps_files_the_fleet_does_not_name() {
         std::fs::read_to_string(&sentinel).expect("sentinel survives"),
         "not the fleet's"
     );
-    assert!(!stale.exists(), "stale lease journal was not replaced");
+    assert_eq!(
+        std::fs::read_to_string(&stale).expect("old journal survives"),
+        "stale"
+    );
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .expect("fleet dir")
+        .map(|entry| entry.expect("entry").file_name().to_string_lossy().into())
+        .collect();
+    names.sort();
+    assert_eq!(
+        names,
+        [
+            "coordinator.log",
+            "notes.txt",
+            "table2.lease99.w9.jsonl",
+            "table2.wal.jsonl"
+        ],
+        "the fleet writes only its log and WAL"
+    );
     repro_ok(&cwd, "table2 --scale quick --out serial");
     assert_eq!(
         std::fs::read(cwd.join("fleet/table2.csv")).expect("fleet csv"),
