@@ -8,6 +8,11 @@
 //! wall-clock offsets; tests supply whatever adversarial schedule they
 //! like.
 //!
+//! A lease's only liveness evidence is its grant, its holder's
+//! heartbeats ([`LeaseLedger::heartbeat`]) and its cell reports
+//! ([`LeaseLedger::complete_cell`]); one silent for the timeout is
+//! [`stale`](LeaseLedger::stale_leases) and gets expired.
+//!
 //! Each cell is always in exactly one state — pending, leased to
 //! exactly one lease, or done — and the transitions preserve the churn
 //! ledger invariant checked by
