@@ -9,11 +9,18 @@
 //! observes an external request **only if that node was in the
 //! request's delivered destination set** (initial multicast or reissue),
 //! and the requester trains from the data response's sender identity.
+//!
+//! The evaluator runs at the timing simulator's set width: machines of
+//! at most 64 nodes replay on single-word `DestSet<1>` trackers and
+//! predictors, larger ones on `DestSet<4>` (see [`SetWidth`]); the width
+//! is invisible in the points. Each replayed record makes one tracker
+//! probe.
 
 use serde::{Deserialize, Serialize};
 
 use dsp_coherence::{multicast, CoherenceTracker};
 use dsp_core::{DestSetPredictor, PredictQuery, PredictorConfig, TrainEvent};
+use dsp_sim::SetWidth;
 use dsp_trace::TraceRecord;
 use dsp_types::SystemConfig;
 
@@ -100,14 +107,46 @@ impl TradeoffEvaluator {
     }
 
     /// Evaluates one predictor configuration over `trace`.
+    ///
+    /// Runs at the destination-set width [`SetWidth`] picks for the
+    /// machine (one word up to 64 nodes, four beyond); the point is the
+    /// same at either width.
     pub fn run<I>(&self, trace: I, predictor: &PredictorConfig) -> TradeoffPoint
     where
         I: IntoIterator<Item = TraceRecord>,
     {
+        match SetWidth.words(self.config.num_nodes()) {
+            1 => self.run_width::<1, _>(trace, predictor),
+            _ => self.run_width::<4, _>(trace, predictor),
+        }
+    }
+
+    /// Evaluates the broadcast snooping and directory protocol
+    /// endpoints over `trace`, returning `(snooping, directory)`.
+    pub fn run_baselines<I>(&self, trace: I) -> (TradeoffPoint, TradeoffPoint)
+    where
+        I: IntoIterator<Item = TraceRecord>,
+    {
+        match SetWidth.words(self.config.num_nodes()) {
+            1 => self.run_baselines_width::<1, _>(trace),
+            _ => self.run_baselines_width::<4, _>(trace),
+        }
+    }
+
+    /// [`TradeoffEvaluator::run`] at set width `W`.
+    ///
+    /// Each record probes the tracker once: `access` returns the miss
+    /// classification of the pre-state and applies the transition, and
+    /// the next state never depends on the prediction.
+    fn run_width<const W: usize, I>(&self, trace: I, predictor: &PredictorConfig) -> TradeoffPoint
+    where
+        I: IntoIterator<Item = TraceRecord>,
+    {
         let n = self.config.num_nodes();
-        let mut predictors: Vec<Box<dyn DestSetPredictor>> =
-            (0..n).map(|_| predictor.build(&self.config)).collect();
-        let mut tracker: CoherenceTracker = CoherenceTracker::new(&self.config);
+        let mut predictors: Vec<Box<dyn DestSetPredictor<W>>> = (0..n)
+            .map(|_| predictor.build_width::<W>(&self.config))
+            .collect();
+        let mut tracker = CoherenceTracker::<W>::new(&self.config);
         let mut point = TradeoffPoint {
             label: predictor.label(),
             misses: 0,
@@ -118,7 +157,7 @@ impl TradeoffEvaluator {
             predictor_storage_bits: 0,
         };
         for (i, rec) in trace.into_iter().enumerate() {
-            let info = tracker.classify(rec.requester, rec.request(), rec.block());
+            let info = tracker.access(rec.requester, rec.request(), rec.block());
             let query = PredictQuery {
                 block: rec.block(),
                 pc: rec.pc,
@@ -165,20 +204,18 @@ impl TradeoffEvaluator {
                 req: rec.request(),
                 minimal_sufficient: info.is_sufficient(info.minimal_set()),
             });
-            let _ = tracker.access(rec.requester, rec.request(), rec.block());
         }
         point.predictor_storage_bits = predictors.iter().map(|p| p.storage_bits()).sum();
         point
     }
 
-    /// Evaluates the broadcast snooping and directory protocol
-    /// endpoints over `trace`, returning `(snooping, directory)`.
-    pub fn run_baselines<I>(&self, trace: I) -> (TradeoffPoint, TradeoffPoint)
+    /// [`TradeoffEvaluator::run_baselines`] at set width `W`.
+    fn run_baselines_width<const W: usize, I>(&self, trace: I) -> (TradeoffPoint, TradeoffPoint)
     where
         I: IntoIterator<Item = TraceRecord>,
     {
         let n = self.config.num_nodes();
-        let mut tracker: CoherenceTracker = CoherenceTracker::new(&self.config);
+        let mut tracker = CoherenceTracker::<W>::new(&self.config);
         let mut snoop = TradeoffPoint {
             label: "Broadcast Snooping".to_string(),
             misses: 0,
@@ -350,5 +387,46 @@ mod tests {
             .run(t.iter().copied(), &PredictorConfig::owner());
         assert_eq!(all.misses, 10_000);
         assert_eq!(warm.misses, 6_000);
+    }
+
+    /// The one- and four-word bodies return identical points, storage
+    /// included, for every policy and both baselines: the replay twin of
+    /// the timing simulator's width-equivalence suite.
+    #[test]
+    fn widths_agree_for_every_policy() {
+        let mb = Indexing::Macroblock { bytes: 1024 };
+        let configs = [
+            PredictorConfig::owner().indexing(mb),
+            PredictorConfig::broadcast_if_shared().indexing(mb),
+            PredictorConfig::group().indexing(mb),
+            PredictorConfig::owner_group().indexing(mb),
+            PredictorConfig::two_level_owner(),
+            PredictorConfig::sticky_spatial(1),
+            PredictorConfig::random(7),
+            PredictorConfig::always_broadcast(),
+            PredictorConfig::always_minimal(),
+        ];
+        for nodes in [4, 16, 64] {
+            let config = SystemConfig::builder()
+                .num_nodes(nodes)
+                .build()
+                .expect("valid node count");
+            let t: Vec<TraceRecord> = WorkloadSpec::preset(Workload::Oltp, &config)
+                .scaled(1.0 / 128.0)
+                .generator(3)
+                .take(8_000)
+                .collect();
+            let eval = TradeoffEvaluator::new(&config).warmup(2_000);
+            for predictor in &configs {
+                let narrow = eval.run_width::<1, _>(t.iter().copied(), predictor);
+                let wide = eval.run_width::<4, _>(t.iter().copied(), predictor);
+                assert_eq!(narrow, wide, "{}/{nodes} nodes", predictor.label());
+                assert_eq!(narrow, eval.run(t.iter().copied(), predictor));
+            }
+            let narrow = eval.run_baselines_width::<1, _>(t.iter().copied());
+            let wide = eval.run_baselines_width::<4, _>(t.iter().copied());
+            assert_eq!(narrow, wide, "baselines/{nodes} nodes");
+            assert_eq!(narrow, eval.run_baselines(t.iter().copied()));
+        }
     }
 }

@@ -184,6 +184,39 @@ proptest! {
         }
     }
 
+    /// `classify` is `access` without the write: before every access of
+    /// an arbitrary access/evict sequence, at both set widths, the
+    /// classification equals what the access then returns, and taking it
+    /// changes neither the block's state, the statistics, nor the
+    /// tracked-block count. Replay makes
+    /// one `access` per record on this fact.
+    #[test]
+    fn classify_predicts_access_without_mutating(
+        ops in proptest::collection::vec(
+            (0usize..NODES, 0u64..48, any::<bool>(), any::<bool>()),
+            1..400,
+        ),
+    ) {
+        fn check<const W: usize>(ops: &[(usize, u64, bool, bool)]) {
+            let mut t = CoherenceTracker::<W>::new(&SystemConfig::isca03());
+            for &(node, block, exclusive, evict) in ops {
+                let (node, block) = (NodeId::new(node), BlockAddr::new(block));
+                if evict {
+                    t.evict(node, block);
+                    continue;
+                }
+                let (state, stats, tracked) = (t.state(block), t.stats(), t.tracked_blocks());
+                let classified = t.classify(node, req(exclusive), block);
+                assert_eq!(t.state(block), state);
+                assert_eq!(t.stats(), stats);
+                assert_eq!(t.tracked_blocks(), tracked);
+                assert_eq!(classified, t.access(node, req(exclusive), block));
+            }
+        }
+        check::<1>(&ops);
+        check::<4>(&ops);
+    }
+
     /// The raw block-state table agrees with `std::collections::HashMap`
     /// under adversarial keys (0, `u64::MAX`, stride patterns that
     /// collide after masking) across mixed reads, combined

@@ -168,13 +168,16 @@ pub enum TrainingMode {
 
 /// The destination-set width rule of a run.
 ///
-/// The simulator is monomorphized over the [`dsp_types::DestSet`]
-/// word count `W`: machines of at most 64 nodes fit every set in one
-/// word (`DestSet<1>`), which removes the multi-word loops and the
-/// upper-words-zero checks from the tracker, crossbar, and predictor
-/// hot paths; larger machines run `DestSet<4>`. Width is
-/// *observationally invisible* — `tests/width_equivalence.rs` pins
-/// `System::<1>` and `System::<4>` reports against each other.
+/// The simulator and the trace-driven replay
+/// (`dsp_analysis::TradeoffEvaluator`) are monomorphized over the
+/// [`dsp_types::DestSet`] word count `W`: machines of at most 64 nodes
+/// fit every set in one word (`DestSet<1>`), which removes the
+/// multi-word loops and the upper-words-zero checks from the tracker,
+/// crossbar, and predictor hot paths; larger machines run
+/// `DestSet<4>`. Width is *observationally invisible* —
+/// `tests/width_equivalence.rs` pins `System::<1>` and `System::<4>`
+/// reports against each other, and the evaluator's unit tests pin its
+/// points the same way.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SetWidth;
 

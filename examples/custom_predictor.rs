@@ -96,7 +96,7 @@ fn evaluate(
     let mut tracker = CoherenceTracker::new(config);
     let (mut misses, mut messages, mut indirections) = (0u64, 0u64, 0u64);
     for (i, rec) in trace.iter().enumerate() {
-        let info = tracker.classify(rec.requester, rec.request(), rec.block());
+        let info = tracker.access(rec.requester, rec.request(), rec.block());
         let query = PredictQuery {
             block: rec.block(),
             pc: rec.pc,
@@ -126,7 +126,6 @@ fn evaluate(
             req: rec.request(),
             minimal_sufficient: info.is_sufficient(info.minimal_set()),
         });
-        tracker.access(rec.requester, rec.request(), rec.block());
     }
     println!(
         "{:<30} {:>14.2} {:>15.1}",
