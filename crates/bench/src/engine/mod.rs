@@ -1,5 +1,5 @@
 //! The sweep engine: declarative experiment plans executed as
-//! streaming, resumable *sessions*.
+//! streaming *sessions*.
 //!
 //! The paper's evaluation is a cross-product — predictor policy ×
 //! workload × table size × indexing granularity × protocol — and every
@@ -17,10 +17,10 @@
 //! * [`SweepSession`] ([`session`]) — executes a plan, or an explicit
 //!   set of its cells (a fleet lease): each cell is identified by a
 //!   stable content-hash [`CellId`] ([`shard`]), streamed out through
-//!   [`CellSink`]s ([`sink`]) as it finishes, and optionally journaled
-//!   to a checkpoint file ([`checkpoint`]) so a crashed run resumes from
-//!   its last completed cell and the journals of N cell sets merge into
-//!   one table byte-identical to a serial run.
+//!   [`CellSink`]s ([`sink`]) as it finishes. Sessions over N disjoint
+//!   cell sets collect into one table byte-identical to a serial run;
+//!   crash safety lives one layer up, in the fleet coordinator's
+//!   write-ahead log (`repro fleet … --recover`).
 //! * [`SweepRunner`] — the batch convenience wrapper: a whole-plan
 //!   in-memory session per plan, sharing one trace cache and one
 //!   timing-sim partition cache across plans (`repro all` generates
@@ -29,16 +29,15 @@
 //! # Determinism
 //!
 //! Output is byte-identical across thread counts, cell splits, and
-//! crash/resume points:
+//! fleet crash/recover points:
 //!
 //! * every trace is produced by a generator seeded from the plan's
 //!   fixed seed, never by a generator shared between cells or threads;
 //! * each cell builds its own evaluator/tracker/predictor state, so a
 //!   cell's output is a pure function of the plan — which is what makes
-//!   journaled outputs safe to replay and journals safe to merge;
+//!   a fleet's logged outputs safe to fold into the table;
 //! * rendering walks outputs in plan order on the calling thread,
-//!   whether they come from slots filled in parallel, a checkpoint
-//!   journal, a merge of several journals, or a fleet's WAL.
+//!   whether they come from slots filled in parallel or a fleet's WAL.
 //!
 //! ```
 //! use dsp_bench::engine::SweepRunner;
@@ -51,15 +50,13 @@
 //! assert_eq!(parallel.to_csv(), serial.to_csv());
 //! ```
 
-pub mod checkpoint;
 pub mod session;
 pub mod shard;
 pub mod sink;
 
-pub use checkpoint::{fold_cells, merge_journals, read_jsonl, JsonlWriter};
 pub use session::{SessionError, SessionReport, SweepSession};
 pub use shard::{manifest_digest, CellId};
-pub use sink::{CellRecord, CellSink, Collector, ProgressSink};
+pub use sink::{CellRecord, CellSink, Collector};
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -208,10 +205,10 @@ impl Cell {
 /// The output of one executed [`Cell`], in the same order as the plan's
 /// cell list.
 ///
-/// Serializes for the checkpoint journals: every payload round-trips
-/// through the JSON layer exactly (integers verbatim, floats via
-/// shortest-round-trip formatting), which is what makes a merged or
-/// resumed table byte-identical to a freshly computed one.
+/// Serializes for the fleet's wire protocol and write-ahead log: every
+/// payload round-trips through the JSON layer exactly (integers
+/// verbatim, floats via shortest-round-trip formatting), which is what
+/// makes a fleet's table byte-identical to a freshly computed one.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub enum CellOutput {
     /// From [`Cell::Characterize`].
@@ -374,9 +371,9 @@ impl ExperimentPlan {
 
     /// Renders `outputs` (one per cell, in plan order) into the plan's
     /// table. This is the single formatting path every execution mode
-    /// funnels through — parallel slots, resumed journals, merged
-    /// journals, and a fleet's WAL produce byte-identical tables
-    /// because they all end here with the same ordered outputs.
+    /// funnels through — parallel slots, cell sets collected one by
+    /// one, and a fleet's WAL produce byte-identical tables because
+    /// they all end here with the same ordered outputs.
     pub fn render_outputs(&self, outputs: &[CellOutput]) -> TextTable {
         let mut table = TextTable::new(self.title.clone(), self.columns.iter().copied());
         (self.render)(&self.cells, outputs, &mut table);
@@ -625,9 +622,9 @@ pub(crate) fn execute_cell(
     }
 }
 
-/// Batch front-end over [`SweepSession`]: runs whole plans in memory
-/// (whole plan, no checkpoint), sharing one trace cache and one
-/// partition cache across every plan it executes.
+/// Batch front-end over [`SweepSession`]: runs whole plans in memory,
+/// sharing one trace cache and one partition cache across every plan
+/// it executes.
 #[derive(Debug)]
 pub struct SweepRunner {
     threads: usize,
@@ -682,8 +679,7 @@ impl SweepRunner {
 
     /// A full-coverage in-memory session over `plan`, wired to this
     /// runner's thread count and shared caches. Callers needing a
-    /// cell subset or checkpointing configure the returned session
-    /// further.
+    /// cell subset configure the returned session further.
     pub fn session<'p>(&self, plan: &'p ExperimentPlan) -> SweepSession<'p> {
         SweepSession::new(plan)
             .threads(self.threads)
@@ -836,7 +832,7 @@ mod tests {
     #[test]
     fn cell_output_round_trips_through_json() {
         let scale = tiny();
-        // Every output variant a journal persists: the small plan's
+        // Every output variant the fleet's WAL persists: the small plan's
         // baselines and tradeoff points, plus one characterization, one
         // timing-sim protocol set, and one model check that finds a
         // violation (its counterexample exercises the nested enums).

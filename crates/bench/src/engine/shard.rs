@@ -50,12 +50,12 @@ impl CellId {
         self.0
     }
 
-    /// Fixed-width lowercase hex, the journal encoding.
+    /// Fixed-width lowercase hex, the wire and WAL encoding.
     pub fn to_hex(self) -> String {
         format!("{:016x}", self.0)
     }
 
-    /// Parses the journal encoding.
+    /// Parses the wire and WAL encoding.
     pub fn from_hex(text: &str) -> Option<CellId> {
         if text.len() != 16 {
             return None;

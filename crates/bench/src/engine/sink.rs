@@ -2,12 +2,10 @@
 //!
 //! A [`SweepSession`](super::SweepSession) does not hold its results
 //! until the end of the run: every finished cell is pushed through the
-//! [`CellSink`]s the caller passed in, as soon as it completes. The
-//! built-in sinks cover the three uses the harness needs — the
-//! checkpoint journal (a session's checkpoint writer is a sink too),
-//! live progress on long `paper`-scale runs
-//! ([`ProgressSink`]), and the in-memory ordered collection the
-//! existing render path consumes ([`Collector`]).
+//! [`CellSink`]s the caller passed in, as soon as it completes. The one
+//! built-in sink is the in-memory ordered collection the render path
+//! consumes ([`Collector`]); a fleet worker's sink streams each cell to
+//! its coordinator instead.
 
 use super::{CellId, CellOutput, ExperimentPlan};
 
@@ -17,24 +15,21 @@ pub struct CellRecord {
     /// Stable content identity of the cell.
     pub id: CellId,
     /// The cell's plan position (sinks that need plan order, like the
-    /// collector, index with this; the id is what leases and journals
+    /// collector, index with this; the id is what leases and the WAL
     /// match on).
     pub index: usize,
-    /// `true` when the output was replayed from a checkpoint journal
-    /// rather than executed in this session.
-    pub replayed: bool,
     /// The cell's output.
     pub output: CellOutput,
 }
 
 /// A consumer of finished cells.
 ///
-/// Executed cells arrive in *completion* order (worker threads race);
-/// replayed cells arrive first, in plan order. Sinks needing plan
-/// order must order by [`CellRecord::index`] themselves — outputs are
-/// deterministic per cell, so any arrival order carries the same data.
+/// Cells arrive in *completion* order (worker threads race). Sinks
+/// needing plan order must order by [`CellRecord::index`] themselves —
+/// outputs are deterministic per cell, so any arrival order carries the
+/// same data.
 pub trait CellSink: Send {
-    /// Called once per finished (or replayed) cell.
+    /// Called once per finished cell.
     fn on_cell(&mut self, plan: &ExperimentPlan, record: &CellRecord);
 }
 
@@ -79,36 +74,6 @@ impl CellSink for Collector {
     }
 }
 
-/// Prints one progress line per finished cell to stderr — the
-/// incremental rendering for long checkpointed runs, where the table
-/// is rendered only once the journal is complete.
-#[derive(Debug)]
-pub struct ProgressSink {
-    done: usize,
-    expected: usize,
-}
-
-impl ProgressSink {
-    /// A reporter expecting `expected` cells (the session's share).
-    pub fn new(expected: usize) -> Self {
-        ProgressSink { done: 0, expected }
-    }
-}
-
-impl CellSink for ProgressSink {
-    fn on_cell(&mut self, plan: &ExperimentPlan, record: &CellRecord) {
-        self.done += 1;
-        eprintln!(
-            "[{}/{}] cell {} ({}){}",
-            self.done,
-            self.expected,
-            record.id,
-            plan.cells[record.index].summary(),
-            if record.replayed { " [resumed]" } else { "" },
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::{Cell, SweepSession};
@@ -136,10 +101,8 @@ mod tests {
             nodes: 3,
             bug: None,
         });
-        // Drive one cell through a real session, leaving slot coverage
-        // partial on purpose.
-        let session = SweepSession::new(&plan);
-        session.run(&mut [&mut c]).expect("in-memory session");
+        // Drive both cells through a real session.
+        SweepSession::new(&plan).run(&mut [&mut c]);
         assert_eq!(c.filled(), 2);
         assert!(c.into_outputs().is_ok());
         match Collector::new(3).into_outputs() {

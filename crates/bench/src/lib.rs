@@ -18,7 +18,7 @@ pub mod experiments;
 mod scale;
 
 pub use engine::{
-    merge_journals, Cell, CellId, CellOutput, CellRecord, CellSink, Collector, ExperimentPlan,
-    ProgressSink, SessionError, SessionReport, SweepRunner, SweepSession,
+    Cell, CellId, CellOutput, CellRecord, CellSink, Collector, ExperimentPlan, SessionError,
+    SessionReport, SweepRunner, SweepSession,
 };
 pub use scale::Scale;

@@ -63,10 +63,10 @@ impl Scale {
     /// The exact-bits identity string of this scale: every run
     /// parameter, with the footprint as raw `f64` bits so two scales
     /// that differ in *any* way — even by one ULP of footprint —
-    /// compare unequal. Checkpoint-journal headers and the fleet
-    /// protocol's plan-identity handshake both embed this string, so a
-    /// journal or a worker built against a different run size is
-    /// rejected instead of silently folded in.
+    /// compare unequal. The fleet's plan identity embeds this string
+    /// (in the handshake and the WAL header), so a WAL or a worker
+    /// built against a different run size is rejected instead of
+    /// silently folded in.
     pub fn identity(&self) -> String {
         format!(
             "{:016x}/{}/{}/{}/{}/{}",

@@ -1,13 +1,11 @@
 //! Determinism and trace-sharing equivalence tests for the sweep
 //! engine: parallel output must be byte-identical to single-threaded
 //! output, shared traces must change nothing, and any split of a plan
-//! into explicit cell sets plus any crash/resume point must merge
-//! byte-identical to the serial path.
-
-use std::path::PathBuf;
+//! into explicit cell sets must collect byte-identical to the serial
+//! path.
 
 use dsp_bench::engine::{
-    merge_journals, Cell, CellId, CellOutput, ExperimentPlan, SweepRunner, SweepSession,
+    Cell, CellId, CellOutput, Collector, ExperimentPlan, SweepRunner, SweepSession,
 };
 use dsp_bench::{experiments, Scale};
 use dsp_core::{Capacity, Indexing, PredictorConfig};
@@ -216,70 +214,32 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// For random plans, any split of the plan into explicit cell sets
-    /// (plan index `i` goes to group `i % shards`) plus a simulated
-    /// mid-run crash (journal truncated to an arbitrary record boundary
-    /// plus a torn fragment) and resume merges byte-identical to the
-    /// serial path.
+    /// (plan index `i` goes to group `i % shards`), each run at any
+    /// thread count, collects into a table byte-identical to the serial
+    /// path.
     #[test]
-    fn shard_crash_resume_merges_byte_identical(
+    fn cell_set_splits_render_byte_identical(
         workload_mask in 1usize..8,
         predictors in 0usize..4,
         shards in 1usize..5,
-        crash_keep in 0usize..4,
-        torn in proptest::arbitrary::any::<bool>(),
+        threads in 1usize..5,
     ) {
         let scale = tiny();
         let plan = random_plan(&scale, workload_mask, predictors);
         let serial = SweepRunner::serial().run(&plan).to_csv();
 
-        let dir = std::env::temp_dir().join(format!(
-            "dsp-prop-shard-{}-{workload_mask}-{predictors}-{shards}-{crash_keep}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("mkdir");
-
-        // Run every group, journaling to its own file.
         let ids = CellId::assign(&plan.cells);
-        let group = |g: usize| -> Vec<CellId> { ids.iter().copied().skip(g).step_by(shards).collect() };
-        let paths: Vec<PathBuf> = (0..shards)
-            .map(|i| dir.join(format!("shard{i}.jsonl")))
-            .collect();
-        for (i, path) in paths.iter().enumerate() {
-            SweepSession::new(&plan)
-                .cells(group(i))
-                .threads(1 + i % 3)
-                .checkpoint(path)
-                .run(&mut [])
-                .expect("shard session");
+        let mut collector = Collector::new(plan.len());
+        for g in 0..shards {
+            let group: Vec<CellId> = ids.iter().copied().skip(g).step_by(shards).collect();
+            let report = SweepSession::new(&plan)
+                .cells(group)
+                .threads(threads)
+                .run(&mut [&mut collector]);
+            prop_assert_eq!(report.executed, report.owned);
         }
-
-        // Crash group 0 at an arbitrary point: keep the header plus
-        // `crash_keep` records, optionally with a torn fragment of the
-        // next record (a process killed mid-write), then resume it.
-        let text = std::fs::read_to_string(&paths[0]).expect("read journal");
-        let lines: Vec<&str> = text.lines().collect();
-        let keep = 1 + crash_keep.min(lines.len() - 1);
-        let kept: Vec<String> = lines[..keep].iter().map(|l| l.to_string()).collect();
-        let mut remnant = String::new();
-        if torn {
-            if let Some(next) = lines.get(keep) {
-                remnant = next[..next.len() / 2].to_string();
-            }
-        }
-        std::fs::write(&paths[0], format!("{}\n{remnant}", kept.join("\n"))).expect("truncate");
-        let resumed = SweepSession::new(&plan)
-            .cells(group(0))
-            .checkpoint(&paths[0])
-            .resume(true)
-            .run(&mut [])
-            .expect("resumed session");
-        prop_assert_eq!(resumed.replayed, keep - 1, "intact records replay");
-
-        // Any cell split + any crash point merges byte-identical.
-        let merged = merge_journals(&plan, &paths).expect("merge");
-        prop_assert_eq!(merged.to_csv(), serial.clone());
-        std::fs::remove_dir_all(&dir).ok();
+        let outputs = collector.into_outputs().expect("the groups cover the plan");
+        prop_assert_eq!(plan.render_outputs(&outputs).to_csv(), serial);
     }
 }
 

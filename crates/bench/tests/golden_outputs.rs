@@ -5,10 +5,9 @@
 //! immediately before the scheduling-core rebuild (timing-wheel event
 //! queue, shared open-addressing table family, 256-bit `DestSet`), so
 //! these tests prove the refactors since — queue, tables, set widening,
-//! the trace-generator storage swap, the streaming session API with
-//! its serde round-trip through checkpoint journals, and now the
-//! interconnect topology/fault-injection layer wrapped around the
-//! crossbar — are
+//! the trace-generator storage swap, the streaming session API, the
+//! fleet's JSON codec for cell outputs, and the interconnect
+//! topology/fault-injection layer wrapped around the crossbar — are
 //! observationally invisible to every table and figure they touch: the
 //! trace-driven Table 2 and Figure 5 paths and the timing-simulated
 //! Figure 7/8 paths.
@@ -19,11 +18,10 @@
 //!    also with an explicitly-empty toxic chain on the explicit
 //!    crossbar topology (the fault-injection layer's identity gate);
 //! 2. a two-lease run — two sessions, each covering half of the plan's
-//!    `CellId`s, journaling to JSONL, then `merge_journals`;
-//! 3. a crash-then-resume run — a full journal truncated mid-file, a
-//!    resumed session completing it, then a merge of the healed file;
-//! 4. (implicitly, by 2 and 3) the serde round-trip of every cell
-//!    output through the journal.
+//!    `CellId`s, collected into one `Collector`;
+//! 3. the batch outputs sent through `serde_json` encode and decode —
+//!    the codec of the fleet's wire protocol and write-ahead log — then
+//!    rendered, which pins the float round-trip of fig7/fig8.
 //!
 //! Experiments with timing-sim cells (fig7/fig8) additionally simulate
 //! every cell's runs under both training-delivery modes — the lazy
@@ -37,9 +35,9 @@
 
 #![cfg(not(debug_assertions))]
 
-use std::path::PathBuf;
-
-use dsp_bench::engine::{merge_journals, Cell, CellId, ExperimentPlan, SweepRunner, SweepSession};
+use dsp_bench::engine::{
+    Cell, CellId, CellOutput, Collector, ExperimentPlan, SweepRunner, SweepSession,
+};
 use dsp_bench::{experiments, Scale};
 use dsp_sim::{
     simulate_with_partition, ProtocolKind, SimConfig, TargetSystem, TopologySpec, ToxicSpec,
@@ -47,21 +45,14 @@ use dsp_sim::{
 };
 use dsp_trace::WorkloadSpec;
 
-fn tmpdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dsp-golden-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    dir
-}
-
 fn check(name: &str, golden: &str) {
     let scale = Scale::quick();
 
     // 1. Batch path (whole-plan in-memory session).
     let plan = experiments::plan_for(name, &scale).expect("known experiment");
-    let table = SweepRunner::new().run(&plan);
+    let outputs = SweepRunner::new().run_cells(&plan);
     assert_eq!(
-        table.to_csv(),
+        plan.render_outputs(&outputs).to_csv(),
         golden,
         "{name} batch output diverged from the pre-refactor golden"
     );
@@ -84,56 +75,37 @@ fn check(name: &str, golden: &str) {
 
     check_training_modes(name, &plan);
 
-    let dir = tmpdir(name);
-
-    // 2. Two explicit cell-set halves (the fleet's lease shape)
-    //    journaled to disk, then merged.
+    // 2. Two explicit cell-set halves (the fleet's lease shape),
+    //    collected into one set of plan-ordered slots.
     let ids = CellId::assign(&plan.cells);
     let (first, second) = ids.split_at(ids.len() / 2);
-    let lease_paths: Vec<PathBuf> = (0..2).map(|i| dir.join(format!("l{i}.jsonl"))).collect();
-    for (lease, path) in [first, second].into_iter().zip(&lease_paths) {
+    let mut collector = Collector::new(plan.len());
+    for lease in [first, second] {
         SweepSession::new(&plan)
             .cells(lease.to_vec())
             .threads(4)
-            .checkpoint(path)
-            .run(&mut [])
-            .expect("lease session");
+            .run(&mut [&mut collector]);
     }
-    let merged = merge_journals(&plan, &lease_paths).expect("merge");
+    let leased = collector.into_outputs().expect("the halves cover the plan");
     assert_eq!(
-        merged.to_csv(),
+        plan.render_outputs(&leased).to_csv(),
         golden,
-        "{name} two-lease merged output diverged from the golden"
+        "{name} two-lease output diverged from the golden"
     );
 
-    // 3. Crash after the first journaled cell, then resume.
-    let crash_path = dir.join("crash.jsonl");
-    SweepSession::new(&plan)
-        .checkpoint(&crash_path)
-        .run(&mut [])
-        .expect("full journaling run");
-    let text = std::fs::read_to_string(&crash_path).expect("read journal");
-    // Keep the header, the first record, and a torn fragment of the
-    // second — the on-disk state of a process killed mid-write.
-    let mut kept: Vec<&str> = text.lines().take(2).collect();
-    let torn = text.lines().nth(2).expect("at least two records");
-    kept.push(&torn[..torn.len() / 2]);
-    std::fs::write(&crash_path, kept.join("\n")).expect("truncate journal");
-    let resumed = SweepSession::new(&plan)
-        .checkpoint(&crash_path)
-        .resume(true)
-        .run(&mut [])
-        .expect("resumed session");
-    assert_eq!(resumed.replayed, 1, "{name}: one intact record replays");
-    assert_eq!(resumed.executed, plan.len() - 1);
-    let healed = merge_journals(&plan, &[crash_path]).expect("merge healed journal");
+    // 3. Every output through the WAL's codec.
+    let decoded: Vec<CellOutput> = outputs
+        .iter()
+        .map(|output| {
+            let json = serde_json::to_string(output).expect("encode");
+            serde_json::from_str(&json).expect("decode")
+        })
+        .collect();
     assert_eq!(
-        healed.to_csv(),
+        plan.render_outputs(&decoded).to_csv(),
         golden,
-        "{name} crash-then-resumed output diverged from the golden"
+        "{name} output decoded from JSON diverged from the golden"
     );
-
-    std::fs::remove_dir_all(dir).ok();
 }
 
 /// The whole-experiment end of the eager/lazy training equivalence (the

@@ -2,10 +2,9 @@
 //!
 //! ```bash
 //! repro <experiment> [--scale quick|standard|paper] [--out DIR] [--threads N]
-//!                    [--checkpoint FILE] [--resume]
 //! repro plan <experiment> [--scale ...]
-//! repro fleet <experiment> [--scale ...] [--workers N] [--kill-one]
-//!                          [--dir DIR] [--lease-cells N] [--lease-timeout-ms MS] [--port P]
+//! repro fleet <experiment> [--scale ...] [--workers N] [--threads N] [--port P]
+//!                          [--kill-one] [--dir DIR] [--lease-cells N] [--lease-timeout-ms MS]
 //!                          [--token T] [--chaos SEED] [--crash-after N] [--recover]
 //! repro worker --connect HOST:PORT [--name W] [--threads N] [--token T]
 //! repro fleet-status --connect HOST:PORT [--start I] [--limit N]
@@ -21,19 +20,16 @@
 //! run on one [`SweepRunner`], so `repro all` generates each workload
 //! trace once and shares it across every table and figure.
 //!
-//! Long runs can journal every finished cell: `--checkpoint FILE`
-//! (default `<out>/<experiment>.jsonl` when only `--resume` is given)
-//! writes the journal, and `--resume` re-runs only the cells missing
-//! from an existing one, keeping this process's shared trace cache.
-//!
 //! The fleet commands wrap [`dsp_fleet`], the one way to split a sweep
-//! across processes or machines: `repro fleet` runs a coordinator plus
-//! N local single-threaded workers over one experiment (`--workers 0`
-//! serves only workers started elsewhere) and requires a reconciled
-//! lease ledger (`leases_reconciled`), even when `--kill-one` murders a
-//! worker mid-lease; `repro worker` joins a coordinator by address (the
-//! coordinator listens on 127.0.0.1 only, so a remote worker connects
-//! through a tunnel; workers keep no files, so that is all it needs);
+//! across processes or machines and the one way to make a run survive
+//! a crash: `repro fleet` runs a coordinator plus N local workers of
+//! `--threads` threads each (default 1) over one experiment
+//! (`--workers 0` serves only workers started elsewhere) and requires
+//! a reconciled lease ledger (`leases_reconciled`), even when
+//! `--kill-one` murders a worker mid-lease; `repro worker` joins a
+//! coordinator by address (the coordinator listens on 127.0.0.1 only,
+//! so a remote worker connects through a tunnel; workers keep no
+//! files, so that is all it needs);
 //! `repro plan` prints the `CellId` manifest leases are accounted
 //! against; and `repro fleet-status` polls a running coordinator. The
 //! fleet never runs the plan itself: every cell is executed by a
@@ -48,7 +44,9 @@
 //! durable log, accepted outputs included) on disk; a second
 //! invocation with `--recover` (same experiment, scale, and `--dir`)
 //! rebuilds the ledger from the WAL, prints `recovered_from_wal: true`,
-//! and finishes the sweep.
+//! and finishes the sweep. The same `--recover` picks up after a real
+//! crash (a killed `repro fleet`), so a long run that must survive one
+//! is `repro fleet <experiment> --workers 1 --threads T --dir D`.
 //!
 //! The repository's benchmark — end-to-end and per-layer time of
 //! these same plans — lives in `perfbench/` (see its README).
@@ -58,9 +56,7 @@ use std::process::{Child, ExitCode};
 use std::time::{Duration, Instant};
 
 use dsp_analysis::TextTable;
-use dsp_bench::engine::{
-    manifest_digest, merge_journals, CellId, ExperimentPlan, ProgressSink, SweepRunner,
-};
+use dsp_bench::engine::{manifest_digest, CellId, ExperimentPlan, SweepRunner};
 use dsp_bench::{experiments, Scale};
 use dsp_fleet::{
     query_results, query_status, run_worker, ChaosProxy, ChaosSpec, Coordinator, FleetConfig,
@@ -70,10 +66,9 @@ use dsp_fleet::{
 fn usage() -> String {
     format!(
         "usage: repro <experiment> [--scale quick|standard|paper] [--out DIR] [--threads N]\n\
-         \x20      [--checkpoint FILE] [--resume]\n\
          \x20      repro plan <experiment> [--scale ...]\n\
-         \x20      repro fleet <experiment> [--scale ...] [--workers N] [--kill-one]\n\
-         \x20                  [--dir DIR] [--lease-cells N] [--lease-timeout-ms MS] [--port P]\n\
+         \x20      repro fleet <experiment> [--scale ...] [--workers N] [--threads N] [--port P]\n\
+         \x20                  [--kill-one] [--dir DIR] [--lease-cells N] [--lease-timeout-ms MS]\n\
          \x20                  [--token T] [--chaos SEED] [--crash-after N] [--recover]\n\
          \x20      repro worker --connect HOST:PORT [--name W] [--threads N] [--token T]\n\
          \x20      repro fleet-status --connect HOST:PORT [--start I] [--limit N]\n\
@@ -103,8 +98,6 @@ struct Args {
     scale_name: String,
     out_dir: PathBuf,
     threads: Option<usize>,
-    checkpoint: Option<PathBuf>,
-    resume: bool,
     /// For `worker`/`fleet-status`: coordinator address.
     connect: Option<String>,
     /// For `worker`: worker name.
@@ -147,8 +140,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         scale_name: "standard".to_string(),
         out_dir: PathBuf::from("results"),
         threads: None,
-        checkpoint: None,
-        resume: false,
         connect: None,
         worker_name: None,
         fleet_dir: None,
@@ -188,12 +179,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                     .ok_or("--threads needs a positive integer")?;
                 parsed.threads = Some(n);
             }
-            "--checkpoint" => {
-                i += 1;
-                let path = args.get(i).ok_or("--checkpoint needs a file path")?;
-                parsed.checkpoint = Some(PathBuf::from(path));
-            }
-            "--resume" => parsed.resume = true,
             "--connect" => {
                 i += 1;
                 let addr = args.get(i).ok_or("--connect needs host:port")?;
@@ -321,36 +306,6 @@ fn experiment_plan(name: &str, args: &Args) -> ExperimentPlan {
     experiments::plan_for(name, &args.scale).expect("parse_args validates experiment names")
 }
 
-/// Runs one experiment through a checkpointed session, then renders
-/// the table from the completed journal.
-fn run_session(name: &str, args: &Args, runner: &SweepRunner) -> Result<(), String> {
-    let plan = experiment_plan(name, args);
-    let journal = args
-        .checkpoint
-        .clone()
-        .unwrap_or_else(|| args.out_dir.join(format!("{name}.jsonl")));
-    let session = runner
-        .session(&plan)
-        .checkpoint(&journal)
-        .resume(args.resume);
-    let started = Instant::now();
-    let mut progress = ProgressSink::new(plan.len());
-    let report = session
-        .run(&mut [&mut progress])
-        .map_err(|e| e.to_string())?;
-    println!(
-        "[{name}: {} cells, replayed {}, executed {} in {:.1}s -> {}]",
-        report.cells,
-        report.replayed,
-        report.executed,
-        started.elapsed().as_secs_f64(),
-        journal.display(),
-    );
-    let table = merge_journals(&plan, &[journal]).map_err(|e| e.to_string())?;
-    println!("{table}");
-    save_csv(&args.out_dir, name, &table)
-}
-
 /// Runs `repro plan <experiment>`: the `CellId` manifest, one line per
 /// cell in plan order — the single source of truth fleet leases are
 /// accounted against.
@@ -449,19 +404,19 @@ fn run_fleet_status(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Spawns one local `repro worker` child against `addr`.
-fn spawn_worker_child(exe: &Path, addr: &str, name: &str, token: &str) -> Result<Child, String> {
+/// Spawns one local `repro worker` child of `threads` threads against
+/// `addr`.
+fn spawn_worker_child(
+    exe: &Path,
+    addr: &str,
+    name: &str,
+    threads: usize,
+    token: &str,
+) -> Result<Child, String> {
     use std::process::{Command, Stdio};
     let mut command = Command::new(exe);
-    command.args([
-        "worker",
-        "--connect",
-        addr,
-        "--name",
-        name,
-        "--threads",
-        "1",
-    ]);
+    command.args(["worker", "--connect", addr, "--name", name, "--threads"]);
+    command.arg(threads.to_string());
     if !token.is_empty() {
         command.args(["--token", token]);
     }
@@ -507,10 +462,10 @@ fn kill_one_mid_lease(addr: &str, children: &mut [Child]) -> Option<String> {
 }
 
 /// Runs `repro fleet <experiment>`: a coordinator in-process (fresh or
-/// `--recover`ed) with `--workers` single-threaded `repro worker`
-/// children — optionally routed through a seeded chaos proxy, with an
-/// optional mid-lease worker kill or simulated coordinator crash — then
-/// the ledger-reconciliation verdict. Only the workers run cells.
+/// `--recover`ed) with `--workers` `repro worker` children of
+/// `--threads` threads each — optionally routed through a seeded chaos
+/// proxy, with an optional mid-lease worker kill or simulated
+/// coordinator crash — then the ledger-reconciliation verdict. Only the workers run cells.
 fn run_fleet(args: &Args) -> Result<(), String> {
     let name = args.target.as_deref().expect("fleet target parsed");
     let plan = experiment_plan(name, args);
@@ -569,6 +524,7 @@ fn run_fleet(args: &Args) -> Result<(), String> {
             &exe,
             &worker_addr,
             &format!("w{i}"),
+            args.threads.unwrap_or(1),
             &args.token,
         )?);
     }
@@ -681,21 +637,9 @@ fn run_fleet(args: &Args) -> Result<(), String> {
 }
 
 /// Runs one experiment, or every experiment for `all`, on one shared
-/// runner. The session flags journal each run; otherwise each table is
-/// rendered in memory.
+/// runner, rendering each table in memory.
 fn run_experiments(args: &Args) -> Result<(), String> {
-    let all = args.command == "all";
-    if all && args.checkpoint.is_some() {
-        // One shared journal would be truncated (or, with --resume,
-        // rejected as a plan mismatch) by every experiment after the
-        // first; `all` always journals per experiment under --out.
-        return Err(
-            "--checkpoint cannot be combined with 'all'; with --resume each experiment \
-                    journals to <out>/<name>.jsonl"
-                .to_string(),
-        );
-    }
-    let names: Vec<&str> = if all {
+    let names: Vec<&str> = if args.command == "all" {
         experiments::names().collect()
     } else {
         vec![args.command.as_str()]
@@ -704,12 +648,7 @@ fn run_experiments(args: &Args) -> Result<(), String> {
         Some(n) => SweepRunner::with_threads(n),
         None => SweepRunner::new(),
     };
-    let session_mode = args.checkpoint.is_some() || args.resume;
     for name in names {
-        if session_mode {
-            run_session(name, args, &runner)?;
-            continue;
-        }
         let started = Instant::now();
         let table = runner.run(&experiment_plan(name, args));
         println!("{table}");

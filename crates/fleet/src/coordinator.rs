@@ -13,14 +13,21 @@
 //! for completion. Connection threads read with a short timeout so
 //! everybody notices shutdown within a tick.
 //!
+//! Shutting down a finished coordinator first drains its workers: it
+//! keeps serving until every authenticated connection has been
+//! answered `Shutdown` or has hung up, for at most one lease timeout.
+//! A worker between requests would otherwise find the listener gone
+//! and spend its reconnect budget on a coordinator that is not coming
+//! back.
+//!
 //! # Result flow
 //!
 //! Every accepted cell completion is one append to the write-ahead log:
 //! a [`WalEvent::CellDone`] carrying the cell's output. The WAL is the
 //! coordinator's only durable state, and workers keep no files at all.
 //! When the last cell lands, the coordinator reads those outputs back
-//! and folds them through `fold_cells`, the check `merge_journals` runs
-//! too, so a cell missing from the WAL fails the run loudly.
+//! and folds them into the table: a cell missing from the WAL, or one
+//! logged twice with different outputs, fails the run loudly.
 
 use std::collections::HashMap;
 use std::error::Error;
@@ -28,13 +35,13 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dsp_analysis::TextTable;
-use dsp_bench::engine::{fold_cells, CellId, ExperimentPlan, JsonlWriter};
+use dsp_bench::engine::{CellId, CellOutput, ExperimentPlan};
 
 use crate::auth::{fresh_nonce, mac64};
 use crate::lease::{CellReport, GrantOutcome, LeaseLedger, LeaseSizer};
@@ -42,7 +49,7 @@ use crate::protocol::{
     self, MessageReader, PlanIdentity, ProtocolError, Reply, Request, PROTOCOL_VERSION,
 };
 use crate::stats::{CellProgress, FleetCounters, ResultsPage, StatusReport};
-use crate::wal::{create_wal, read_wal, WalEvent};
+use crate::wal::{create_wal, read_wal, JsonlWriter, WalEvent};
 
 /// Coordinator tuning.
 #[derive(Clone, Debug)]
@@ -146,6 +153,10 @@ struct Shared {
     state: Mutex<State>,
     done: Condvar,
     stop: AtomicBool,
+    /// Authenticated connections not yet answered `Shutdown`; a
+    /// finished coordinator drains these before it stops. A bare
+    /// count that publishes no other data, so `Relaxed` suffices.
+    attached: AtomicUsize,
     log: Mutex<BufWriter<File>>,
 }
 
@@ -203,6 +214,7 @@ impl Coordinator {
             state: Mutex::new(state),
             done: Condvar::new(),
             stop: AtomicBool::new(false),
+            attached: AtomicUsize::new(0),
             log: Mutex::new(BufWriter::new(log_file)),
             ids,
             plan,
@@ -303,6 +315,7 @@ impl Coordinator {
             state: Mutex::new(state),
             done: Condvar::new(),
             stop: AtomicBool::new(false),
+            attached: AtomicUsize::new(0),
             log: Mutex::new(BufWriter::new(log_file)),
             ids,
             plan,
@@ -413,17 +426,33 @@ impl CoordinatorHandle {
         }
     }
 
-    /// Stops the service and joins its threads. Called automatically
-    /// on drop; explicit calls just make the order visible.
+    /// Stops the service and joins its threads — after draining the
+    /// workers of a finished sweep (see the module docs). Called
+    /// automatically on drop; explicit calls just make the order
+    /// visible.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
 
     fn stop_and_join(&mut self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
-        if let Some(service) = self.service.take() {
-            let _ = service.join();
+        let Some(service) = self.service.take() else {
+            return;
+        };
+        // Runs on drop too, so a poisoned lock means "stop now", not a
+        // panic.
+        let finished = self
+            .shared
+            .state
+            .lock()
+            .is_ok_and(|state| state.report.is_some());
+        if finished {
+            let deadline = Instant::now() + Duration::from_millis(self.shared.config.timeout_ms);
+            while self.shared.attached.load(Ordering::Relaxed) > 0 && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(10));
+            }
         }
+        self.shared.stop.store(true, Ordering::Relaxed);
+        let _ = service.join();
     }
 }
 
@@ -563,18 +592,53 @@ fn maybe_finish(shared: &Shared, state: &mut State) {
 }
 
 /// The final compaction: the WAL's accepted outputs folded into the
-/// table (a cell the WAL lacks fails the fold).
+/// table.
 fn compact(shared: &Shared) -> Result<TextTable, Box<dyn Error>> {
-    let wal = wal_path(&shared.config);
-    let (events, _) = read_wal(&wal, &shared.identity)?;
-    let accepted = events
-        .into_iter()
-        .filter_map(|event| match event {
-            WalEvent::CellDone { index, output, .. } => Some((shared.ids[index], index, *output)),
-            _ => None,
-        })
-        .collect();
-    Ok(fold_cells(&shared.plan, vec![(wal, accepted)])?)
+    let (events, _) = read_wal(&wal_path(&shared.config), &shared.identity)?;
+    let accepted = events.into_iter().filter_map(|event| match event {
+        WalEvent::CellDone { index, output, .. } => Some((shared.ids[index], index, *output)),
+        _ => None,
+    });
+    Ok(fold_cells(&shared.plan, accepted)?)
+}
+
+/// Folds `(id, plan index, output)` records into `plan`'s table,
+/// byte-identical to running the plan serially in memory.
+///
+/// A cell may repeat: outputs are deterministic, so a repeat must carry
+/// byte-identical serialized data, and a conflicting one means the
+/// records come from incompatible runs (code versions?) and fails the
+/// fold. So does a cell with no record.
+fn fold_cells(
+    plan: &ExperimentPlan,
+    records: impl IntoIterator<Item = (CellId, usize, CellOutput)>,
+) -> Result<TextTable, String> {
+    let mut outputs: Vec<Option<(CellOutput, String)>> =
+        (0..plan.cells.len()).map(|_| None).collect();
+    for (id, index, output) in records {
+        let rendered = serde_json::to_string(&output)
+            .map_err(|e| format!("cannot re-serialize cell {id}: {e}"))?;
+        match &outputs[index] {
+            Some((_, have)) if *have != rendered => {
+                return Err(format!(
+                    "cell {id} is logged twice with different outputs: the records come from \
+                     incompatible runs and must not be folded together"
+                ));
+            }
+            Some(_) => {}
+            None => outputs[index] = Some((output, rendered)),
+        }
+    }
+    let missing = outputs.iter().filter(|o| o.is_none()).count();
+    if missing > 0 {
+        return Err(format!(
+            "outputs cover only {}/{} cells ({missing} missing)",
+            plan.cells.len() - missing,
+            plan.cells.len()
+        ));
+    }
+    let outputs: Vec<CellOutput> = outputs.into_iter().map(|o| o.expect("checked").0).collect();
+    Ok(plan.render_outputs(&outputs))
 }
 
 /// Where a connection stands in the v2 handshake.
@@ -602,6 +666,7 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
     let mut reader = MessageReader::new(read_half);
     let mut writer = stream;
     let mut auth = ConnAuth::Fresh;
+    let mut attached: Option<Attached<'_>> = None;
     loop {
         if shared.stop.load(Ordering::Relaxed) {
             return;
@@ -630,9 +695,30 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
             }
         };
         let reply = handle(shared, request, &mut auth);
-        if protocol::send(&mut writer, &reply).is_err() {
+        if attached.is_none() && matches!(auth, ConnAuth::Ready { .. }) {
+            attached = Some(Attached::new(shared));
+        }
+        // A dismissed worker is done with this connection.
+        if protocol::send(&mut writer, &reply).is_err() || matches!(reply, Reply::Shutdown) {
             return;
         }
+    }
+}
+
+/// Counts one authenticated connection in [`Shared::attached`] for as
+/// long as it is alive.
+struct Attached<'a>(&'a Shared);
+
+impl<'a> Attached<'a> {
+    fn new(shared: &'a Shared) -> Self {
+        shared.attached.fetch_add(1, Ordering::Relaxed);
+        Attached(shared)
+    }
+}
+
+impl Drop for Attached<'_> {
+    fn drop(&mut self) {
+        self.0.attached.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -922,5 +1008,53 @@ fn handle(shared: &Shared, request: Request, auth: &mut ConnAuth) -> Reply {
                 cells,
             })
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dsp_bench::engine::{Cell, SweepRunner};
+    use dsp_bench::Scale;
+
+    /// Two model-checking cells with distinct outputs.
+    fn plan() -> ExperimentPlan {
+        let scale = Scale {
+            footprint: 1.0 / 256.0,
+            trace_warmup: 0,
+            trace_measured: 100,
+            sim_warmup: 0,
+            sim_measured: 10,
+            sim_runs: 1,
+        };
+        let mut plan = ExperimentPlan::new("fold-test", &["states"], &scale);
+        for nodes in [2, 3] {
+            plan.push(Cell::Verify { nodes, bug: None });
+        }
+        plan.render(|_, outputs, table| {
+            for output in outputs {
+                table.row([output.verify().states_explored.to_string()]);
+            }
+        })
+    }
+
+    #[test]
+    fn fold_checks_conflicts_and_coverage() {
+        let plan = plan();
+        let ids = CellId::assign(&plan.cells);
+        let outputs = SweepRunner::serial().run_cells(&plan);
+        let record = |cell: usize, output: usize| (ids[cell], cell, outputs[output].clone());
+        let serial = plan.render_outputs(&outputs).to_csv();
+
+        // Any order, identical repeats included, folds to the serial
+        // table.
+        let folded = fold_cells(&plan, [record(1, 1), record(0, 0), record(1, 1)]);
+        assert_eq!(folded.expect("complete").to_csv(), serial);
+        // A cell with no record fails the fold.
+        let err = fold_cells(&plan, [record(0, 0)]).unwrap_err();
+        assert!(err.contains("1 missing"), "{err}");
+        // A repeat carrying another output is a different run's record.
+        let err = fold_cells(&plan, [record(0, 0), record(1, 1), record(0, 1)]).unwrap_err();
+        assert!(err.contains("different outputs"), "{err}");
     }
 }

@@ -69,5 +69,5 @@ pub use coordinator::{Coordinator, CoordinatorHandle, FleetConfig, FleetReport};
 pub use lease::{CellReport, GrantOutcome, LeaseLedger, LeaseSizer};
 pub use protocol::{MessageReader, PlanIdentity, ProtocolError, Reply, Request, PROTOCOL_VERSION};
 pub use stats::{CellProgress, FleetCounters, LeaseInfo, ResultsPage, StatusReport};
-pub use wal::{create_wal, read_wal, WalEvent};
+pub use wal::{read_wal, WalEvent};
 pub use worker::{query_results, query_status, run_worker, run_worker_with, WorkerConfig};

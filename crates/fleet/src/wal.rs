@@ -1,7 +1,10 @@
 //! The coordinator's write-ahead log and only durable log: every ledger
 //! transition, durable before it takes effect on the wire. An accepted
 //! cell's [`WalEvent::CellDone`] carries its output, so one append
-//! makes both the ledger and the output durable.
+//! makes both the ledger and the output durable. It is the
+//! repository's one durable format: crash safety for any experiment is
+//! `repro fleet <exp>` and, after a crash, the same command with
+//! `--recover`.
 //!
 //! `repro fleet --recover` replays the WAL to rebuild a crashed
 //! coordinator's lease state machine (same transitions, same lease ids,
@@ -9,22 +12,122 @@
 //! resumes the sweep — with the reconciliation invariant
 //! (`granted == completed + stolen`) still spanning both incarnations.
 //!
-//! The file uses the checkpoint journals' framing ([`JsonlWriter`],
-//! [`read_jsonl`]): a header carrying the full [`PlanIdentity`] (a WAL
-//! can never silently recover a different experiment, seed, or scale),
-//! then one flushed [`WalEvent`] per transition. A [`WalEvent::Granted`]
-//! is logged **before** the `Grant` reply is sent, so no lease exists
-//! on the wire that the WAL does not know. A crash tears at most the
-//! transition in flight; a torn `CellDone` leaves its cell leased to an
-//! orphan, and recovery requeues it to run again.
+//! The file is line-framed JSON (`JsonlWriter`, `read_jsonl`): a
+//! header carrying the full [`PlanIdentity`] (a WAL can never silently
+//! recover a different experiment, seed, or scale), then one flushed
+//! [`WalEvent`] per transition. A [`WalEvent::Granted`] is logged
+//! **before** the `Grant` reply is sent, so no lease exists on the wire
+//! that the WAL does not know. A crash tears at most the transition in
+//! flight; a torn `CellDone` leaves its cell leased to an orphan, and
+//! recovery requeues it to run again.
 
-use std::io;
+use std::fs::{File, OpenOptions};
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
-use dsp_bench::engine::{read_jsonl, CellOutput, JsonlWriter};
+use dsp_bench::engine::CellOutput;
+use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 
 use crate::protocol::PlanIdentity;
+
+/// Appends flushed single-line JSON values after a header line — the
+/// WAL's crash-tolerant framing. [`read_jsonl`] reads it back.
+#[derive(Debug)]
+pub(crate) struct JsonlWriter {
+    file: BufWriter<File>,
+}
+
+impl JsonlWriter {
+    /// Creates (truncating) `path` and writes `header` as its first
+    /// line.
+    fn create(path: &Path, header: &impl Serialize) -> io::Result<Self> {
+        let mut writer = JsonlWriter {
+            file: BufWriter::new(File::create(path)?),
+        };
+        writer.append(header)?;
+        Ok(writer)
+    }
+
+    /// Reopens an existing file for appending, first cutting it back to
+    /// `valid_bytes` (where [`read_jsonl`] found the last intact line)
+    /// so a torn crash remnant can never fuse with the first appended
+    /// line.
+    pub(crate) fn append_to(path: &Path, valid_bytes: u64) -> io::Result<Self> {
+        OpenOptions::new()
+            .write(true)
+            .open(path)?
+            .set_len(valid_bytes)?;
+        Ok(JsonlWriter {
+            file: BufWriter::new(OpenOptions::new().append(true).open(path)?),
+        })
+    }
+
+    /// Appends one value as a line, flushed before returning: a crash
+    /// loses at most the line in flight.
+    pub(crate) fn append(&mut self, value: &impl Serialize) -> io::Result<()> {
+        let line =
+            serde_json::to_string(value).map_err(|e| invalid(format!("cannot encode: {e}")))?;
+        debug_assert!(!line.contains('\n'), "JSONL lines must be single-line");
+        self.file.write_all(line.as_bytes())?;
+        self.file.write_all(b"\n")?;
+        self.file.flush()
+    }
+}
+
+/// The durable prefix of a [`JsonlWriter`] file: its header and the
+/// record lines after it.
+struct JsonlFile<H> {
+    header: H,
+    /// Every newline-terminated line after the header.
+    body: String,
+    /// Byte offset just past the last newline-terminated line;
+    /// [`JsonlWriter::append_to`] truncates here.
+    valid_bytes: u64,
+}
+
+impl<H> JsonlFile<H> {
+    /// Parses every record line as `R`, in file order; a malformed
+    /// line is [`io::ErrorKind::InvalidData`] naming it.
+    fn records<R: DeserializeOwned>(&self) -> io::Result<Vec<R>> {
+        self.body
+            .lines()
+            .enumerate()
+            .map(|(pos, line)| {
+                serde_json::from_str(line)
+                    .map_err(|e| invalid(format!("malformed record at line {}: {e}", pos + 2)))
+            })
+            .collect()
+    }
+}
+
+/// Reads a [`JsonlWriter`] file and parses its header.
+///
+/// Only newline-*terminated* lines count: the writer terminates and
+/// flushes every line, so an unterminated final line is exactly the
+/// remnant of a crash mid-write and is skipped (even if it happens to
+/// parse — an unterminated line was never known durable). A missing or
+/// malformed header is [`io::ErrorKind::InvalidData`].
+fn read_jsonl<H: DeserializeOwned>(path: &Path) -> io::Result<JsonlFile<H>> {
+    let mut text = std::fs::read_to_string(path)?;
+    text.truncate(text.rfind('\n').map_or(0, |end| end + 1));
+    let valid_bytes = text.len() as u64;
+    let Some((header_line, _)) = text.split_once('\n') else {
+        return Err(invalid("empty or headerless file".to_string()));
+    };
+    let header =
+        serde_json::from_str(header_line).map_err(|e| invalid(format!("malformed header: {e}")))?;
+    let body = text.split_off(header_line.len() + 1);
+    Ok(JsonlFile {
+        header,
+        body,
+        valid_bytes,
+    })
+}
+
+fn invalid(message: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, message)
+}
 
 /// Magic string identifying the WAL format (and its version).
 const MAGIC: &str = "dsp-fleet-wal-v3";
@@ -80,7 +183,7 @@ pub enum WalEvent {
 /// # Errors
 ///
 /// Filesystem failure creating or writing the file.
-pub fn create_wal(path: &Path, identity: &PlanIdentity) -> io::Result<JsonlWriter> {
+pub(crate) fn create_wal(path: &Path, identity: &PlanIdentity) -> io::Result<JsonlWriter> {
     let header = WalHeader {
         wal: MAGIC.to_string(),
         identity: identity.clone(),
@@ -89,8 +192,8 @@ pub fn create_wal(path: &Path, identity: &PlanIdentity) -> io::Result<JsonlWrite
 }
 
 /// Reads a WAL's intact transitions, in append order, and the byte
-/// offset just past the last one ([`JsonlWriter::append_to`] truncates
-/// there). The header is validated against `identity` before any event
+/// offset just past the last one (a recovered coordinator truncates
+/// there before appending). The header is validated against `identity` before any event
 /// is parsed. A malformed *terminated* line, or a header naming another
 /// format or plan, is corruption and errors out — recovery must not
 /// guess.

@@ -212,11 +212,9 @@ fn lease_loop(
                 std::thread::scope(|scope| {
                     let (stop, stopped) = mpsc::channel::<()>();
                     scope.spawn(move || heartbeat(fleet, &config.name, lease, &stopped));
-                    let result = session.run(&mut [&mut sink]);
+                    session.run(&mut [&mut sink]);
                     drop(stop);
-                    result
-                })
-                .map_err(|e| format!("worker {}: lease {lease} failed: {e}", config.name))?;
+                });
                 let (accepted, stale, failure) = (sink.accepted, sink.stale, sink.failure);
                 if let Some(e) = failure {
                     if coordinator_gone(&e) {

@@ -5,7 +5,8 @@
 //! every connection runs through a flaky chaos
 //! proxy, and when the coordinator itself crashes and is recovered
 //! from its write-ahead log — with a lease ledger that reconciles
-//! exactly and a control plane that refuses hostile clients.
+//! exactly, a control plane that refuses hostile clients, and a
+//! shutdown that dismisses its workers instead of vanishing under them.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -136,8 +137,7 @@ fn run_cells(plan: &ExperimentPlan, cells: &[CellId]) -> Vec<CellRecord> {
     let mut records = Records(Vec::new());
     SweepSession::new(plan)
         .cells(cells.to_vec())
-        .run(&mut [&mut records])
-        .expect("lease session");
+        .run(&mut [&mut records]);
     records.0.sort_by_key(|record| record.index);
     records.0
 }
@@ -259,6 +259,45 @@ fn fleet_matches_serial_and_serves_results() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Shutting a coordinator down the moment its sweep completes (what
+/// `repro fleet --workers 0` does) must still dismiss every worker with
+/// `Shutdown`: each exits within 2 s of completion, without a single
+/// reconnect attempt.
+#[test]
+fn shutdown_right_after_completion_dismisses_workers() {
+    let dir = fresh_dir("drain");
+    let mut config = FleetConfig::new("e2e", "tiny", &dir);
+    // One-cell leases: whoever does not hold the last cell is told to
+    // Wait and is asleep between requests when the sweep completes.
+    config.lease_cells = 1;
+    config.poll_ms = 20;
+    let coordinator = Coordinator::start(tiny_plan(), config).expect("coordinator starts");
+    let addr = coordinator.addr().to_string();
+
+    let workers: Vec<_> = (1..=2)
+        .map(|i| spawn_worker(&format!("w{i}"), &addr))
+        .collect();
+    coordinator
+        .wait(Duration::from_secs(120))
+        .expect("fleet completes");
+    let completed = Instant::now();
+    coordinator.shutdown();
+    for worker in workers {
+        let report = worker.join().expect("join").expect("worker ok");
+        assert!(
+            completed.elapsed() < Duration::from_secs(2),
+            "worker exited {:?} after completion",
+            completed.elapsed()
+        );
+        assert_eq!(report.reconnects, 0, "{report:?}");
+        assert_eq!(
+            report.connect_attempts, 1,
+            "no reconnect attempt: {report:?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Four timing-sim cells of fig7's shape, each much slower than a tiny
 /// plan's cells: long enough that a lease timeout can sit well below a
 /// single cell's run time.
@@ -295,9 +334,7 @@ fn lease_timeout_far_below_cell_time_still_finishes() {
     let plan = slow_plan();
     let started = Instant::now();
     let mut stamps = Stamps(Collector::new(plan.len()), Vec::new());
-    SweepSession::new(&plan)
-        .run(&mut [&mut stamps])
-        .expect("serial session");
+    SweepSession::new(&plan).run(&mut [&mut stamps]);
     let serial_time = started.elapsed();
     let shortest = std::iter::once(started)
         .chain(stamps.1.iter().copied())

@@ -1,11 +1,14 @@
 //! The `repro` binary's command line: unknown names and removed flags
 //! are refused with the usage line, an experiment's CSV does not depend
-//! on the thread count or on a checkpoint/resume round trip, a fleet
-//! writes only its log and WAL in `--dir`, and no run leaves files in
-//! the working directory.
+//! on the thread count or on a fleet's `--recover`, a fleet writes only
+//! its log and WAL in `--dir`, a coordinator-only fleet dismisses its
+//! external worker cleanly, and no run leaves files in the working
+//! directory.
 
+use std::io::{BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 use dsp_bench::experiments;
 
@@ -113,8 +116,8 @@ fn repro_ok(cwd: &Path, command_line: &str) -> Output {
 fn removed_flags_and_merge_exit_1_with_usage() {
     let cwd = workdir("removed");
     // The static split's two flags (a residue class and an explicit
-    // cell list), its merge subcommand, and the worker's journal
-    // directory.
+    // cell list), its merge subcommand, the worker's journal
+    // directory, and session checkpointing's two flags.
     let shard = format!("--{}", "shard");
     let cells = format!("--{}", "cells");
     for args in [
@@ -122,6 +125,8 @@ fn removed_flags_and_merge_exit_1_with_usage() {
         vec!["fig5", "--scale", "quick", &cells, "0123456789abcdef"],
         vec!["merge", "fig5", "x.jsonl"],
         vec!["worker", "--connect", "127.0.0.1:9", "--dir", "journals"],
+        vec!["fig5", "--scale", "quick", "--checkpoint", "F"],
+        vec!["fig5", "--scale", "quick", "--resume"],
     ] {
         let out = repro(&cwd, &args);
         assert_eq!(out.status.code(), Some(1), "{args:?}: exit status");
@@ -135,18 +140,68 @@ fn removed_flags_and_merge_exit_1_with_usage() {
 }
 
 #[test]
-fn resuming_a_completed_checkpoint_executes_nothing() {
-    let cwd = workdir("resume");
-    let table2 = |flags: &str| repro_ok(&cwd, &format!("table2 --scale quick {flags}"));
-    table2("--out plain");
-    table2("--checkpoint table2.jsonl --out first");
-    let resumed = table2("--checkpoint table2.jsonl --resume --out resumed");
-    let stdout = String::from_utf8_lossy(&resumed.stdout);
-    assert!(stdout.contains("executed 0"), "{stdout}");
+fn recovering_a_completed_fleet_appends_nothing() {
+    let cwd = workdir("recover");
+    let fleet = |flags: &str| {
+        repro_ok(
+            &cwd,
+            &format!("fleet table2 --scale quick --workers 1 --threads 2 --dir run {flags}"),
+        )
+    };
+    repro_ok(&cwd, "table2 --scale quick --out plain");
+    fleet("--out first");
+    let wal = cwd.join("run/table2.wal.jsonl");
+    let complete = std::fs::read(&wal).expect("WAL written");
+    let recovered = fleet("--recover --out recovered");
+    let stdout = String::from_utf8_lossy(&recovered.stdout);
+    assert!(stdout.contains("recovered_from_wal: true"), "{stdout}");
+    assert_eq!(
+        std::fs::read(&wal).expect("WAL kept"),
+        complete,
+        "recovering a completed WAL must not append to it"
+    );
     let csv = |dir: &str| std::fs::read(cwd.join(dir).join("table2.csv")).expect("table2.csv");
-    assert_eq!(csv("first"), csv("plain"), "checkpointed CSV differs");
-    assert_eq!(csv("resumed"), csv("plain"), "resumed CSV differs");
+    assert_eq!(csv("first"), csv("plain"), "fleet CSV differs");
+    assert_eq!(csv("recovered"), csv("plain"), "recovered CSV differs");
     assert_no_bench_files(&cwd);
+    std::fs::remove_dir_all(cwd).ok();
+}
+
+#[test]
+fn external_worker_is_dismissed_when_the_sweep_completes() {
+    let cwd = workdir("external");
+    let mut fleet = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["fleet", "table2", "--scale", "quick", "--workers", "0"])
+        .args(["--dir", "run", "--out", "fleet"])
+        .current_dir(&cwd)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn fleet");
+    let mut stdout = BufReader::new(fleet.stdout.take().expect("fleet stdout"));
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).expect("fleet banner");
+    let addr = banner
+        .split("coordinator on ")
+        .nth(1)
+        .and_then(|rest| rest.split(',').next())
+        .unwrap_or_else(|| panic!("no address in {banner:?}"))
+        .to_string();
+    let worker = repro_ok(&cwd, &format!("worker --connect {addr}"));
+    let dismissed = Instant::now();
+    let mut rest = String::new();
+    stdout.read_to_string(&mut rest).expect("fleet output");
+    assert!(fleet.wait().expect("fleet exits").success(), "{rest}");
+    assert!(
+        dismissed.elapsed() < Duration::from_secs(2),
+        "the fleet outlived its worker by {:?}",
+        dismissed.elapsed()
+    );
+    let report = String::from_utf8_lossy(&worker.stdout);
+    assert!(
+        report.contains("0 reconnects, 1 connect attempts"),
+        "the worker must not retry a coordinator that finished: {report}"
+    );
     std::fs::remove_dir_all(cwd).ok();
 }
 
