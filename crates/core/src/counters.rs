@@ -6,6 +6,10 @@ use serde::{Deserialize, Serialize};
 ///
 /// The paper's Broadcast-If-Shared and Group policies treat values above
 /// 1 (i.e. 2 or 3) as "predict", giving hysteresis in both directions.
+/// Broadcast-If-Shared (and Two-Level Owner's confidence) store this
+/// type. Group keeps N such counters per entry and stores them
+/// bit-sliced, as two N-bit planes (see [`crate::policies::GroupPredictor`]);
+/// this type is the reference its tests check those planes against.
 ///
 /// # Example
 ///

@@ -15,8 +15,9 @@
 //!   bandwidth-conscious.
 //! * [`policies::BroadcastIfSharedPredictor`] — broadcasts for data that
 //!   appears shared; latency-conscious.
-//! * [`policies::GroupPredictor`] — per-node 2-bit counters with a 5-bit
-//!   rollover "train-down" mechanism; balanced.
+//! * [`policies::GroupPredictor`] — per-node 2-bit counters (stored as
+//!   two bit-planes) with a 5-bit rollover "train-down" mechanism;
+//!   balanced.
 //! * [`policies::OwnerGroupPredictor`] — Group for writes, Owner for
 //!   reads; stable-sharing-pattern hybrid.
 //! * [`policies::StickySpatialPredictor`] — Bilir et al.'s original

@@ -16,13 +16,16 @@ use crate::DestSetPredictor;
 /// requests for exclusive, each member can track the current owner, so
 /// requests for shared can be sent to just the predicted owner —
 /// reducing bandwidth while keeping Group's accuracy for writes.
+///
+/// Generic over the destination-set word width `W`, which its Group
+/// half stores its counter planes at.
 #[derive(Debug)]
-pub struct OwnerGroupPredictor {
+pub struct OwnerGroupPredictor<const W: usize = 4> {
     owner: OwnerPredictor,
-    group: GroupPredictor,
+    group: GroupPredictor<W>,
 }
 
-impl OwnerGroupPredictor {
+impl<const W: usize> OwnerGroupPredictor<W> {
     /// Creates an Owner/Group predictor; both halves share the indexing
     /// and capacity configuration.
     pub fn new(indexing: Indexing, capacity: Capacity, config: &SystemConfig) -> Self {
@@ -33,7 +36,7 @@ impl OwnerGroupPredictor {
     }
 }
 
-impl<const W: usize> DestSetPredictor<W> for OwnerGroupPredictor {
+impl<const W: usize> DestSetPredictor<W> for OwnerGroupPredictor<W> {
     fn predict(&mut self, query: &PredictQuery<W>) -> DestSet<W> {
         match query.req {
             ReqType::GetExclusive => self.group.predict(query),
@@ -51,13 +54,11 @@ impl<const W: usize> DestSetPredictor<W> for OwnerGroupPredictor {
     }
 
     fn entry_payload_bits(&self) -> u64 {
-        DestSetPredictor::<W>::entry_payload_bits(&self.owner)
-            + DestSetPredictor::<W>::entry_payload_bits(&self.group)
+        DestSetPredictor::<W>::entry_payload_bits(&self.owner) + self.group.entry_payload_bits()
     }
 
     fn storage_bits(&self) -> u64 {
-        DestSetPredictor::<W>::storage_bits(&self.owner)
-            + DestSetPredictor::<W>::storage_bits(&self.group)
+        DestSetPredictor::<W>::storage_bits(&self.owner) + self.group.storage_bits()
     }
 }
 
@@ -100,7 +101,8 @@ mod tests {
 
     #[test]
     fn reads_use_owner_half() {
-        let mut p = OwnerGroupPredictor::new(Indexing::DataBlock, Capacity::Unbounded, &config());
+        let mut p: OwnerGroupPredictor =
+            OwnerGroupPredictor::new(Indexing::DataBlock, Capacity::Unbounded, &config());
         // Train group membership for 5 and 7, with 7 as last owner.
         p.train(&response_from(3, 5));
         p.train(&response_from(3, 5));
@@ -117,7 +119,8 @@ mod tests {
 
     #[test]
     fn writes_use_group_half() {
-        let mut p = OwnerGroupPredictor::new(Indexing::DataBlock, Capacity::Unbounded, &config());
+        let mut p: OwnerGroupPredictor =
+            OwnerGroupPredictor::new(Indexing::DataBlock, Capacity::Unbounded, &config());
         p.train(&response_from(3, 5));
         p.train(&response_from(3, 5));
         p.train(&external(3, 7));
@@ -129,7 +132,8 @@ mod tests {
 
     #[test]
     fn write_sets_at_least_as_large_as_read_sets() {
-        let mut p = OwnerGroupPredictor::new(Indexing::DataBlock, Capacity::Unbounded, &config());
+        let mut p: OwnerGroupPredictor =
+            OwnerGroupPredictor::new(Indexing::DataBlock, Capacity::Unbounded, &config());
         for node in [2, 4, 6] {
             p.train(&response_from(9, node));
             p.train(&external(9, node));
@@ -141,9 +145,10 @@ mod tests {
 
     #[test]
     fn storage_is_sum_of_halves() {
-        let p = OwnerGroupPredictor::new(Indexing::DataBlock, Capacity::ISCA03, &config());
-        assert_eq!(DestSetPredictor::<4>::entry_payload_bits(&p), 5 + 37);
-        assert!(DestSetPredictor::<4>::storage_bits(&p) > 0);
-        assert_eq!(DestSetPredictor::<4>::name(&p), "Owner/Group");
+        let p: OwnerGroupPredictor =
+            OwnerGroupPredictor::new(Indexing::DataBlock, Capacity::ISCA03, &config());
+        assert_eq!(p.entry_payload_bits(), 5 + 37);
+        assert!(p.storage_bits() > 0);
+        assert_eq!(p.name(), "Owner/Group");
     }
 }

@@ -10,6 +10,14 @@
 //! as [`crate::ReferencePredictorTable`], and property tests pin
 //! observational equivalence (lookup/train results, eviction choices,
 //! and [`TableStats`]) between the two.
+//!
+//! A key splits into a set index and a tag the way hardware splits an
+//! address: when the set count is a power of two (both tagged
+//! geometries the paper evaluates, 8 192 × 4 and 32 768 × 4, are) the
+//! index is the key's low `log2(sets)` bits and the tag the bits above
+//! them, a mask and a shift. Other set counts fall back to `key % sets`
+//! and `key / sets`, which give the same split on powers of two; the
+//! choice is made once, from the geometry, in [`PredictorTable::new`].
 
 use std::collections::HashMap;
 
@@ -113,6 +121,9 @@ pub struct PredictorTable<E> {
     entries: Vec<E>,
     live: usize,
     num_sets: usize,
+    /// `log2(num_sets)` when the set count is a power of two (the key
+    /// then splits by mask and shift), `None` otherwise.
+    index_bits: Option<u32>,
     ways: usize,
     tick: u64,
     stats: TableStats,
@@ -154,6 +165,9 @@ impl<E: Clone + Default> PredictorTable<E> {
             entries: Vec::new(),
             live: 0,
             num_sets,
+            index_bits: num_sets
+                .is_power_of_two()
+                .then(|| num_sets.trailing_zeros()),
             ways,
             tick: 0,
             stats: TableStats::default(),
@@ -338,18 +352,28 @@ impl<E: Clone + Default> PredictorTable<E> {
 
     /// Tag bits stored per entry for this configuration (0 when
     /// unbounded). Keys are treated as 42-bit values (a 48-bit physical
-    /// address space of 64-byte blocks).
+    /// address space of 64-byte blocks); the tag is `key / sets`, which
+    /// needs `42 - floor(log2(sets))` bits for any set count.
     pub fn tag_bits(&self) -> u64 {
         match self.capacity {
             Capacity::Unbounded => 0,
-            Capacity::Finite { .. } => 42u64.saturating_sub(self.num_sets.trailing_zeros() as u64),
+            Capacity::Finite { .. } => 42u64.saturating_sub(u64::from(self.num_sets.ilog2())),
         }
     }
 
+    /// Splits `key` into its set index and tag: the low `log2(sets)`
+    /// bits and the bits above them for a power-of-two set count,
+    /// `key % sets` and `key / sets` otherwise (the same split, computed
+    /// by division).
+    #[inline]
     fn locate(&self, key: u64) -> (usize, u64) {
-        let set_idx = (key % self.num_sets as u64) as usize;
-        let tag = key / self.num_sets as u64;
-        (set_idx, tag)
+        match self.index_bits {
+            Some(bits) => ((key & (self.num_sets as u64 - 1)) as usize, key >> bits),
+            None => {
+                let sets = self.num_sets as u64;
+                ((key % sets) as usize, key / sets)
+            }
+        }
     }
 }
 
@@ -617,6 +641,11 @@ mod tests {
         // 2048 sets -> 11 index bits -> 31 tag bits of a 42-bit key.
         assert_eq!(t.tag_bits(), 31);
         assert_eq!(Table::new(Capacity::Unbounded).tag_bits(), 0);
+        // Non-power-of-two set counts: `key / sets` of a 42-bit key needs
+        // 42 - floor(log2(sets)) bits (24 sets -> 38, 5 sets -> 40).
+        let bits = |entries, ways| Table::new(Capacity::Finite { entries, ways }).tag_bits();
+        assert_eq!(bits(96, 4), 38);
+        assert_eq!(bits(15, 3), 40);
     }
 
     #[test]

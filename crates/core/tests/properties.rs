@@ -8,6 +8,10 @@
 //! 3. Finite tables never exceed their configured capacity.
 //! 4. Predictors are deterministic: the same history yields the same
 //!    prediction.
+//!
+//! Invariants 1 and 2 run at the paper's 16 nodes and again at 256
+//! nodes, the four-word destination-set shape of the `timing-wide`
+//! benchmark workload.
 
 use proptest::prelude::*;
 
@@ -15,6 +19,8 @@ use dsp_core::{Capacity, DestSetPredictor, Indexing, PredictQuery, PredictorConf
 use dsp_types::{BlockAddr, DestSet, NodeId, Owner, Pc, ReqType, SystemConfig};
 
 const NODES: usize = 16;
+/// The widest system: every word of a `DestSet<4>` is in use.
+const WIDE_NODES: usize = 256;
 
 fn all_configs() -> Vec<PredictorConfig> {
     let caps = [
@@ -83,9 +89,9 @@ enum Step {
     },
 }
 
-fn step_strategy() -> impl Strategy<Value = Step> {
+fn step_strategy(nodes: usize) -> impl Strategy<Value = Step> {
     prop_oneof![
-        (0u64..128, 0u64..64, 0usize..NODES, any::<bool>()).prop_map(
+        (0u64..128, 0u64..64, 0usize..nodes, any::<bool>()).prop_map(
             |(block, pc, requester, exclusive)| Step::Query {
                 block,
                 pc: 0x1000 + pc * 4,
@@ -96,7 +102,7 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         (
             0u64..128,
             0u64..64,
-            proptest::option::of(0usize..NODES),
+            proptest::option::of(0usize..nodes),
             any::<bool>(),
             any::<bool>()
         )
@@ -109,7 +115,7 @@ fn step_strategy() -> impl Strategy<Value = Step> {
                     sufficient
                 }
             ),
-        (0u64..128, 0usize..NODES, any::<bool>()).prop_map(|(block, requester, exclusive)| {
+        (0u64..128, 0usize..nodes, any::<bool>()).prop_map(|(block, requester, exclusive)| {
             Step::External {
                 block,
                 requester,
@@ -120,7 +126,7 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     ]
 }
 
-fn run_steps(predictor: &mut dyn DestSetPredictor, steps: &[Step]) -> Vec<DestSet> {
+fn run_steps(predictor: &mut dyn DestSetPredictor, steps: &[Step], nodes: usize) -> Vec<DestSet> {
     let mut predictions = Vec::new();
     for step in steps {
         match *step {
@@ -132,7 +138,7 @@ fn run_steps(predictor: &mut dyn DestSetPredictor, steps: &[Step]) -> Vec<DestSe
             } => {
                 let block = BlockAddr::new(block);
                 let requester = NodeId::new(requester);
-                let minimal = DestSet::single(requester).with(block.home(NODES));
+                let minimal = DestSet::single(requester).with(block.home(nodes));
                 let q = PredictQuery {
                     block,
                     pc: Pc::new(pc),
@@ -151,7 +157,7 @@ fn run_steps(predictor: &mut dyn DestSetPredictor, steps: &[Step]) -> Vec<DestSe
                     predictor.name()
                 );
                 assert!(
-                    prediction.is_subset(DestSet::broadcast(NODES)),
+                    prediction.is_subset(DestSet::broadcast(nodes)),
                     "{}: prediction {prediction} names nodes outside the system",
                     predictor.name()
                 );
@@ -210,18 +216,34 @@ proptest! {
 
     #[test]
     fn predictions_are_superset_of_minimal_and_within_system(
-        steps in proptest::collection::vec(step_strategy(), 1..200)
+        steps in proptest::collection::vec(step_strategy(NODES), 1..200)
     ) {
         let sys = SystemConfig::isca03();
         for config in all_configs() {
             let mut p = config.build(&sys);
-            run_steps(p.as_mut(), &steps);
+            run_steps(p.as_mut(), &steps, NODES);
+        }
+    }
+
+    /// Invariants 1 and 2 for every policy on a 256-node system, where
+    /// requesters, responders and homes span all four set words.
+    #[test]
+    fn wide_predictions_are_superset_of_minimal_and_within_system(
+        steps in proptest::collection::vec(step_strategy(WIDE_NODES), 1..200)
+    ) {
+        let sys = SystemConfig::builder()
+            .num_nodes(WIDE_NODES)
+            .build()
+            .expect("valid node count");
+        for config in all_configs() {
+            let mut p = config.build(&sys);
+            run_steps(p.as_mut(), &steps, WIDE_NODES);
         }
     }
 
     #[test]
     fn predictors_are_deterministic(
-        steps in proptest::collection::vec(step_strategy(), 1..100)
+        steps in proptest::collection::vec(step_strategy(NODES), 1..100)
     ) {
         let sys = SystemConfig::isca03();
         for config in [
@@ -233,22 +255,22 @@ proptest! {
         ] {
             let mut a = config.build(&sys);
             let mut b = config.build(&sys);
-            let pa = run_steps(a.as_mut(), &steps);
-            let pb = run_steps(b.as_mut(), &steps);
+            let pa = run_steps(a.as_mut(), &steps, NODES);
+            let pb = run_steps(b.as_mut(), &steps, NODES);
             prop_assert_eq!(pa, pb, "{} not deterministic", config.label());
         }
     }
 
     #[test]
     fn storage_accounting_is_monotonic_for_unbounded(
-        steps in proptest::collection::vec(step_strategy(), 1..100)
+        steps in proptest::collection::vec(step_strategy(NODES), 1..100)
     ) {
         let sys = SystemConfig::isca03();
         let config = PredictorConfig::group().entries(Capacity::Unbounded);
         let mut p = config.build(&sys);
         let mut last = p.storage_bits();
         for chunk in steps.chunks(10) {
-            run_steps(p.as_mut(), chunk);
+            run_steps(p.as_mut(), chunk, NODES);
             let now = p.storage_bits();
             prop_assert!(now >= last, "unbounded storage shrank: {last} -> {now}");
             last = now;

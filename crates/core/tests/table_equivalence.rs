@@ -111,4 +111,15 @@ proptest! {
             &ops,
         );
     }
+
+    /// A non-power-of-two set count (6 sets) takes the `%`/`/` key
+    /// split instead of mask-and-shift; every other geometry here has a
+    /// power-of-two set count, so this pins the fallback path.
+    #[test]
+    fn non_power_of_two_sets_match_seed(ops in ops(256)) {
+        check_equivalence(
+            Capacity::Finite { entries: 24, ways: 4 },
+            &ops,
+        );
+    }
 }
