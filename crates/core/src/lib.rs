@@ -72,7 +72,7 @@ pub use events::{PredictQuery, TrainEvent};
 pub use index::Indexing;
 pub use table::{Capacity, PredictorTable, ReferencePredictorTable, TableStats};
 
-use dsp_types::DestSet;
+use dsp_types::{DestSet, ReqType};
 
 /// A destination-set predictor, as seen by a cache controller.
 ///
@@ -107,6 +107,20 @@ pub trait DestSetPredictor<const W: usize = 4>: std::fmt::Debug + Send {
         for event in events {
             self.train(event);
         }
+    }
+
+    /// Whether another node's request of type `req` can change this
+    /// predictor's state.
+    ///
+    /// Returning `false` promises that [`train`](DestSetPredictor::train)
+    /// on every [`TrainEvent::OtherRequest`] with this `req` is a no-op,
+    /// whatever the block and requester. Callers may then skip those
+    /// deliveries entirely: the timing simulator does not buffer or
+    /// dispatch them. The default, `true`, is always safe, so custom
+    /// predictors and wrappers stay correct without overriding it.
+    fn observes_other(&self, req: ReqType) -> bool {
+        let _ = req;
+        true
     }
 
     /// Short human-readable policy name (e.g. `"Group"`).

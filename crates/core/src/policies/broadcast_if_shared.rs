@@ -5,6 +5,7 @@ use dsp_types::{DestSet, Owner, ReqType, SystemConfig};
 use crate::counters::SatCounter2;
 use crate::events::{PredictQuery, TrainEvent};
 use crate::index::Indexing;
+use crate::policies::trains_on_other;
 use crate::table::{Capacity, PredictorTable, TableStats};
 use crate::DestSetPredictor;
 
@@ -72,16 +73,17 @@ impl<const W: usize> DestSetPredictor<W> for BroadcastIfSharedPredictor<W> {
                     });
             }
             TrainEvent::OtherRequest { block, req, .. } => {
-                if req == ReqType::GetExclusive {
-                    if let Indexing::ProgramCounter = self.indexing {
-                        return;
-                    }
+                if trains_on_other(self.indexing, req) {
                     let key = self.indexing.key(block, dsp_types::Pc::new(0));
                     self.table.train(key, false, |e| e.counter.increment());
                 }
             }
             TrainEvent::Reissue { .. } => {}
         }
+    }
+
+    fn observes_other(&self, req: ReqType) -> bool {
+        trains_on_other(self.indexing, req)
     }
 
     fn name(&self) -> String {

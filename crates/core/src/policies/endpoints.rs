@@ -1,6 +1,6 @@
 //! The two non-predicting endpoints of the design space.
 
-use dsp_types::{DestSet, SystemConfig};
+use dsp_types::{DestSet, ReqType, SystemConfig};
 
 use crate::events::{PredictQuery, TrainEvent};
 use crate::DestSetPredictor;
@@ -27,6 +27,10 @@ impl<const W: usize> DestSetPredictor<W> for AlwaysBroadcastPredictor<W> {
     }
 
     fn train(&mut self, _event: &TrainEvent<W>) {}
+
+    fn observes_other(&self, _req: ReqType) -> bool {
+        false
+    }
 
     fn name(&self) -> String {
         "Broadcast".to_string()
@@ -59,6 +63,10 @@ impl<const W: usize> DestSetPredictor<W> for AlwaysMinimalPredictor {
     }
 
     fn train(&mut self, _event: &TrainEvent<W>) {}
+
+    fn observes_other(&self, _req: ReqType) -> bool {
+        false
+    }
 
     fn name(&self) -> String {
         "Minimal".to_string()

@@ -21,6 +21,7 @@ use dsp_types::{DestSet, NodeId, Owner, ReqType, SystemConfig};
 use crate::counters::RolloverCounter;
 use crate::events::{PredictQuery, TrainEvent};
 use crate::index::Indexing;
+use crate::policies::trains_on_other;
 use crate::table::{Capacity, PredictorTable, TableStats};
 use crate::DestSetPredictor;
 
@@ -125,16 +126,17 @@ impl<const W: usize> DestSetPredictor<W> for GroupPredictor<W> {
                 requester,
                 req,
             } => {
-                if req == ReqType::GetExclusive {
-                    if let Indexing::ProgramCounter = self.indexing {
-                        return;
-                    }
+                if trains_on_other(self.indexing, req) {
                     let key = self.indexing.key(block, dsp_types::Pc::new(0));
                     self.table.train(key, false, |e| e.observe(requester));
                 }
             }
             TrainEvent::Reissue { .. } => {}
         }
+    }
+
+    fn observes_other(&self, req: ReqType) -> bool {
+        trains_on_other(self.indexing, req)
     }
 
     fn name(&self) -> String {

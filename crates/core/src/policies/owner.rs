@@ -4,6 +4,7 @@ use dsp_types::{DestSet, NodeId, Owner, ReqType, SystemConfig};
 
 use crate::events::{PredictQuery, TrainEvent};
 use crate::index::Indexing;
+use crate::policies::trains_on_other;
 use crate::table::{Capacity, PredictorTable, TableStats};
 use crate::DestSetPredictor;
 
@@ -106,20 +107,21 @@ impl<const W: usize> DestSetPredictor<W> for OwnerPredictor {
                 requester,
                 req,
             } => {
-                if req == ReqType::GetExclusive {
-                    // External requests train existing entries but do not
-                    // allocate; PC-indexed predictors cannot see a foreign
-                    // PC, so the block's own address trains under PC
-                    // indexing only via data responses.
-                    if let Indexing::ProgramCounter = self.indexing {
-                        return;
-                    }
+                // External requests train existing entries but do not
+                // allocate; PC-indexed predictors cannot see a foreign
+                // PC, so the block's own address trains under PC
+                // indexing only via data responses.
+                if trains_on_other(self.indexing, req) {
                     let key = self.indexing.key(block, dsp_types::Pc::new(0));
                     self.table.train(key, false, |e| e.owner = Some(requester));
                 }
             }
             TrainEvent::Reissue { .. } => {}
         }
+    }
+
+    fn observes_other(&self, req: ReqType) -> bool {
+        trains_on_other(self.indexing, req)
     }
 
     fn name(&self) -> String {

@@ -49,6 +49,10 @@ impl<const W: usize> DestSetPredictor<W> for OwnerGroupPredictor<W> {
         self.group.train(event);
     }
 
+    fn observes_other(&self, req: ReqType) -> bool {
+        DestSetPredictor::<W>::observes_other(&self.owner, req) || self.group.observes_other(req)
+    }
+
     fn name(&self) -> String {
         "Owner/Group".to_string()
     }

@@ -1,6 +1,6 @@
 //! An adversarial random predictor for protocol stress testing.
 
-use dsp_types::{DestSet, SystemConfig};
+use dsp_types::{DestSet, ReqType, SystemConfig};
 
 use crate::events::{PredictQuery, TrainEvent};
 use crate::DestSetPredictor;
@@ -65,6 +65,10 @@ impl<const W: usize> DestSetPredictor<W> for RandomPredictor {
     }
 
     fn train(&mut self, _event: &TrainEvent<W>) {}
+
+    fn observes_other(&self, _req: ReqType) -> bool {
+        false
+    }
 
     fn name(&self) -> String {
         "Random (stress)".to_string()

@@ -1,6 +1,6 @@
 //! The Sticky-Spatial(k) predictor of Bilir et al. (paper §3.5).
 
-use dsp_types::{DestSet, Owner, SystemConfig};
+use dsp_types::{DestSet, Owner, ReqType, SystemConfig};
 
 use crate::events::{PredictQuery, TrainEvent};
 use crate::index::Indexing;
@@ -102,6 +102,10 @@ impl<const W: usize> DestSetPredictor<W> for StickySpatialPredictor<W> {
             // the memory controller.
             TrainEvent::OtherRequest { .. } => {}
         }
+    }
+
+    fn observes_other(&self, _req: ReqType) -> bool {
+        false
     }
 
     fn name(&self) -> String {

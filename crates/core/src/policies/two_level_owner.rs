@@ -5,6 +5,7 @@ use dsp_types::{DestSet, NodeId, Owner, ReqType, SystemConfig};
 use crate::counters::SatCounter2;
 use crate::events::{PredictQuery, TrainEvent};
 use crate::index::Indexing;
+use crate::policies::trains_on_other;
 use crate::table::{Capacity, PredictorTable, TableStats};
 use crate::DestSetPredictor;
 
@@ -100,10 +101,7 @@ impl<const W: usize> DestSetPredictor<W> for TwoLevelOwnerPredictor {
                 requester,
                 req,
             } => {
-                if req == ReqType::GetExclusive {
-                    if let Indexing::ProgramCounter = self.indexing {
-                        return;
-                    }
+                if trains_on_other(self.indexing, req) {
                     let key = self.indexing.key(block, dsp_types::Pc::new(0));
                     self.table
                         .train(key, false, |e| Self::observe(e, requester));
@@ -111,6 +109,10 @@ impl<const W: usize> DestSetPredictor<W> for TwoLevelOwnerPredictor {
             }
             TrainEvent::Reissue { .. } => {}
         }
+    }
+
+    fn observes_other(&self, req: ReqType) -> bool {
+        trains_on_other(self.indexing, req)
     }
 
     fn name(&self) -> String {

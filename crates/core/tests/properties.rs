@@ -8,6 +8,9 @@
 //! 3. Finite tables never exceed their configured capacity.
 //! 4. Predictors are deterministic: the same history yields the same
 //!    prediction.
+//! 5. `observes_other` keeps its contract: dropping every external
+//!    request a predictor claims not to observe changes no prediction
+//!    and no storage count.
 //!
 //! Invariants 1 and 2 run at the paper's 16 nodes and again at 256
 //! nodes, the four-word destination-set shape of the `timing-wide`
@@ -126,7 +129,56 @@ fn step_strategy(nodes: usize) -> impl Strategy<Value = Step> {
     ]
 }
 
-fn run_steps(predictor: &mut dyn DestSetPredictor, steps: &[Step], nodes: usize) -> Vec<DestSet> {
+fn req_type(exclusive: bool) -> ReqType {
+    if exclusive {
+        ReqType::GetExclusive
+    } else {
+        ReqType::GetShared
+    }
+}
+
+/// Checks invariant 5 for every policy at width `W` on `nodes` nodes:
+/// `steps` and the same steps without the external requests the
+/// predictor does not observe give identical predictions at every
+/// query and identical storage.
+fn check_unobserved_are_no_ops<const W: usize>(steps: &[Step], nodes: usize) {
+    let sys = SystemConfig::builder()
+        .num_nodes(nodes)
+        .build()
+        .expect("valid node count");
+    for config in all_configs() {
+        let mut full = config.build_width::<W>(&sys);
+        let mut filtered = config.build_width::<W>(&sys);
+        let kept: Vec<Step> = steps
+            .iter()
+            .filter(|step| match **step {
+                Step::External { exclusive, .. } => filtered.observes_other(req_type(exclusive)),
+                _ => true,
+            })
+            .cloned()
+            .collect();
+        let expect = run_steps(full.as_mut(), steps, nodes);
+        let got = run_steps(filtered.as_mut(), &kept, nodes);
+        assert_eq!(
+            expect,
+            got,
+            "{} at {nodes} nodes: a dropped unobserved request changed a prediction",
+            config.label()
+        );
+        assert_eq!(
+            full.storage_bits(),
+            filtered.storage_bits(),
+            "{} at {nodes} nodes: a dropped unobserved request changed storage",
+            config.label()
+        );
+    }
+}
+
+fn run_steps<const W: usize>(
+    predictor: &mut dyn DestSetPredictor<W>,
+    steps: &[Step],
+    nodes: usize,
+) -> Vec<DestSet<W>> {
     let mut predictions = Vec::new();
     for step in steps {
         match *step {
@@ -143,11 +195,7 @@ fn run_steps(predictor: &mut dyn DestSetPredictor, steps: &[Step], nodes: usize)
                     block,
                     pc: Pc::new(pc),
                     requester,
-                    req: if exclusive {
-                        ReqType::GetExclusive
-                    } else {
-                        ReqType::GetShared
-                    },
+                    req: req_type(exclusive),
                     minimal,
                 };
                 let prediction = predictor.predict(&q);
@@ -177,11 +225,7 @@ fn run_steps(predictor: &mut dyn DestSetPredictor, steps: &[Step], nodes: usize)
                         None => Owner::Memory,
                         Some(n) => Owner::Node(NodeId::new(n)),
                     },
-                    req: if exclusive {
-                        ReqType::GetExclusive
-                    } else {
-                        ReqType::GetShared
-                    },
+                    req: req_type(exclusive),
                     minimal_sufficient: sufficient,
                 });
             }
@@ -193,11 +237,7 @@ fn run_steps(predictor: &mut dyn DestSetPredictor, steps: &[Step], nodes: usize)
                 predictor.train(&TrainEvent::OtherRequest {
                     block: BlockAddr::new(block),
                     requester: NodeId::new(requester),
-                    req: if exclusive {
-                        ReqType::GetExclusive
-                    } else {
-                        ReqType::GetShared
-                    },
+                    req: req_type(exclusive),
                 });
             }
             Step::Reissue { block, mask } => {
@@ -239,6 +279,19 @@ proptest! {
             let mut p = config.build(&sys);
             run_steps(p.as_mut(), &steps, WIDE_NODES);
         }
+    }
+
+    /// Invariant 5 at both simulator widths: one word at 16 and 64
+    /// nodes, four words at 256.
+    #[test]
+    fn unobserved_external_requests_are_no_ops(
+        steps in proptest::collection::vec(step_strategy(NODES), 1..200),
+        steps_64 in proptest::collection::vec(step_strategy(64), 1..200),
+        wide_steps in proptest::collection::vec(step_strategy(WIDE_NODES), 1..200),
+    ) {
+        check_unobserved_are_no_ops::<1>(&steps, NODES);
+        check_unobserved_are_no_ops::<1>(&steps_64, 64);
+        check_unobserved_are_no_ops::<4>(&wide_steps, WIDE_NODES);
     }
 
     #[test]

@@ -42,8 +42,11 @@ struct Pending<const W: usize> {
     info: Option<MissInfo<W>>,
     /// Destination set of the current attempt (excluding the requester).
     current_dests: DestSet<W>,
-    /// Arrival times of the current attempt, indexed by node.
-    arrivals: Vec<Option<u64>>,
+    /// Arrival times of the current attempt, indexed by node. Only the
+    /// slots of `current_dests` are meaningful: `send_request` writes
+    /// exactly those, and other slots may hold an earlier attempt's (or
+    /// an earlier miss's) times.
+    arrivals: Vec<u64>,
     /// Fallback arrival for nodes not in the destination set (e.g. the
     /// requester acting as its own home): order time + half traversal.
     self_arrival: u64,
@@ -92,6 +95,11 @@ pub struct System<const W: usize = 4> {
     rngs: Vec<SmallRng>,
     caches: Vec<SetAssocCache>,
     predictors: Vec<Box<dyn DestSetPredictor<W>>>,
+    /// Whether the predictors observe another node's request for shared
+    /// (`[0]`) and for exclusive (`[1]`), fixed at construction from
+    /// [`DestSetPredictor::observes_other`]. Initial-request deliveries
+    /// of an unobserved type are neither buffered nor dispatched.
+    observes_other: [bool; 2],
     warmup_done_at: Vec<Option<u64>>,
     // Global.
     tracker: CoherenceTracker<W>,
@@ -170,6 +178,8 @@ impl<const W: usize> System<W> {
             }
             _ => Vec::new(),
         };
+        let observes_other = [ReqType::GetShared, ReqType::GetExclusive]
+            .map(|req| predictors.iter().any(|p| p.observes_other(req)));
         System {
             sys: *sys,
             target,
@@ -178,6 +188,7 @@ impl<const W: usize> System<W> {
                 .collect(),
             caches: (0..n).map(|_| SetAssocCache::new(target.l2)).collect(),
             predictors,
+            observes_other,
             programs,
             next_miss: vec![0; n],
             outstanding: vec![0; n],
@@ -385,8 +396,8 @@ impl<const W: usize> System<W> {
                 }
                 self.ready_at[node] = now + gap;
             }
-            // `arrivals` is sized (or recycled) by `alloc_pending`; an
-            // empty `Vec` does not allocate.
+            // `arrivals` is sized (or recycled, stale slots and all) by
+            // `alloc_pending`; an empty `Vec` does not allocate.
             let slot = self.alloc_pending(Pending {
                 rec,
                 issue_time: now,
@@ -458,20 +469,27 @@ impl<const W: usize> System<W> {
             self.xbar
                 .send_into(now, &Message { src, dests, class }, &mut self.xbar_arrivals);
         self.record_traffic(req, class, dests.len() as u64);
+        // The crossbar delivers to exactly `dests`, so the loop below
+        // writes every slot `arrival_at` may read for this attempt; no
+        // slot needs clearing first.
+        debug_assert_eq!(self.xbar_arrivals.len(), dests.len());
         let p = &mut self.pending[req];
         p.attempt = attempt;
         p.current_dests = dests;
-        p.arrivals.iter_mut().for_each(|a| *a = None);
         for &(node, t) in &self.xbar_arrivals {
-            p.arrivals[node.index()] = Some(t);
+            p.arrivals[node.index()] = t;
         }
         let ser = self.xbar.serialization_ns(class);
         p.self_arrival = order_time + self.xbar.dst_half_ns(src) + ser;
         self.push_req(req, order_time, Event::Ordered { req, attempt });
-        if self.sim.protocol.uses_predictors() {
-            let rec = self.pending[req].rec;
+        let rec = self.pending[req].rec;
+        let retry = class == MessageClass::Retry;
+        // An initial request whose type no predictor observes would
+        // train nothing at any destination: skip its deliveries in both
+        // training modes, so both still see identical call sequences.
+        let observed = retry || self.observes_other[usize::from(rec.request().is_exclusive())];
+        if self.sim.protocol.uses_predictors() && observed {
             let requester = rec.requester;
-            let retry = class == MessageClass::Retry;
             if retry || self.sim.training == TrainingMode::Eager {
                 // Retries keep their queued events in both modes: they
                 // are rare, and the requester's `Reissue` training
@@ -528,7 +546,11 @@ impl<const W: usize> System<W> {
 
     fn arrival_at(&self, req: usize, node: NodeId) -> u64 {
         let p = &self.pending[req];
-        p.arrivals[node.index()].unwrap_or(p.self_arrival)
+        if p.current_dests.contains(node) {
+            p.arrivals[node.index()]
+        } else {
+            p.self_arrival
+        }
     }
 
     fn ordered(&mut self, req: usize, attempt: u8, _now: u64) {
@@ -967,8 +989,9 @@ impl<const W: usize> System<W> {
     /// Installs `p` in a pending slot, recycling a completed slot's
     /// arrival buffer when one is free so the steady-state miss path
     /// performs no heap allocation. The recycled buffer may hold stale
-    /// entries: `send_request` clears it before the first read
-    /// (`arrival_at` is only reachable from events it schedules).
+    /// entries: `arrival_at` reads only the slots of the current
+    /// attempt's destination set, which `send_request` writes before
+    /// any event that reads them is scheduled.
     fn alloc_pending(&mut self, mut p: Pending<W>) -> usize {
         let n = self.sys.num_nodes();
         if let Some(slot) = self.free_slots.pop() {
@@ -976,7 +999,7 @@ impl<const W: usize> System<W> {
             self.pending[slot] = p;
             slot
         } else {
-            p.arrivals = vec![None; n];
+            p.arrivals = vec![0; n];
             self.pending.push(p);
             self.pending.len() - 1
         }
@@ -995,6 +1018,11 @@ impl<const W: usize> System<W> {
     /// delegates) exposes the exact per-node observation sequence,
     /// which the eager and lazy modes must produce identically. The
     /// wrapper must preserve the inner predictor's behavior.
+    ///
+    /// The training filter is fixed at construction from the original
+    /// predictors' [`DestSetPredictor::observes_other`] answers, so a
+    /// wrapper sees only the deliveries those predictors observe, not
+    /// every initial-request arrival, whatever its own answer.
     pub fn instrument_predictors(
         &mut self,
         mut wrap: impl FnMut(usize, Box<dyn DestSetPredictor<W>>) -> Box<dyn DestSetPredictor<W>>,

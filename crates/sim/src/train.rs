@@ -19,11 +19,18 @@
 //! and a queued event resolve identically in both modes; property tests
 //! in `tests/train_equivalence.rs` pin the equivalence.
 //!
+//! Only *observed* deliveries are buffered: when no predictor can
+//! learn from another node's request of a given type
+//! ([`DestSetPredictor::observes_other`] is `false`, e.g. requests for
+//! shared under every shipped policy), the simulator skips those
+//! deliveries in both modes, so the eager path queues no event for them
+//! and the lazy path stores no record.
+//!
 //! Request-class arrival times at one node are non-decreasing in send
 //! order (the crossbar's ordering point is monotone and each
 //! destination link only fills forward), so each inbox is naturally
-//! sorted and drains from the front; a debug assertion guards the
-//! invariant.
+//! sorted and drains from the front; a debug assertion checks each
+//! append against the newest record.
 
 use dsp_core::{DestSetPredictor, TrainEvent};
 use dsp_types::{BlockAddr, InlineRing, NodeId, ReqType};
@@ -100,8 +107,8 @@ impl<const W: usize> TrainBuffers<W> {
         let inbox = &mut self.inboxes[node];
         debug_assert!(
             inbox
-                .front()
-                .is_none_or(|f| (f.time, f.vseq) <= (time, vseq)),
+                .back()
+                .is_none_or(|b| (b.time, b.vseq) <= (time, vseq)),
             "inbox records must arrive in (time, seq) order"
         );
         inbox.push_back(BufferedTrain {

@@ -17,7 +17,7 @@
 //!    equal, so the experiment goldens cannot drift.
 //!
 //! The property tests sweep protocols (every policy family, both
-//! multicast and predictive-directory), node counts up to 64, CPU
+//! multicast and predictive-directory), node counts up to 256, CPU
 //! models, and seeds.
 
 use std::sync::{Arc, Mutex};
@@ -190,12 +190,13 @@ proptest! {
         check_equivalence(&sys, &spec, sim);
     }
 
-    /// Wide machines: fan-out past one `DestSet` word, heavier inbox
-    /// pressure (bursts spill past the inline ring).
+    /// Machines from 4 to 256 nodes: at 256 the fan-out spans all four
+    /// `DestSet` words, and inbox pressure is heavier (bursts spill past
+    /// the inline ring).
     #[test]
     fn wide_machines_match(
         protocol in protocol_strategy(),
-        nodes in prop_oneof![Just(4usize), Just(32usize), Just(64usize)],
+        nodes in prop_oneof![Just(4usize), Just(32usize), Just(64usize), Just(256usize)],
         seed in 1u64..500,
     ) {
         let sys = SystemConfig::builder().num_nodes(nodes).build().expect("valid");

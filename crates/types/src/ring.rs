@@ -112,6 +112,18 @@ impl<T: Copy + Default, const N: usize> InlineRing<T, N> {
         }
     }
 
+    /// The back element (the most recently pushed), if any.
+    #[inline]
+    pub fn back(&self) -> Option<&T> {
+        if self.spill.len() > self.spill_head {
+            self.spill.last()
+        } else if self.ring_len > 0 {
+            Some(&self.ring[(self.head + self.ring_len - 1) % N])
+        } else {
+            None
+        }
+    }
+
     /// Removes and returns the front element.
     #[inline]
     pub fn pop_front(&mut self) -> Option<T> {
@@ -213,6 +225,33 @@ mod tests {
         let drained: Vec<u32> = std::iter::from_fn(|| r.pop_front()).collect();
         assert_eq!(drained, vec![0, 1, 2, 3, 4, 5, 6]);
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn back_tracks_the_newest_across_the_spill_boundary() {
+        let mut r: InlineRing<u32, 2> = InlineRing::new();
+        assert_eq!(r.back(), None);
+        r.push_back(1);
+        assert_eq!(r.back(), Some(&1));
+        r.push_back(2); // ring full
+        assert_eq!(r.back(), Some(&2));
+        r.push_back(3); // first spilled element
+        assert_eq!(r.back(), Some(&3));
+        assert_eq!(r.pop_front(), Some(1));
+        assert_eq!(r.pop_front(), Some(2));
+        // Ring drained, spill still live: the back is the spill's last.
+        assert_eq!(r.back(), Some(&3));
+        assert_eq!(r.front(), Some(&3));
+        assert_eq!(r.pop_front(), Some(3));
+        assert_eq!(r.back(), None);
+        // Wrapped ring: the back sits before the head in storage.
+        for v in 4..6 {
+            r.push_back(v);
+        }
+        assert_eq!(r.pop_front(), Some(4));
+        r.push_back(6);
+        assert_eq!(r.spilled(), 0);
+        assert_eq!(r.back(), Some(&6));
     }
 
     #[test]
