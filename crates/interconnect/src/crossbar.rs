@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use dsp_types::{DestSet, InlineVec, MessageClass, NodeId, MAX_NODES};
+use dsp_types::{DestSet, MessageClass, NodeId};
 
 use crate::error::InterconnectError;
 use crate::stats::TrafficStats;
@@ -76,11 +76,6 @@ pub struct Message<const W: usize = 4> {
     pub class: MessageClass,
 }
 
-/// Per-destination arrival times of one message, in destination index
-/// order. Stored inline (a [`DestSet`] holds at most [`MAX_NODES`]
-/// nodes), so building a [`Delivery`] never allocates.
-pub type Arrivals = InlineVec<(NodeId, u64), MAX_NODES>;
-
 /// The outcome of injecting a message.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Delivery {
@@ -89,7 +84,42 @@ pub struct Delivery {
     /// injection sequence, which the simulator preserves).
     pub order_time: u64,
     /// Arrival time at each destination, in destination index order.
-    pub arrivals: Arrivals,
+    pub arrivals: Vec<(NodeId, u64)>,
+}
+
+impl Delivery {
+    /// Pairs each destination with its slot of `arrive`, as filled by a
+    /// `send_into` of the same message.
+    pub(crate) fn gather<const W: usize>(
+        order_time: u64,
+        dests: DestSet<W>,
+        arrive: &[u64],
+    ) -> Self {
+        Delivery {
+            order_time,
+            arrivals: dests.iter().map(|d| (d, arrive[d.index()])).collect(),
+        }
+    }
+}
+
+/// Calls `deliver(d)` once per member `d` of `dests`, in ascending
+/// order, and returns the number of calls. Walks the set's words
+/// directly (lowest set bit, then clear it), the one destination loop
+/// behind every send path.
+#[inline(always)]
+pub(crate) fn for_each_dest<const W: usize>(
+    dests: DestSet<W>,
+    mut deliver: impl FnMut(usize),
+) -> u64 {
+    let mut delivered = 0;
+    for (i, mut w) in dests.words().into_iter().enumerate() {
+        while w != 0 {
+            deliver(i * 64 + w.trailing_zeros() as usize);
+            w &= w - 1;
+            delivered += 1;
+        }
+    }
+    delivered
 }
 
 /// A single totally-ordered crossbar connecting `n` nodes.
@@ -160,21 +190,39 @@ impl Crossbar {
         self.ser_ns[class.index()]
     }
 
-    /// Injects `msg` at time `now`, writing per-destination arrival
-    /// times into the caller's `arrivals` buffer (cleared first) and
-    /// returning the ordering time, updating link occupancy and traffic
-    /// statistics.
+    /// Injects `msg` at time `now`, writing each destination `d`'s
+    /// arrival time into `arrive[d]` and returning the ordering time,
+    /// updating link occupancy and traffic statistics.
     ///
-    /// This is the hot-path entry point: with a reused buffer it
-    /// neither allocates nor copies. [`Crossbar::send`] wraps it for
-    /// callers that prefer an owned [`Delivery`].
+    /// `arrive` is indexed by node and needs a slot per node. Exactly
+    /// the slots of `msg.dests` are written; every other slot keeps its
+    /// value, so a caller may reuse one array across sends without
+    /// clearing it. This is the hot-path entry point: it neither
+    /// allocates nor copies. [`Crossbar::send`] wraps it for callers
+    /// that prefer an owned [`Delivery`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arrive` has fewer slots than nodes, or if a source or
+    /// destination is not a node of this crossbar.
     pub fn send_into<const W: usize>(
         &mut self,
         now: u64,
         msg: &Message<W>,
-        arrivals: &mut Arrivals,
+        arrive: &mut [u64],
     ) -> u64 {
-        arrivals.clear();
+        self.send_counted(now, msg, arrive).0
+    }
+
+    /// [`Crossbar::send_into`], also returning how many deliveries its
+    /// destination loop made (the delivered side of
+    /// [`crate::LinkStats`]).
+    pub(crate) fn send_counted<const W: usize>(
+        &mut self,
+        now: u64,
+        msg: &Message<W>,
+        arrive: &mut [u64],
+    ) -> (u64, u64) {
         let ser = self.serialization_ns(msg.class);
         let half = self.config.traversal_ns / 2;
         // Source link: queue behind earlier injections from this node.
@@ -184,24 +232,23 @@ impl Crossbar {
         let order_time = (start + ser + half).max(self.last_order_time);
         self.last_order_time = order_time;
         // Destination links.
-        for dest in msg.dests {
-            let d_start = order_time.max(self.dst_free_at[dest.index()]);
-            self.dst_free_at[dest.index()] = d_start + ser;
-            arrivals.push((dest, d_start + ser + half));
-        }
-        self.stats.record(msg.class, arrivals.len() as u64);
-        order_time
+        let n = self.dst_free_at.len();
+        let (free, arrive) = (&mut self.dst_free_at[..n], &mut arrive[..n]);
+        let delivered = for_each_dest(msg.dests, |d| {
+            let d_start = order_time.max(free[d]);
+            free[d] = d_start + ser;
+            arrive[d] = d_start + ser + half;
+        });
+        self.stats.record(msg.class, delivered);
+        (order_time, delivered)
     }
 
     /// Injects `msg` at time `now`; returns the ordering time and
     /// per-destination arrival times as an owned [`Delivery`].
     pub fn send<const W: usize>(&mut self, now: u64, msg: &Message<W>) -> Delivery {
-        let mut arrivals = Arrivals::new();
-        let order_time = self.send_into(now, msg, &mut arrivals);
-        Delivery {
-            order_time,
-            arrivals,
-        }
+        let mut arrive = vec![0; self.dst_free_at.len()];
+        let order_time = self.send_into(now, msg, &mut arrive);
+        Delivery::gather(order_time, msg.dests, &arrive)
     }
 
     /// Accumulated traffic statistics.
@@ -415,5 +462,48 @@ mod tests {
             },
         );
         assert_eq!(x.stats().request_deliveries(), 15);
+    }
+
+    /// The slot contract `send_into` callers rely on (the simulator
+    /// reuses one array per miss without clearing it): a send writes the
+    /// slot of exactly each destination, on the crossbar fast path and
+    /// on the modeled path alike, across every word of a 256-node set.
+    #[test]
+    fn send_into_writes_exactly_the_destination_slots() {
+        use crate::topology::{Topology, TopologySpec};
+        use crate::toxic::{Toxic, ToxicSpec};
+
+        const SENTINEL: u64 = u64::MAX;
+        let cfg = InterconnectConfig::isca03();
+        let mesh = TopologySpec::Mesh2d {
+            cols: 16,
+            link_ns: 10,
+            hop_ns: 5,
+        };
+        let jitter = ToxicSpec::none().with(Toxic::LatencyJitter { max_ns: 30 });
+        let mut xbar = Crossbar::new(cfg, 256);
+        let mut modeled = Topology::new(cfg, 256, &mesh, &jitter, 7);
+        let first: DestSet = DestSet::from_iter([0, 63, 64, 127, 128, 255].map(n));
+        let second: DestSet = DestSet::from_iter([1, 62, 65, 200].map(n));
+        let mut slots = [vec![SENTINEL; 256], vec![SENTINEL; 256]];
+        for (now, dests) in [(0, first), (10, second)] {
+            let msg = Message {
+                src: n(100),
+                dests,
+                class: MessageClass::Request,
+            };
+            let before = slots.clone();
+            xbar.send_into(now, &msg, &mut slots[0]);
+            modeled.send_into(now, &msg, &mut slots[1]);
+            for (after, before) in slots.iter().zip(&before) {
+                for d in 0..256 {
+                    assert_eq!(after[d] != before[d], dests.contains(n(d)), "slot {d}");
+                }
+            }
+        }
+        // Slots the second send skipped still hold the first's times.
+        for d in first {
+            assert!(slots.iter().all(|s| s[d.index()] != SENTINEL));
+        }
     }
 }

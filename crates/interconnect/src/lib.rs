@@ -41,7 +41,7 @@ mod stats;
 pub mod topology;
 pub mod toxic;
 
-pub use crossbar::{Arrivals, Crossbar, Delivery, InterconnectConfig, Message};
+pub use crossbar::{Crossbar, Delivery, InterconnectConfig, Message};
 pub use error::InterconnectError;
 pub use reference::ReferenceCrossbar;
 pub use stats::{ClassTraffic, LinkStats, TrafficStats};

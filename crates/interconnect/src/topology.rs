@@ -33,7 +33,7 @@ use serde::{Deserialize, Serialize};
 
 use dsp_types::{MessageClass, NodeId};
 
-use crate::crossbar::{Arrivals, Crossbar, Delivery, InterconnectConfig, Message};
+use crate::crossbar::{for_each_dest, Crossbar, Delivery, InterconnectConfig, Message};
 use crate::error::InterconnectError;
 use crate::stats::{LinkStats, TrafficStats};
 use crate::toxic::{ToxicChain, ToxicSpec};
@@ -219,22 +219,22 @@ impl Topology {
     }
 
     /// Injects `msg` at time `now` (see [`Crossbar::send_into`]):
-    /// writes per-destination arrival times into `arrivals` and returns
-    /// the ordering time.
+    /// writes each destination `d`'s arrival time into `arrive[d]`,
+    /// leaves every other slot untouched, and returns the ordering time.
     pub fn send_into<const W: usize>(
         &mut self,
         now: u64,
         msg: &Message<W>,
-        arrivals: &mut Arrivals,
+        arrive: &mut [u64],
     ) -> u64 {
         if self.modeled.is_some() {
-            return self.send_modeled(now, msg, arrivals);
+            return self.send_modeled(now, msg, arrive);
         }
-        let order_time = self.xbar.send_into(now, msg, arrivals);
+        let (order_time, delivered) = self.xbar.send_counted(now, msg, arrive);
         // Fast path keeps only the aggregate side of the conservation
         // ledger — two scalar adds, so pay-for-what-you-use holds.
         self.links.injected += msg.dests.len() as u64;
-        self.links.delivered += arrivals.len() as u64;
+        self.links.delivered += delivered;
         order_time
     }
 
@@ -247,12 +247,11 @@ impl Topology {
         &mut self,
         now: u64,
         msg: &Message<W>,
-        arrivals: &mut Arrivals,
+        arrive: &mut [u64],
     ) -> u64 {
         let m = self.modeled.as_deref_mut().expect("modeled path");
         let x = &mut self.xbar;
         let n = x.src_free_at.len();
-        arrivals.clear();
         let ser = x.ser_ns[msg.class.index()];
         let s = msg.src.index();
         // Source link: queue, wait out any outage, serialize at the
@@ -265,34 +264,41 @@ impl Topology {
         // Ordering point stays monotone regardless of injected delays.
         let order_time = (start + src_ser + m.half[s] + src_jitter).max(x.last_order_time);
         x.last_order_time = order_time;
-        for dest in msg.dests {
-            let d = dest.index();
-            self.links.per_link_injected[d] += 1;
-            let queued = order_time.max(x.dst_free_at[d]);
-            let d_start = m.chain.release(n + d, queued);
-            let dst_ser = m.chain.scaled_ser(n + d, ser, d_start);
-            x.dst_free_at[d] = d_start + dst_ser;
-            let dst_jitter = m.chain.jitter(n + d);
+        let chain = &mut m.chain;
+        let (free, half, last) = (
+            &mut x.dst_free_at[..n],
+            &m.half[..n],
+            &mut m.last_arrival[..n],
+        );
+        let (injected, delivered) = (
+            &mut self.links.per_link_injected[..n],
+            &mut self.links.per_link_delivered[..n],
+        );
+        let arrive = &mut arrive[..n];
+        let count = for_each_dest(msg.dests, |d| {
+            injected[d] += 1;
+            let queued = order_time.max(free[d]);
+            let d_start = chain.release(n + d, queued);
+            let dst_ser = chain.scaled_ser(n + d, ser, d_start);
+            free[d] = d_start + dst_ser;
+            let dst_jitter = chain.jitter(n + d);
             // FIFO clamp: jitter may stretch but never reorder a link.
-            let arrive = (d_start + dst_ser + m.half[d] + dst_jitter).max(m.last_arrival[d]);
-            m.last_arrival[d] = arrive;
-            arrivals.push((dest, arrive));
-            self.links.per_link_delivered[d] += 1;
-        }
-        x.stats.record(msg.class, arrivals.len() as u64);
+            let t = (d_start + dst_ser + half[d] + dst_jitter).max(last[d]);
+            last[d] = t;
+            arrive[d] = t;
+            delivered[d] += 1;
+        });
+        x.stats.record(msg.class, count);
         self.links.injected += msg.dests.len() as u64;
-        self.links.delivered += arrivals.len() as u64;
+        self.links.delivered += count;
         order_time
     }
 
     /// Injects `msg` at time `now`; returns an owned [`Delivery`].
     pub fn send<const W: usize>(&mut self, now: u64, msg: &Message<W>) -> Delivery {
-        let mut arrivals = Arrivals::new();
-        let order_time = self.send_into(now, msg, &mut arrivals);
-        Delivery {
-            order_time,
-            arrivals,
-        }
+        let mut arrive = vec![0; self.xbar.dst_free_at.len()];
+        let order_time = self.send_into(now, msg, &mut arrive);
+        Delivery::gather(order_time, msg.dests, &arrive)
     }
 
     /// Accumulated traffic statistics.

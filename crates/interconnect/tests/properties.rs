@@ -10,6 +10,10 @@ use dsp_interconnect::{
 use dsp_types::{DestSet, MessageClass, NodeId};
 
 const NODES: usize = 16;
+/// The widest machine: four-word destination sets.
+const WIDE: usize = 256;
+/// The first and last node of each word of a [`WIDE`]-node set.
+const WORD_EDGES: [usize; 6] = [0, 63, 64, 127, 128, 255];
 
 /// Renders one delivery as a text record, the unit of byte-identical
 /// comparison between the seed model and the current crossbar.
@@ -24,9 +28,16 @@ fn render_delivery(order_time: u64, arrivals: &[(NodeId, u64)]) -> String {
 #[derive(Clone, Debug)]
 struct Send {
     src: usize,
-    dest_mask: u16,
+    dest_words: [u64; 4],
     class_idx: u8,
     gap: u64,
+}
+
+impl Send {
+    /// The destination set at word width `W`.
+    fn dests<const W: usize>(&self) -> DestSet<W> {
+        DestSet::<4>::from_words(self.dest_words).resize()
+    }
 }
 
 fn class_of(idx: u8) -> MessageClass {
@@ -40,18 +51,62 @@ fn class_of(idx: u8) -> MessageClass {
     }
 }
 
-fn sends() -> impl Strategy<Value = Vec<Send>> {
+/// Destination sets over `nodes` nodes. Up to 64 nodes every subset
+/// is equally likely. Wider sets are built to cross word boundaries:
+/// each word is independently random or empty, and each of
+/// [`WORD_EDGES`] is independently forced in, so empty words between
+/// members, edge-only sets and dense broadcasts all occur.
+fn dest_words(nodes: usize) -> impl Strategy<Value = [u64; 4]> {
+    (
+        any::<u64>(),
+        any::<u64>(),
+        any::<u64>(),
+        any::<u64>(),
+        any::<u16>(),
+    )
+        .prop_map(move |(a, b, c, d, pick)| {
+            let mut words = [a, b, c, d];
+            if nodes > 64 {
+                for (i, w) in words.iter_mut().enumerate() {
+                    if pick >> (WORD_EDGES.len() + i) & 1 == 0 {
+                        *w = 0;
+                    }
+                }
+                for (j, e) in WORD_EDGES.into_iter().enumerate() {
+                    if pick >> j & 1 == 1 {
+                        words[e / 64] |= 1 << (e % 64);
+                    }
+                }
+            }
+            (DestSet::from_words(words) & DestSet::broadcast(nodes)).words()
+        })
+}
+
+fn sends_on(nodes: usize) -> impl Strategy<Value = Vec<Send>> {
     proptest::collection::vec(
-        (0usize..NODES, any::<u16>(), any::<u8>(), 0u64..100).prop_map(
-            |(src, dest_mask, class_idx, gap)| Send {
+        (0..nodes, dest_words(nodes), any::<u8>(), 0u64..100).prop_map(
+            |(src, dest_words, class_idx, gap)| Send {
                 src,
-                dest_mask,
+                dest_words,
                 class_idx,
                 gap,
             },
         ),
         1..200,
     )
+}
+
+fn sends() -> impl Strategy<Value = Vec<Send>> {
+    sends_on(NODES)
+}
+
+/// A trace on the paper's [`NODES`]-node machine or on the [`WIDE`]
+/// one, paired with its node count.
+fn traces() -> impl Strategy<Value = (usize, Vec<Send>)> {
+    prop_oneof![
+        sends_on(NODES).prop_map(|ops| (NODES, ops)),
+        sends_on(WIDE).prop_map(|ops| (WIDE, ops)),
+    ]
 }
 
 proptest! {
@@ -68,7 +123,7 @@ proptest! {
             now += op.gap;
             let msg: Message = Message {
                 src: NodeId::new(op.src),
-                dests: DestSet::from_bits(op.dest_mask as u64),
+                dests: op.dests(),
                 class: class_of(op.class_idx),
             };
             let d = xbar.send(now, &msg);
@@ -95,7 +150,7 @@ proptest! {
             let ser = xbar.serialization_ns(class);
             let msg: Message = Message {
                 src: NodeId::new(op.src),
-                dests: DestSet::from_bits(op.dest_mask as u64),
+                dests: op.dests(),
                 class,
             };
             for (node, t) in xbar.send(now, &msg).arrivals {
@@ -117,15 +172,16 @@ proptest! {
     /// destination-set sizes and bytes equal deliveries times the class
     /// size.
     #[test]
-    fn traffic_accounting_is_exact(ops in sends()) {
-        let mut xbar = Crossbar::new(InterconnectConfig::isca03(), NODES);
+    fn traffic_accounting_is_exact(trace in traces()) {
+        let (nodes, ops) = trace;
+        let mut xbar = Crossbar::new(InterconnectConfig::isca03(), nodes);
         let mut expect_deliveries = 0u64;
         let mut expect_bytes = 0u64;
         let mut now = 0;
         for op in &ops {
             now += op.gap;
             let class = class_of(op.class_idx);
-            let dests = DestSet::from_bits(op.dest_mask as u64);
+            let dests = op.dests();
             expect_deliveries += dests.len() as u64;
             expect_bytes += dests.len() as u64 * class.bytes();
             xbar.send(now, &Message::<4> { src: NodeId::new(op.src), dests, class });
@@ -147,19 +203,21 @@ proptest! {
         prop_assert_eq!(stats.total_messages(), ops.len() as u64);
     }
 
-    /// The refactored crossbar (precomputed serialization, inline
-    /// arrival buffer) is byte-identical to the seed model on arbitrary
-    /// traces: same ordering times, same arrivals in the same order,
-    /// under non-default bandwidths too (exercising the float-`ceil`
-    /// precomputation).
+    /// The refactored crossbar (precomputed serialization, per-node
+    /// arrival slots, word-walking destination loop) is byte-identical
+    /// to the seed model on arbitrary traces: same ordering times, same
+    /// arrivals in the same order, under non-default bandwidths too
+    /// (exercising the float-`ceil` precomputation), on 16 nodes and on
+    /// 256 (sets crossing every word boundary).
     #[test]
-    fn deliveries_match_seed_model(ops in sends(), bw_tenths in 1u32..200) {
+    fn deliveries_match_seed_model(trace in traces(), bw_tenths in 1u32..200) {
+        let (nodes, ops) = trace;
         let config = InterconnectConfig {
             link_bytes_per_ns: bw_tenths as f64 / 10.0,
             traversal_ns: 50,
         };
-        let mut xbar = Crossbar::new(config, NODES);
-        let mut seed = ReferenceCrossbar::new(config, NODES);
+        let mut xbar = Crossbar::new(config, nodes);
+        let mut seed = ReferenceCrossbar::new(config, nodes);
         let mut now = 0u64;
         for op in &ops {
             now += op.gap;
@@ -167,7 +225,7 @@ proptest! {
             prop_assert_eq!(xbar.serialization_ns(class), seed.serialization_ns(class));
             let msg: Message = Message {
                 src: NodeId::new(op.src),
-                dests: DestSet::from_bits(op.dest_mask as u64),
+                dests: op.dests(),
                 class,
             };
             let d = xbar.send(now, &msg);
@@ -245,19 +303,20 @@ fn topology() -> impl Strategy<Value = TopologySpec> {
 /// Replays `ops` through a fresh [`Topology`] and renders every
 /// delivery, asserting the per-link conservation ledger on the way out.
 fn run_stream<const W: usize>(
+    nodes: usize,
     topo_spec: &TopologySpec,
     toxics: &ToxicSpec,
     seed: u64,
     ops: &[Send],
 ) -> String {
-    let mut topo = Topology::new(InterconnectConfig::isca03(), NODES, topo_spec, toxics, seed);
+    let mut topo = Topology::new(InterconnectConfig::isca03(), nodes, topo_spec, toxics, seed);
     let mut now = 0u64;
     let mut out = String::new();
     for op in ops {
         now += op.gap;
         let msg: Message<W> = Message {
             src: NodeId::new(op.src),
-            dests: DestSet::from_bits(op.dest_mask as u64),
+            dests: op.dests(),
             class: class_of(op.class_idx),
         };
         let d = topo.send(now, &msg);
@@ -284,10 +343,10 @@ proptest! {
         toxics in toxic_chain(),
         seed in any::<u64>(),
     ) {
-        let first = run_stream::<1>(&topo, &toxics, seed, &ops);
-        let again = run_stream::<1>(&topo, &toxics, seed, &ops);
+        let first = run_stream::<1>(NODES, &topo, &toxics, seed, &ops);
+        let again = run_stream::<1>(NODES, &topo, &toxics, seed, &ops);
         prop_assert_eq!(&first, &again, "same seed must replay byte-identically");
-        let wide = run_stream::<4>(&topo, &toxics, seed, &ops);
+        let wide = run_stream::<4>(NODES, &topo, &toxics, seed, &ops);
         prop_assert_eq!(first, wide, "set width changed delivery timing");
     }
 
@@ -309,7 +368,7 @@ proptest! {
             now += op.gap;
             let msg: Message = Message {
                 src: NodeId::new(op.src),
-                dests: DestSet::from_bits(op.dest_mask as u64),
+                dests: op.dests(),
                 class: class_of(op.class_idx),
             };
             for (node, t) in &net.send(now, &msg).arrivals {
@@ -328,12 +387,14 @@ proptest! {
     /// (25 ns injection half + 0 ns per hop on each side) is the
     /// crossbar: the modeled path with uniform halves must be
     /// byte-identical to the direct fast path, whatever the aspect
-    /// ratio of the grid.
+    /// ratio of the grid, on 16 nodes and on 256.
     #[test]
-    fn flat_mesh_is_the_crossbar(ops in sends(), cols in 1u32..9, seed in any::<u64>()) {
+    fn flat_mesh_is_the_crossbar(trace in traces(), cols in 1u32..9, seed in any::<u64>()) {
+        let (nodes, ops) = trace;
         let mesh = TopologySpec::Mesh2d { cols, link_ns: 25, hop_ns: 0 };
-        let direct = run_stream::<1>(&TopologySpec::Crossbar, &ToxicSpec::none(), seed, &ops);
-        let modeled = run_stream::<1>(&mesh, &ToxicSpec::none(), seed, &ops);
+        let none = ToxicSpec::none();
+        let direct = run_stream::<4>(nodes, &TopologySpec::Crossbar, &none, seed, &ops);
+        let modeled = run_stream::<4>(nodes, &mesh, &none, seed, &ops);
         prop_assert_eq!(direct, modeled, "degenerate mesh diverged from the crossbar");
     }
 }

@@ -6,9 +6,13 @@ use std::collections::BinaryHeap;
 use super::{Event, QueueCounters};
 
 /// Near-horizon wheel span in time units (one slot per nanosecond).
-/// Power of two so slot lookup is a mask. 4096 ns comfortably covers
-/// the simulator's protocol latencies (≤ ~500 ns end to end) — only the
-/// exponential tail of CPU computation gaps overflows to the far heap.
+/// Power of two so slot lookup is a mask. 4096 ns covers the
+/// protocol latencies of the paper's 16-node crossbar (≤ ~500 ns end to
+/// end), where only the exponential tail of CPU computation gaps
+/// overflows to the far heap: a traced `timing-16` benchmark run
+/// promotes 1,584 events. It does not cover wide or degraded machines:
+/// a traced `timing-wide` run (256-node crossbar plus a 64-node mesh
+/// under severe toxics) promotes 409,253.
 const WHEEL_SLOTS: usize = 4096;
 const SLOT_MASK: u64 = WHEEL_SLOTS as u64 - 1;
 /// Occupancy bitmap words (one bit per slot).

@@ -8,7 +8,7 @@ use rand::{Rng, SeedableRng};
 use dsp_cache::SetAssocCache;
 use dsp_coherence::{CoherenceTracker, MissInfo};
 use dsp_core::{DestSetPredictor, PredictQuery, TrainEvent};
-use dsp_interconnect::{Arrivals, Message, Topology};
+use dsp_interconnect::{Message, Topology};
 use dsp_trace::{TraceRecord, WorkloadSpec};
 use dsp_types::{DestSet, LineState, MessageClass, NodeId, Owner, ReqType, SystemConfig};
 
@@ -43,9 +43,9 @@ struct Pending<const W: usize> {
     /// Destination set of the current attempt (excluding the requester).
     current_dests: DestSet<W>,
     /// Arrival times of the current attempt, indexed by node. Only the
-    /// slots of `current_dests` are meaningful: `send_request` writes
-    /// exactly those, and other slots may hold an earlier attempt's (or
-    /// an earlier miss's) times.
+    /// slots of `current_dests` are meaningful: the topology writes
+    /// exactly those when `send_request` sends, and other slots may
+    /// hold an earlier attempt's (or an earlier miss's) times.
     arrivals: Vec<u64>,
     /// Fallback arrival for nodes not in the destination set (e.g. the
     /// requester acting as its own home): order time + half traversal.
@@ -104,9 +104,10 @@ pub struct System<const W: usize = 4> {
     // Global.
     tracker: CoherenceTracker<W>,
     xbar: Topology,
-    /// Scratch buffer for crossbar deliveries, reused across every send
-    /// so the event loop performs no per-message allocation or copy.
-    xbar_arrivals: Arrivals,
+    /// Per-node arrival slots for the sends other than requests
+    /// (forwards, invalidations, responses, writebacks), reused across
+    /// every such send; requests write into their miss's own slots.
+    send_slots: Vec<u64>,
     queue: EventQueue,
     /// Lazy-training inboxes (empty in eager mode); see [`TrainBuffers`].
     train: TrainBuffers<W>,
@@ -215,7 +216,7 @@ impl<const W: usize> System<W> {
                 &sim.toxics,
                 sim.seed ^ 0x70c5_1c5e_ed00_cafe,
             ),
-            xbar_arrivals: Arrivals::new(),
+            send_slots: vec![0; n],
             queue: EventQueue::new(),
             train: TrainBuffers::new(n),
             vseq: 0,
@@ -465,20 +466,23 @@ impl<const W: usize> System<W> {
         now: u64,
         attempt: u8,
     ) {
-        let order_time =
-            self.xbar
-                .send_into(now, &Message { src, dests, class }, &mut self.xbar_arrivals);
+        // The topology writes the slot of exactly each node of `dests`:
+        // every slot `arrival_at` may read for this attempt, so no slot
+        // needs clearing first.
+        let delivered = self.xbar.link_stats().delivered;
+        let order_time = self.xbar.send_into(
+            now,
+            &Message { src, dests, class },
+            &mut self.pending[req].arrivals,
+        );
+        debug_assert_eq!(
+            self.xbar.link_stats().delivered - delivered,
+            dests.len() as u64
+        );
         self.record_traffic(req, class, dests.len() as u64);
-        // The crossbar delivers to exactly `dests`, so the loop below
-        // writes every slot `arrival_at` may read for this attempt; no
-        // slot needs clearing first.
-        debug_assert_eq!(self.xbar_arrivals.len(), dests.len());
         let p = &mut self.pending[req];
         p.attempt = attempt;
         p.current_dests = dests;
-        for &(node, t) in &self.xbar_arrivals {
-            p.arrivals[node.index()] = t;
-        }
         let ser = self.xbar.serialization_ns(class);
         p.self_arrival = order_time + self.xbar.dst_half_ns(src) + ser;
         self.push_req(req, order_time, Event::Ordered { req, attempt });
@@ -494,9 +498,9 @@ impl<const W: usize> System<W> {
                 // Retries keep their queued events in both modes: they
                 // are rare, and the requester's `Reissue` training
                 // reads the request's state at arrival time.
-                for i in 0..self.xbar_arrivals.len() {
-                    let (node, t) = self.xbar_arrivals[i];
+                for node in dests {
                     if node != requester || retry {
+                        let t = self.pending[req].arrivals[node.index()];
                         self.push_req(
                             req,
                             t,
@@ -514,13 +518,14 @@ impl<const W: usize> System<W> {
                 // same virtual sequence a queued event would have
                 // drawn, to be drained at that node's next predictor
                 // observation.
-                for i in 0..self.xbar_arrivals.len() {
-                    let (node, t) = self.xbar_arrivals[i];
+                let arrivals = &self.pending[req].arrivals;
+                for node in dests {
                     if node != requester {
+                        let d = node.index();
                         self.vseq += 1;
                         self.train.buffer(
-                            node.index(),
-                            t,
+                            d,
+                            arrivals[d],
                             self.vseq,
                             rec.block(),
                             requester,
@@ -535,8 +540,8 @@ impl<const W: usize> System<W> {
                         // than `now` has already run and any future
                         // observation keys later, so records strictly
                         // older than `now` can be applied right away.
-                        if self.train.len(node.index()) >= FORCE_DRAIN_DEPTH {
-                            self.drain_training(node.index(), now, 0);
+                        if self.train.len(d) >= FORCE_DRAIN_DEPTH {
+                            self.train.drain(d, now, 0, self.predictors[d].as_mut());
                         }
                     }
                 }
@@ -702,7 +707,7 @@ impl<const W: usize> System<W> {
                                 dests: invals,
                                 class: MessageClass::Forward,
                             },
-                            &mut self.xbar_arrivals,
+                            &mut self.send_slots,
                         );
                         self.record_traffic(req, MessageClass::Forward, invals.len() as u64);
                     }
@@ -721,7 +726,7 @@ impl<const W: usize> System<W> {
                                     dests: invals,
                                     class: MessageClass::Forward,
                                 },
-                                &mut self.xbar_arrivals,
+                                &mut self.send_slots,
                             );
                             self.record_traffic(req, MessageClass::Forward, invals.len() as u64);
                         }
@@ -741,18 +746,12 @@ impl<const W: usize> System<W> {
                                 dests: fwd,
                                 class: MessageClass::Forward,
                             },
-                            &mut self.xbar_arrivals,
+                            &mut self.send_slots,
                         );
                         self.record_traffic(req, MessageClass::Forward, fwd.len() as u64);
-                        let arrive = self
-                            .xbar_arrivals
-                            .iter()
-                            .find(|(n, _)| *n == owner)
-                            .map(|(_, t)| *t)
-                            .expect("owner is a forward destination");
                         self.push_req(
                             req,
-                            arrive + self.target.l2_access_ns,
+                            self.send_slots[owner.index()] + self.target.l2_access_ns,
                             Event::OwnerReady {
                                 req,
                                 owner: owner.index(),
@@ -825,10 +824,10 @@ impl<const W: usize> System<W> {
                 dests: DestSet::single(requester),
                 class,
             },
-            &mut self.xbar_arrivals,
+            &mut self.send_slots,
         );
         self.record_traffic(req, class, 1);
-        let arrive = self.xbar_arrivals[0].1;
+        let arrive = self.send_slots[requester.index()];
         self.push_req(req, arrive, Event::Complete { req });
     }
 
@@ -906,7 +905,7 @@ impl<const W: usize> System<W> {
                                 dests: DestSet::single(victim_home),
                                 class: MessageClass::Writeback,
                             },
-                            &mut self.xbar_arrivals,
+                            &mut self.send_slots,
                         );
                         self.record_traffic(req, MessageClass::Writeback, 1);
                     }

@@ -38,7 +38,6 @@ mod config;
 mod dest_set;
 mod error;
 pub mod hash;
-mod inline_vec;
 mod mosi;
 mod node;
 mod open_table;
@@ -49,7 +48,6 @@ pub use addr::{Address, BlockAddr, MacroblockAddr, Pc, BLOCK_BYTES, BLOCK_SHIFT}
 pub use config::{SystemConfig, SystemConfigBuilder};
 pub use dest_set::{DestSet, DestSet256, DestSet64, DestSetIter};
 pub use error::ConfigError;
-pub use inline_vec::{InlineVec, InlineVecIter};
 pub use mosi::{LineState, Owner};
 pub use node::{NodeId, MAX_NODES};
 pub use open_table::OpenTable;

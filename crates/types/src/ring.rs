@@ -20,8 +20,8 @@ use std::fmt;
 /// is empty; once the queue fully drains, the spill resets and the ring
 /// takes over again.
 ///
-/// `T: Copy + Default` for the same reason as [`crate::InlineVec`]: the
-/// backing array initializes eagerly and elements move out by value.
+/// `T: Copy + Default` because the backing array initializes eagerly
+/// and elements move out by value.
 ///
 /// # Example
 ///
