@@ -4,13 +4,9 @@
 //! [`CoherenceTracker`](crate::CoherenceTracker) byte for byte in
 //! behavior: block state in a `std::collections::HashMap` (SipHash) and
 //! the original classify → state → entry probe sequence in `access`.
-//! It exists for two consumers:
-//!
-//! * the property tests, which assert the fast open-addressing tracker
-//!   is observationally equivalent to this model across arbitrary
-//!   access/evict sequences, and
-//! * the `tracker_access` Criterion bench (`benches/protocols.rs` in
-//!   `dsp-bench`), which times the fast tracker against this baseline.
+//! It exists for the equivalence property tests, which assert the fast
+//! open-addressing tracker is observationally equivalent to this model
+//! across arbitrary access/evict sequences.
 //!
 //! Protocol semantics (the `reconcile` function) are shared with the
 //! fast tracker, so the two can only diverge in state storage — which

@@ -93,9 +93,10 @@ impl<const W: usize> CoherenceTracker<W> {
     ///
     /// Identical behavior to [`CoherenceTracker::new`]; the block-state
     /// table just skips its growth rehashes while the estimate holds.
-    /// The timing simulator passes its total miss count (an upper bound
-    /// on distinct blocks), which removes every in-run rehash from the
-    /// per-miss path.
+    /// The timing simulator passes a quarter of its total miss count,
+    /// capped at 2^15 blocks: a deliberate underestimate (a bigger
+    /// zeroed allocation per run costs more than the rehashes it would
+    /// save), so some growth still happens during a run.
     pub fn with_block_capacity(config: &SystemConfig, expected_blocks: usize) -> Self {
         CoherenceTracker {
             num_nodes: config.num_nodes(),

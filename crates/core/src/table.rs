@@ -380,9 +380,10 @@ impl<E: Clone + Default> PredictorTable<E> {
 /// The seed implementation of [`PredictorTable`]: a `HashMap` for the
 /// unbounded case and per-set `Vec<Way>` lists for the finite one.
 ///
-/// Kept as the reference oracle for equivalence property tests and as
-/// the baseline the `predictor_table` Criterion bench measures against
-/// — the same pattern as `dsp_coherence::ReferenceTracker` and
+/// Kept as the reference oracle of the equivalence property tests
+/// (`tests/table_equivalence.rs`), which pin the production table's
+/// lookups, stats and evictions to it — the same pattern as
+/// `dsp_coherence::ReferenceTracker` and
 /// `dsp_interconnect::ReferenceCrossbar`.
 #[derive(Clone, Debug)]
 pub struct ReferencePredictorTable<E> {

@@ -1,17 +1,23 @@
 //! The scheduling core: simulation events and the queues that order
 //! them.
 //!
-//! Every simulated miss flows through half a dozen queued events, so
-//! the event queue is — after the coherence tracker and the crossbar —
-//! the last per-miss hot path. The production queue is
-//! [`WheelQueue`], a hierarchical timing wheel: a near-horizon array of
-//! per-nanosecond slot buckets (FIFO within a slot, found by a bitmap
-//! scan instead of heap sifting) backed by an overflow binary heap for
-//! far-future events, which are promoted into the wheel as the cursor
-//! approaches them. The seed `BinaryHeap` implementation survives as
-//! [`ReferenceQueue`] — the oracle for the pop-order equivalence
-//! property tests and the baseline of the `event_queue` Criterion
-//! bench.
+//! Every simulated miss flows through about five and a half queued
+//! events, so the event queue is one of the simulator's per-miss hot
+//! paths. The production queue is [`WheelQueue`], a hierarchical
+//! timing wheel:
+//!
+//! * a near-horizon array of per-nanosecond slots, found by a bitmap
+//!   scan instead of heap sifting. Each slot is only the two ends of an
+//!   intrusive FIFO list; the events themselves live in one node arena
+//!   shared by all slots, recycled through a LIFO free list, so a push
+//!   reuses the node the last pop just freed;
+//! * an overflow binary heap for far-future events, which are promoted
+//!   into the wheel as the cursor approaches them.
+//!
+//! [`Event`] keeps its indices as `u32` so an arena node is 24 bytes.
+//! The seed `BinaryHeap` implementation survives as [`ReferenceQueue`],
+//! the oracle of the pop-order equivalence property tests
+//! (`tests/queue_equivalence.rs`).
 //!
 //! Both queues pop in identical order: time, then push sequence (FIFO
 //! among equal times).
@@ -63,52 +69,54 @@ impl QueueCounters {
 }
 
 /// Events driving the simulation. `req` indexes the pending-request
-/// table; `node` is a node index.
+/// table; `node` and `owner` are node indices. Both are `u32` to keep
+/// the event at 12 bytes (the simulator checks the pending table's
+/// length where it hands out a new index).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Event {
     /// A node is ready to issue its next miss (subject to its window).
     CpuIssue {
         /// Node index.
-        node: usize,
+        node: u32,
     },
     /// The L2 detected the miss; the request enters the interconnect.
     Inject {
         /// Pending-request index.
-        req: usize,
+        req: u32,
     },
     /// A request (attempt `attempt`) passed the ordering point.
     Ordered {
         /// Pending-request index.
-        req: usize,
+        req: u32,
         /// 1 = initial multicast, 2 = first reissue, 3 = broadcast.
         attempt: u8,
     },
     /// A request-class message arrived at a node (predictor training).
     RequestArrive {
         /// Pending-request index.
-        req: usize,
+        req: u32,
         /// Receiving node.
-        node: usize,
+        node: u32,
         /// Whether this was a directory reissue.
         retry: bool,
     },
     /// The home directory is ready to forward / respond / reissue.
     HomeReady {
         /// Pending-request index.
-        req: usize,
+        req: u32,
         /// Attempt being processed.
         attempt: u8,
     },
     /// The cache owner is ready to inject the data response.
     OwnerReady {
         /// Pending-request index.
-        req: usize,
+        req: u32,
         /// The owner node injecting the response.
-        owner: usize,
+        owner: u32,
     },
     /// The data (or upgrade ack) arrived at the requester.
     Complete {
         /// Pending-request index.
-        req: usize,
+        req: u32,
     },
 }

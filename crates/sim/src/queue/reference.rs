@@ -31,10 +31,11 @@ impl PartialOrd for Queued {
 /// The seed time-ordered event queue with FIFO tie-breaking: a
 /// `BinaryHeap` over `(time, seq)`.
 ///
-/// Kept as the oracle for [`super::WheelQueue`]'s pop-order equivalence
-/// property tests and as the baseline of the `event_queue` Criterion
-/// bench — every pop pays O(log n) sift with pointer-chasing
-/// comparisons, which is exactly the cost the timing wheel removes.
+/// Kept as the oracle of the pop-order equivalence property tests
+/// (`tests/queue_equivalence.rs`), which drive it and
+/// [`super::WheelQueue`] through identical push/pop interleavings. Every
+/// pop pays an O(log n) sift with pointer-chasing comparisons, which is
+/// exactly the cost the timing wheel removes.
 #[derive(Debug, Default)]
 pub struct ReferenceQueue {
     heap: BinaryHeap<Queued>,
@@ -102,7 +103,7 @@ mod tests {
         q.push(5, Event::CpuIssue { node: 0 });
         q.push(5, Event::CpuIssue { node: 1 });
         q.push(5, Event::CpuIssue { node: 2 });
-        let order: Vec<usize> = std::iter::from_fn(|| {
+        let order: Vec<u32> = std::iter::from_fn(|| {
             q.pop().map(|(_, e)| match e {
                 Event::CpuIssue { node } => node,
                 _ => unreachable!(),

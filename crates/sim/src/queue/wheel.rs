@@ -12,20 +12,43 @@ use super::{Event, QueueCounters};
 /// overflows to the far heap: a traced `timing-16` benchmark run
 /// promotes 1,584 events. It does not cover wide or degraded machines:
 /// a traced `timing-wide` run (256-node crossbar plus a 64-node mesh
-/// under severe toxics) promotes 409,253.
+/// under severe toxics) promotes 409,253. Promotions are counted but
+/// cheap: a 16,384-slot horizon removed every one of them on
+/// `timing-wide` yet moved its `misses_per_s` only ~2 %, inside noise,
+/// so the horizon stays at 4096.
 const WHEEL_SLOTS: usize = 4096;
 const SLOT_MASK: u64 = WHEEL_SLOTS as u64 - 1;
 /// Occupancy bitmap words (one bit per slot).
 const BITMAP_WORDS: usize = WHEEL_SLOTS / 64;
+/// The null node index: the end of a slot list or of the free list.
+const NIL: u32 = u32::MAX;
 
-/// One wheel bucket: the events of a single timestamp in push order.
-/// `head` marks the next event to pop; storage is reused across wheel
-/// rotations (the `Vec` keeps its capacity when cleared).
-#[derive(Clone, Debug, Default)]
-struct SlotBuf {
-    head: usize,
-    items: Vec<(u64, Event)>, // (push sequence, event)
+/// One wheel-resident event in the node arena. `next` links it into
+/// its slot's FIFO list while queued, or into the free list once
+/// popped.
+#[derive(Debug)]
+struct Node {
+    seq: u64,
+    event: Event,
+    next: u32,
 }
+
+// The layout the arena's cache footprint is sized by.
+const _: () = assert!(std::mem::size_of::<Node>() == 24);
+
+/// One wheel bucket: the ends of the arena list holding the events of
+/// a single timestamp in push order. `head == NIL` means empty (`tail`
+/// is then stale).
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY_SLOT: Slot = Slot {
+    head: NIL,
+    tail: NIL,
+};
 
 /// A far-future (or late/past) event parked in the overflow heap.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,16 +78,25 @@ impl PartialOrd for Far {
 /// two-level timing wheel.
 ///
 /// The near level is a `WHEEL_SLOTS`-entry array of per-nanosecond
-/// buckets covering `[cursor, cursor + WHEEL_SLOTS)`; push appends to a
-/// bucket (O(1), no comparisons) and pop finds the next non-empty
-/// bucket with a 64-slots-per-instruction bitmap scan. Events beyond
-/// the horizon wait in an overflow binary heap — the far level — and
-/// are promoted into the wheel when the cursor reaches within a horizon
-/// of them. In the simulator's steady state nearly every event lands
-/// and pops in the near level, replacing the seed `BinaryHeap`'s
-/// O(log n) pointer-chasing sift per operation (see
-/// [`super::ReferenceQueue`]) with bucket appends and word scans over
-/// slot storage that is recycled every wheel rotation.
+/// buckets covering `[cursor, cursor + WHEEL_SLOTS)`; pop finds the
+/// next non-empty bucket with a 64-slots-per-instruction bitmap scan.
+/// A bucket is an intrusive FIFO list (Varghese & Lauck's hashed
+/// timing wheel): the slot array holds only `{head, tail}` node
+/// indices (32 KB), and every wheel-resident event lives in one shared
+/// `Vec<Node>` arena. Push takes the most recently freed node — still
+/// in cache from the pop that freed it — and links it at the bucket's
+/// tail; pop unlinks the bucket's head and returns the node to a LIFO
+/// free list. The arena grows only to the peak wheel population and is
+/// recycled for the rest of the run, so the steady state allocates
+/// nothing and touches a working set of a few cache lines per event
+/// instead of one buffer per bucket.
+///
+/// Events beyond the horizon wait in an overflow binary heap — the far
+/// level — and are promoted into the wheel when the cursor reaches
+/// within a horizon of them. In the simulator's steady state nearly
+/// every event lands and pops in the near level, replacing the seed
+/// `BinaryHeap`'s O(log n) sift per operation (see
+/// [`super::ReferenceQueue`]) with list links and word scans.
 ///
 /// Pop order is exactly the reference queue's: time, then push
 /// sequence — property tests in `tests/queue_equivalence.rs` pin the
@@ -75,8 +107,12 @@ pub struct WheelQueue {
     /// Fixed-size (boxed) slot array: indexing with `time & SLOT_MASK`
     /// is provably in-bounds, so the per-push/per-pop bucket accesses
     /// compile without bounds checks.
-    slots: Box<[SlotBuf; WHEEL_SLOTS]>,
+    slots: Box<[Slot; WHEEL_SLOTS]>,
     occupied: [u64; BITMAP_WORDS],
+    /// Storage of every wheel-resident event; never shrinks.
+    nodes: Vec<Node>,
+    /// Head of the LIFO free list threaded through `Node::next`.
+    free: u32,
     /// Lower bound of every wheel-resident timestamp; advances to each
     /// popped event's time (never backwards).
     cursor: u64,
@@ -96,11 +132,10 @@ impl WheelQueue {
     /// Creates an empty queue.
     pub fn new() -> Self {
         WheelQueue {
-            slots: vec![SlotBuf::default(); WHEEL_SLOTS]
-                .into_boxed_slice()
-                .try_into()
-                .expect("exactly WHEEL_SLOTS slots"),
+            slots: Box::new([EMPTY_SLOT; WHEEL_SLOTS]),
             occupied: [0; BITMAP_WORDS],
+            nodes: Vec::new(),
+            free: NIL,
             cursor: 0,
             overflow: BinaryHeap::new(),
             seq: 0,
@@ -152,12 +187,23 @@ impl WheelQueue {
         }
         self.len -= 1;
         self.counters.popped += 1;
+        let entry = self.pop_earliest();
+        debug_assert!(
+            self.len > 0 || self.free_nodes() == self.nodes.len(),
+            "an empty queue leaves every arena node on the free list"
+        );
+        Some(entry)
+    }
+
+    /// Removes the earliest event of a non-empty queue.
+    #[inline]
+    fn pop_earliest(&mut self) -> (u64, u64, Event) {
         // Late events (behind the cursor) are strictly earlier than all
         // wheel content and sort first in the overflow heap.
         if let Some(top) = self.overflow.peek() {
             if top.time < self.cursor {
                 let f = self.overflow.pop().expect("peeked");
-                return Some((f.time, f.seq, f.event));
+                return (f.time, f.seq, f.event);
             }
         }
         loop {
@@ -174,7 +220,7 @@ impl WheelQueue {
                     self.promote_overflow();
                 }
                 let (seq, event) = self.slot_pop(time);
-                return Some((time, seq, event));
+                return (time, seq, event);
             }
             // Wheel empty: jump the cursor to the earliest far event
             // (one exists — len > 0) and promote a batch.
@@ -205,28 +251,76 @@ impl WheelQueue {
         self.len == 0
     }
 
-    /// Appends to the bucket of `time` (which must be in horizon).
+    /// Links a node holding `(seq, event)` at the tail of `time`'s
+    /// bucket (which must be in horizon).
     #[inline]
     fn slot_push(&mut self, time: u64, seq: u64, event: Event) {
+        let node = Node {
+            seq,
+            event,
+            next: NIL,
+        };
+        let n = if self.free == NIL {
+            self.grow(node)
+        } else {
+            let n = self.free;
+            let free = &mut self.nodes[n as usize];
+            self.free = free.next;
+            *free = node;
+            n
+        };
         let idx = (time & SLOT_MASK) as usize;
-        self.slots[idx].items.push((seq, event));
-        self.occupied[idx / 64] |= 1 << (idx % 64);
+        let slot = &mut self.slots[idx];
+        if slot.head == NIL {
+            slot.head = n;
+            self.occupied[idx / 64] |= 1 << (idx % 64);
+        } else {
+            self.nodes[slot.tail as usize].next = n;
+        }
+        slot.tail = n;
     }
 
-    /// Pops the front of `time`'s bucket, recycling the bucket storage
-    /// and clearing its occupancy bit when it empties.
+    /// Appends `node` to the arena (the free list is empty) and
+    /// returns its index.
+    #[cold]
+    fn grow(&mut self, node: Node) -> u32 {
+        assert!(
+            self.nodes.len() < NIL as usize,
+            "wheel arena holds fewer than u32::MAX events"
+        );
+        self.nodes.push(node);
+        (self.nodes.len() - 1) as u32
+    }
+
+    /// Unlinks the head of `time`'s bucket onto the free list, clearing
+    /// the bucket's occupancy bit when it empties.
     #[inline]
     fn slot_pop(&mut self, time: u64) -> (u64, Event) {
         let idx = (time & SLOT_MASK) as usize;
         let slot = &mut self.slots[idx];
-        let (seq, event) = slot.items[slot.head];
-        slot.head += 1;
-        if slot.head == slot.items.len() {
-            slot.items.clear();
-            slot.head = 0;
+        let n = slot.head;
+        let node = &mut self.nodes[n as usize];
+        let (seq, event, next) = (node.seq, node.event, node.next);
+        node.next = self.free;
+        self.free = n;
+        slot.head = next;
+        if next == NIL {
             self.occupied[idx / 64] &= !(1 << (idx % 64));
         }
         (seq, event)
+    }
+
+    /// Length of the free list (walked, so it also checks the list is
+    /// well formed). Debug checks and tests only.
+    fn free_nodes(&self) -> usize {
+        let mut count = 0;
+        let mut n = self.free;
+        while n != NIL {
+            count += 1;
+            assert!(count <= self.nodes.len(), "free list cycles");
+            n = self.nodes[n as usize].next;
+        }
+        count
     }
 
     /// Distance (in slots, hence nanoseconds) from the cursor to the
@@ -298,7 +392,7 @@ mod tests {
         for node in 0..5 {
             q.push(5, Event::CpuIssue { node });
         }
-        let order: Vec<usize> = drain(&mut q)
+        let order: Vec<u32> = drain(&mut q)
             .into_iter()
             .map(|(_, e)| match e {
                 Event::CpuIssue { node } => node,
@@ -331,7 +425,7 @@ mod tests {
         assert_eq!(q.pop(), Some((10, Event::CpuIssue { node: 9 })));
         // ...then a *direct* push at the same far time once the cursor
         // jump promotes the first two: seq order must survive.
-        let order: Vec<usize> = std::iter::from_fn(|| q.pop())
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop())
             .map(|(t, e)| {
                 assert_eq!(t, far);
                 match e {
@@ -355,7 +449,7 @@ mod tests {
             u64::MAX - 3,
         ];
         for (i, &t) in times.iter().enumerate() {
-            q.push(t, Event::Complete { req: i });
+            q.push(t, Event::Complete { req: i as u32 });
         }
         let popped: Vec<u64> = drain(&mut q).into_iter().map(|(t, _)| t).collect();
         assert_eq!(popped, times.to_vec());
@@ -412,7 +506,7 @@ mod tests {
     fn counters_reconcile_mid_run() {
         let mut q = WheelQueue::new();
         for t in 0..10 {
-            q.push(t, Event::Complete { req: t as usize });
+            q.push(t, Event::Complete { req: t as u32 });
         }
         let _ = q.pop();
         let _ = q.pop();
@@ -428,7 +522,7 @@ mod tests {
         // density: every slot is filled, emptied, and refilled.
         let mut expect = Vec::new();
         for t in 0..(WHEEL_SLOTS as u64 * 3) {
-            q.push(t, Event::Complete { req: t as usize });
+            q.push(t, Event::Complete { req: t as u32 });
             expect.push(t);
             if t % 2 == 0 {
                 let (pt, _) = q.pop().expect("non-empty");
@@ -437,5 +531,28 @@ mod tests {
         }
         let rest: Vec<u64> = drain(&mut q).into_iter().map(|(t, _)| t).collect();
         assert_eq!(rest, expect);
+    }
+
+    #[test]
+    fn arena_is_bounded_by_peak_length_and_fully_recycled() {
+        let mut q = WheelQueue::new();
+        let mut peak = 0;
+        // Three full rotations of interleaved push and pop: 0–3 pushes
+        // spread over several slots, then 1–2 pops, so the backlog
+        // swings and nodes are freed and reused in shifting orders.
+        for t in 0..(WHEEL_SLOTS as u64 * 3) {
+            for k in 0..(t % 4) {
+                q.push(t + k * 7, Event::Complete { req: t as u32 });
+            }
+            peak = peak.max(q.len());
+            assert!(q.nodes.len() <= peak, "arena outgrew the queue");
+            for _ in 0..1 + t % 2 {
+                let _ = q.pop();
+            }
+        }
+        assert!(peak > 0);
+        drain(&mut q);
+        assert!(q.nodes.len() <= peak);
+        assert_eq!(q.free_nodes(), q.nodes.len(), "every node is free");
     }
 }

@@ -256,7 +256,7 @@ impl<const W: usize> System<W> {
             }
             let gap = self.draw_gap(node);
             self.ready_at[node] = gap;
-            self.push_event(gap, Event::CpuIssue { node });
+            self.push_event(gap, Event::CpuIssue { node: node as u32 });
         }
         // The last dispatched event's (time, seq): the loop applies
         // exactly the trainings scheduled strictly before the point it
@@ -307,30 +307,38 @@ impl<const W: usize> System<W> {
         }
     }
 
+    /// Runs one event's handler. Events carry indices as `u32`; the
+    /// handlers take them widened back to `usize`.
     fn dispatch(&mut self, time: u64, seq: u64, event: Event) {
         match event {
-            Event::CpuIssue { node } => self.try_issue(node, time),
+            Event::CpuIssue { node } => self.try_issue(node as usize, time),
             Event::Inject { req } => {
+                let req = req as usize;
                 self.inject_request(req, time, seq);
                 self.release(req);
             }
             Event::Ordered { req, attempt } => {
+                let req = req as usize;
                 self.ordered(req, attempt, time);
                 self.release(req);
             }
             Event::RequestArrive { req, node, retry } => {
-                self.request_arrive(req, node, retry, time, seq);
+                let req = req as usize;
+                self.request_arrive(req, node as usize, retry, time, seq);
                 self.release(req);
             }
             Event::HomeReady { req, attempt } => {
+                let req = req as usize;
                 self.home_ready(req, attempt, time);
                 self.release(req);
             }
             Event::OwnerReady { req, owner } => {
-                self.owner_ready(req, owner, time);
+                let req = req as usize;
+                self.owner_ready(req, owner as usize, time);
                 self.release(req);
             }
             Event::Complete { req } => {
+                let req = req as usize;
                 self.complete(req, time, seq);
                 self.release(req);
             }
@@ -346,11 +354,13 @@ impl<const W: usize> System<W> {
         self.queue.push_at(time, self.vseq, event);
     }
 
-    /// Schedules an event that references pending slot `req`, pinning
-    /// the slot until the event has been dispatched.
-    fn push_req(&mut self, req: usize, time: u64, event: Event) {
+    /// Schedules the event `make` builds for pending slot `req`,
+    /// pinning the slot until the event has been dispatched. Events
+    /// carry the slot as a `u32`, which `alloc_pending` guarantees it
+    /// fits.
+    fn push_req(&mut self, req: usize, time: u64, make: impl FnOnce(u32) -> Event) {
         self.pending[req].refs += 1;
-        self.push_event(time, event);
+        self.push_event(time, make(req as u32));
     }
 
     /// Applies `node`'s buffered trainings that the eager path would
@@ -376,7 +386,7 @@ impl<const W: usize> System<W> {
         let window = self.sim.cpu.window();
         while self.outstanding[node] < window && self.next_miss[node] < self.programs[node].len() {
             if self.ready_at[node] > now {
-                self.push_event(self.ready_at[node], Event::CpuIssue { node });
+                self.push_event(self.ready_at[node], Event::CpuIssue { node: node as u32 });
                 return;
             }
             let idx = self.next_miss[node];
@@ -417,11 +427,9 @@ impl<const W: usize> System<W> {
                 self_arrival: 0,
             });
             // The L2 lookup detects the miss, then the request is injected.
-            self.push_req(
-                slot,
-                now + self.target.l2_access_ns,
-                Event::Inject { req: slot },
-            );
+            self.push_req(slot, now + self.target.l2_access_ns, |req| Event::Inject {
+                req,
+            });
         }
     }
 
@@ -485,7 +493,7 @@ impl<const W: usize> System<W> {
         p.current_dests = dests;
         let ser = self.xbar.serialization_ns(class);
         p.self_arrival = order_time + self.xbar.dst_half_ns(src) + ser;
-        self.push_req(req, order_time, Event::Ordered { req, attempt });
+        self.push_req(req, order_time, |req| Event::Ordered { req, attempt });
         let rec = self.pending[req].rec;
         let retry = class == MessageClass::Retry;
         // An initial request whose type no predictor observes would
@@ -501,15 +509,11 @@ impl<const W: usize> System<W> {
                 for node in dests {
                     if node != requester || retry {
                         let t = self.pending[req].arrivals[node.index()];
-                        self.push_req(
+                        self.push_req(req, t, |req| Event::RequestArrive {
                             req,
-                            t,
-                            Event::RequestArrive {
-                                req,
-                                node: node.index(),
-                                retry,
-                            },
-                        );
+                            node: node.index() as u32,
+                            retry,
+                        });
                     }
                 }
             } else {
@@ -596,7 +600,7 @@ impl<const W: usize> System<W> {
                 // The home directory resolves the request after its
                 // lookup (co-located with memory).
                 let t = self.arrival_at(req, home) + self.target.mem_access_ns;
-                self.push_req(req, t, Event::HomeReady { req, attempt });
+                self.push_req(req, t, |req| Event::HomeReady { req, attempt });
             }
             ProtocolKind::Multicast(_) => {
                 // The requester covers itself, and the home node always
@@ -616,7 +620,7 @@ impl<const W: usize> System<W> {
                     self.pending[req].indirected = true;
                     self.pending[req].retries += 1;
                     let t = self.arrival_at(req, home) + self.target.mem_access_ns;
-                    self.push_req(req, t, Event::HomeReady { req, attempt });
+                    self.push_req(req, t, |req| Event::HomeReady { req, attempt });
                 }
             }
             ProtocolKind::DirectoryPredicted(_) => {
@@ -627,18 +631,14 @@ impl<const W: usize> System<W> {
                         // (2-hop); the home handles invalidations only.
                         self.pending[req].home_invals_only = true;
                         let t = self.arrival_at(req, owner) + self.target.l2_access_ns;
-                        self.push_req(
+                        self.push_req(req, t, |req| Event::OwnerReady {
                             req,
-                            t,
-                            Event::OwnerReady {
-                                req,
-                                owner: owner.index(),
-                            },
-                        );
+                            owner: owner.index() as u32,
+                        });
                         let invals = info.required_observers().without(owner);
                         if rec.request().is_exclusive() && !invals.is_empty() {
                             let th = self.arrival_at(req, home) + self.target.mem_access_ns;
-                            self.push_req(req, th, Event::HomeReady { req, attempt });
+                            self.push_req(req, th, |req| Event::HomeReady { req, attempt });
                         }
                     }
                     _ => {
@@ -648,7 +648,7 @@ impl<const W: usize> System<W> {
                             self.pending[req].indirected = true;
                         }
                         let t = self.arrival_at(req, home) + self.target.mem_access_ns;
-                        self.push_req(req, t, Event::HomeReady { req, attempt });
+                        self.push_req(req, t, |req| Event::HomeReady { req, attempt });
                     }
                 }
             }
@@ -661,19 +661,15 @@ impl<const W: usize> System<W> {
         match info.owner_before {
             Owner::Node(owner) => {
                 let t = self.arrival_at(req, owner) + self.target.l2_access_ns;
-                self.push_req(
+                self.push_req(req, t, |req| Event::OwnerReady {
                     req,
-                    t,
-                    Event::OwnerReady {
-                        req,
-                        owner: owner.index(),
-                    },
-                );
+                    owner: owner.index() as u32,
+                });
             }
             Owner::Memory => {
                 let t = self.arrival_at(req, home) + self.target.mem_access_ns;
                 let attempt = self.pending[req].attempt;
-                self.push_req(req, t, Event::HomeReady { req, attempt });
+                self.push_req(req, t, |req| Event::HomeReady { req, attempt });
             }
         }
     }
@@ -752,9 +748,9 @@ impl<const W: usize> System<W> {
                         self.push_req(
                             req,
                             self.send_slots[owner.index()] + self.target.l2_access_ns,
-                            Event::OwnerReady {
+                            |req| Event::OwnerReady {
                                 req,
-                                owner: owner.index(),
+                                owner: owner.index() as u32,
                             },
                         );
                     }
@@ -814,7 +810,7 @@ impl<const W: usize> System<W> {
         if responder == requester {
             // Home == requester: purely local response.
             let t = now + self.xbar.serialization_ns(class);
-            self.push_req(req, t, Event::Complete { req });
+            self.push_req(req, t, |req| Event::Complete { req });
             return;
         }
         self.xbar.send_into(
@@ -828,7 +824,7 @@ impl<const W: usize> System<W> {
         );
         self.record_traffic(req, class, 1);
         let arrive = self.send_slots[requester.index()];
-        self.push_req(req, arrive, Event::Complete { req });
+        self.push_req(req, arrive, |req| Event::Complete { req });
     }
 
     /// Predictor training on request arrival: every arrival in eager
@@ -944,7 +940,7 @@ impl<const W: usize> System<W> {
                         (gap as f64 / self.target.ns_per_instruction()) as u64;
                 }
                 self.ready_at[node] = now + gap;
-                self.push_event(now + gap, Event::CpuIssue { node });
+                self.push_event(now + gap, Event::CpuIssue { node: node as u32 });
             }
             CpuModel::Detailed { .. } => self.try_issue(node, now),
         }
@@ -990,7 +986,8 @@ impl<const W: usize> System<W> {
     /// performs no heap allocation. The recycled buffer may hold stale
     /// entries: `arrival_at` reads only the slots of the current
     /// attempt's destination set, which `send_request` writes before
-    /// any event that reads them is scheduled.
+    /// any event that reads them is scheduled. New slot indices are
+    /// checked to fit the `u32` that events carry them in.
     fn alloc_pending(&mut self, mut p: Pending<W>) -> usize {
         let n = self.sys.num_nodes();
         if let Some(slot) = self.free_slots.pop() {
@@ -998,9 +995,10 @@ impl<const W: usize> System<W> {
             self.pending[slot] = p;
             slot
         } else {
+            let slot = u32::try_from(self.pending.len()).expect("pending slots fit in u32");
             p.arrivals = vec![0; n];
             self.pending.push(p);
-            self.pending.len() - 1
+            slot as usize
         }
     }
 

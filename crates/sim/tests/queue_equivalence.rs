@@ -19,17 +19,42 @@ const HORIZON: u64 = 4096;
 
 #[derive(Clone, Copy, Debug)]
 enum Op {
-    /// Push at `last_pushed_time + delta` (simulator-like monotone-ish
-    /// pushes when deltas are small, far-future when large).
-    Push { delta: u64, tag: usize },
+    /// Push `event` at `last_popped_time + delta` (simulator-like
+    /// monotone-ish pushes when deltas are small, far-future when
+    /// large).
+    Push { delta: u64, event: Event },
     /// Pop one event from both queues and compare.
     Pop,
 }
 
+/// Every [`Event`] variant, with fields reaching the boundaries of
+/// their types as the simulator fills them: any `u32` pending-slot
+/// index (exactly `u32::MAX` one draw in eight; the rest stay mostly
+/// distinct, so a FIFO slip shows), node and owner indices up to 255
+/// (the widest machine), every attempt number, both retry flags.
+fn event_strategy() -> impl Strategy<Value = Event> {
+    let req = || (0..=u32::MAX, 0u8..8).prop_map(|(req, k)| if k == 0 { u32::MAX } else { req });
+    let node = || 0u32..=255;
+    let attempt = || 1u8..=3;
+    prop_oneof![
+        node().prop_map(|node| Event::CpuIssue { node }),
+        req().prop_map(|req| Event::Inject { req }),
+        (req(), attempt()).prop_map(|(req, attempt)| Event::Ordered { req, attempt }),
+        (req(), node(), any::<bool>()).prop_map(|(req, node, retry)| Event::RequestArrive {
+            req,
+            node,
+            retry
+        }),
+        (req(), attempt()).prop_map(|(req, attempt)| Event::HomeReady { req, attempt }),
+        (req(), node()).prop_map(|(req, owner)| Event::OwnerReady { req, owner }),
+        req().prop_map(|req| Event::Complete { req }),
+    ]
+}
+
 fn op_strategy(max_delta: u64) -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0..=max_delta, 0usize..1_000_000).prop_map(|(delta, tag)| Op::Push { delta, tag }),
-        (0..=max_delta, 0usize..1_000_000).prop_map(|(delta, tag)| Op::Push { delta, tag }),
+        (0..=max_delta, event_strategy()).prop_map(|(delta, event)| Op::Push { delta, event }),
+        (0..=max_delta, event_strategy()).prop_map(|(delta, event)| Op::Push { delta, event }),
         Just(Op::Pop),
     ]
 }
@@ -45,10 +70,10 @@ fn check_equivalence(ops: &[Op]) -> usize {
     let mut popped = 0usize;
     for op in ops {
         match *op {
-            Op::Push { delta, tag } => {
+            Op::Push { delta, event } => {
                 let time = now.saturating_add(delta);
-                wheel.push(time, Event::Complete { req: tag });
-                heap.push(time, Event::Complete { req: tag });
+                wheel.push(time, event);
+                heap.push(time, event);
             }
             Op::Pop => {
                 let a = wheel.pop();
@@ -121,7 +146,7 @@ fn mixed_regimes_fixed_trace() {
     for i in 0..200usize {
         ops.push(Op::Push {
             delta: (i as u64 * 37) % 90,
-            tag: i,
+            event: Event::Complete { req: i as u32 },
         });
         if i % 3 == 0 {
             ops.push(Op::Pop);
@@ -129,7 +154,9 @@ fn mixed_regimes_fixed_trace() {
         if i % 11 == 0 {
             ops.push(Op::Push {
                 delta: HORIZON + (i as u64 * 131) % (HORIZON * 4),
-                tag: 10_000 + i,
+                event: Event::Complete {
+                    req: 10_000 + i as u32,
+                },
             });
         }
     }
