@@ -500,9 +500,10 @@ pub fn extensions_plan(scale: &Scale) -> ExperimentPlan {
 /// the queue/table pressure the related work (criticality-aware
 /// multiprocessors, cache-level prediction) motivates. The `(timing
 /// sim)` rows at 64/128/256 nodes run the full discrete-event
-/// simulator — the fig7-style path — at sizes that lazy predictor
-/// training made affordable (wheel traffic no longer scales with the
-/// request fan-out).
+/// simulator — the fig7-style path. Each observed request arrival there
+/// is one timing-wheel training event, and
+/// `DestSetPredictor::observes_other` keeps that fan-out to the request
+/// types a predictor learns from.
 pub fn scaling_plan(scale: &Scale) -> ExperimentPlan {
     let mut plan = ExperimentPlan::new(
         "Scaling: request messages per miss vs system size (OLTP-like sharing)",
@@ -538,10 +539,9 @@ pub fn scaling_plan(scale: &Scale) -> ExperimentPlan {
     }
     // Timing-sim (fig7-style) rows at the large node counts: the full
     // discrete-event simulator, not just the trace-driven evaluator.
-    // Affordable since predictor training stopped queuing one wheel
-    // event per request destination — event-loop traffic is O(misses)
-    // instead of O(misses × destinations), which is what used to grow
-    // quadratically with the broadcast fan-out at 256 nodes.
+    // Owner/Group learns only from other nodes' requests for exclusive,
+    // so only those queue a training event per destination; requests
+    // for shared queue none.
     for nodes in [64usize, 128, 256] {
         let config = SystemConfig::builder()
             .num_nodes(nodes)

@@ -6,8 +6,9 @@
 //! queue, shared open-addressing table family, 256-bit `DestSet`), so
 //! these tests prove the refactors since — queue, tables, set widening,
 //! the trace-generator storage swap, the streaming session API, the
-//! fleet's JSON codec for cell outputs, and the interconnect
-//! topology/fault-injection layer wrapped around the crossbar — are
+//! fleet's JSON codec for cell outputs, the interconnect
+//! topology/fault-injection layer wrapped around the crossbar, and the
+//! simulator's training delivery (per-arrival wheel events) — are
 //! observationally invisible to every table and figure they touch: the
 //! trace-driven Table 2 and Figure 5 paths and the timing-simulated
 //! Figure 7/8 paths.
@@ -23,11 +24,6 @@
 //!    the codec of the fleet's wire protocol and write-ahead log — then
 //!    rendered, which pins the float round-trip of fig7/fig8.
 //!
-//! Experiments with timing-sim cells (fig7/fig8) additionally simulate
-//! every cell's runs under both training-delivery modes — the lazy
-//! per-node inboxes (the default) and the eager per-arrival reference
-//! events — and require identical reports.
-//!
 //! Compiled only into release test runs (CI's `cargo test --release
 //! --workspace`): the quick-scale timing simulations behind fig7/fig8
 //! are release-speed workloads, and a byte-identity check on debug
@@ -35,15 +31,9 @@
 
 #![cfg(not(debug_assertions))]
 
-use dsp_bench::engine::{
-    Cell, CellId, CellOutput, Collector, ExperimentPlan, SweepRunner, SweepSession,
-};
+use dsp_bench::engine::{CellId, CellOutput, Collector, SweepRunner, SweepSession};
 use dsp_bench::{experiments, Scale};
-use dsp_sim::{
-    simulate_with_partition, ProtocolKind, SimConfig, TargetSystem, TopologySpec, ToxicSpec,
-    TracePartition, TrainingMode,
-};
-use dsp_trace::WorkloadSpec;
+use dsp_sim::{TopologySpec, ToxicSpec};
 
 fn check(name: &str, golden: &str) {
     let scale = Scale::quick();
@@ -72,8 +62,6 @@ fn check(name: &str, golden: &str) {
         "{name} output with an explicit empty toxic chain on the explicit crossbar \
          diverged from the golden"
     );
-
-    check_training_modes(name, &plan);
 
     // 2. Two explicit cell-set halves (the fleet's lease shape),
     //    collected into one set of plan-ordered slots.
@@ -106,63 +94,6 @@ fn check(name: &str, golden: &str) {
         golden,
         "{name} output decoded from JSON diverged from the golden"
     );
-}
-
-/// The whole-experiment end of the eager/lazy training equivalence (the
-/// per-call end lives in `dsp-sim/tests/train_equivalence.rs`): every
-/// protocol of every timing-sim cell, on every perturbed-seed run, must
-/// report the same `SimReport` under eager delivery as under the lazy
-/// default. Runs follow `RuntimeEvaluator`'s seed schedule
-/// (`seed + r·7919`) and both modes replay one shared partition.
-/// Trace-driven cells never touch the simulator and are skipped.
-fn check_training_modes(name: &str, plan: &ExperimentPlan) {
-    let scale = &plan.scale;
-    for cell in &plan.cells {
-        let Cell::Runtime {
-            config,
-            workload,
-            cpu,
-            target,
-            toxics,
-            topology,
-            protocols,
-        } = cell
-        else {
-            continue;
-        };
-        let spec = WorkloadSpec::preset(*workload, config).scaled(scale.footprint);
-        let target = target.unwrap_or_else(TargetSystem::isca03_default);
-        let mut all = vec![ProtocolKind::Snooping, ProtocolKind::Directory];
-        all.extend(protocols.iter().copied());
-        for r in 0..scale.sim_runs.max(1) {
-            let seed = plan.seed + r as u64 * 7919;
-            let partition = TracePartition::build(
-                &spec,
-                seed,
-                config.num_nodes(),
-                scale.sim_warmup + scale.sim_measured,
-            );
-            for &protocol in &all {
-                let simulate = |training| {
-                    let sim = SimConfig::new(protocol)
-                        .cpu(*cpu)
-                        .misses(scale.sim_warmup, scale.sim_measured)
-                        .seed(seed)
-                        .training(training)
-                        .toxics(toxics.clone().unwrap_or_else(|| plan.toxics.clone()))
-                        .topology(topology.unwrap_or(plan.topology));
-                    simulate_with_partition(config, target, &spec, sim, partition.clone())
-                };
-                assert_eq!(
-                    simulate(TrainingMode::Lazy),
-                    simulate(TrainingMode::Eager),
-                    "{name}: {} on {} run {r} differs between lazy and eager training",
-                    protocol.label(),
-                    cell.summary(),
-                );
-            }
-        }
-    }
 }
 
 #[test]

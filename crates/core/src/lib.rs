@@ -98,11 +98,11 @@ pub trait DestSetPredictor<const W: usize = 4>: std::fmt::Debug + Send {
     /// Applies a batch of training information in slice order.
     ///
     /// Equivalent to calling [`train`](DestSetPredictor::train) on each
-    /// event in turn — the default implementation does exactly that —
-    /// but gives drain-style callers (the timing simulator's lazy
-    /// training inboxes apply a node's backlog immediately before its
-    /// next prediction) a single entry point that implementations may
-    /// override with batch-friendly table walks.
+    /// event in turn — the default implementation does exactly that.
+    /// Nothing in the workspace calls it: the timing simulator trains
+    /// one event per request arrival. It stays only because the
+    /// benchmark's traced predictor wrapper (`perfbench/src/traced.rs`)
+    /// overrides it; once that override goes, so can this method.
     fn train_batch(&mut self, events: &[TrainEvent<W>]) {
         for event in events {
             self.train(event);
@@ -115,8 +115,8 @@ pub trait DestSetPredictor<const W: usize = 4>: std::fmt::Debug + Send {
     /// Returning `false` promises that [`train`](DestSetPredictor::train)
     /// on every [`TrainEvent::OtherRequest`] with this `req` is a no-op,
     /// whatever the block and requester. Callers may then skip those
-    /// deliveries entirely: the timing simulator does not buffer or
-    /// dispatch them. The default, `true`, is always safe, so custom
+    /// deliveries entirely: the timing simulator does not schedule
+    /// them. The default, `true`, is always safe, so custom
     /// predictors and wrappers stay correct without overriding it.
     fn observes_other(&self, req: ReqType) -> bool {
         let _ = req;

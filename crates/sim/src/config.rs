@@ -143,29 +143,6 @@ impl ProtocolKind {
     }
 }
 
-/// How the simulator delivers request-arrival training to the
-/// destination-set predictors.
-///
-/// Training is only *observable* at a predictor's next call (a
-/// prediction, a response/reissue training, or end-of-run state), so
-/// the two modes are behaviorally identical — property tests in
-/// `tests/train_equivalence.rs` pin every predictor call sequence and
-/// every report byte against each other.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TrainingMode {
-    /// The seed path: one queued [`crate::Event::RequestArrive`] per
-    /// request destination, trained when the event fires. Kept as the
-    /// reference implementation and benchmark baseline.
-    Eager,
-    /// The production path: request arrivals append to allocation-free
-    /// per-node inboxes and are drained — in the exact (time, sequence)
-    /// order the eager path would have applied — immediately before the
-    /// node's next predictor observation. The event wheel carries
-    /// O(misses) events instead of O(misses × destinations).
-    #[default]
-    Lazy,
-}
-
 /// The destination-set width rule of a run.
 ///
 /// The simulator and the trace-driven replay
@@ -206,9 +183,6 @@ pub struct SimConfig {
     pub measured_misses_per_node: usize,
     /// RNG seed (trace generation and computation-gap draws).
     pub seed: u64,
-    /// Predictor-training delivery (lazy inboxes by default; the eager
-    /// per-arrival events survive as the reference).
-    pub training: TrainingMode,
     /// Destination-set width rule, applied by the width-dispatch entry
     /// points ([`crate::simulate`] and friends). `System::<W>`
     /// constructors ignore it — the turbofish already chose.
@@ -232,7 +206,6 @@ impl SimConfig {
             warmup_misses_per_node: 500,
             measured_misses_per_node: 2000,
             seed: 1,
-            training: TrainingMode::default(),
             width: SetWidth,
             toxics: ToxicSpec::none(),
             topology: TopologySpec::Crossbar,
@@ -258,13 +231,6 @@ impl SimConfig {
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Selects the training-delivery mode.
-    #[must_use]
-    pub fn training(mut self, training: TrainingMode) -> Self {
-        self.training = training;
         self
     }
 
@@ -335,8 +301,5 @@ mod tests {
         assert_eq!(c.measured_misses_per_node, 400);
         assert_eq!(c.seed, 9);
         assert_eq!(c.cpu.window(), 4);
-        assert_eq!(c.training, TrainingMode::Lazy, "lazy is the default");
-        let c = c.training(TrainingMode::Eager);
-        assert_eq!(c.training, TrainingMode::Eager);
     }
 }

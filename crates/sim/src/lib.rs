@@ -43,10 +43,9 @@ mod config;
 pub mod queue;
 mod report;
 mod system;
-mod train;
 
-pub use config::{CpuModel, ProtocolKind, SetWidth, SimConfig, TargetSystem, TrainingMode};
+pub use config::{CpuModel, ProtocolKind, SetWidth, SimConfig, TargetSystem};
 pub use dsp_interconnect::{Topology, TopologySpec, Toxic, ToxicSpec};
-pub use queue::{Event, EventQueue, QueueCounters, ReferenceQueue, WheelQueue};
+pub use queue::{Event, EventQueue, QueueCounters, WheelQueue};
 pub use report::{ClassCounts, LatencyHistogram, SimReport};
 pub use system::{simulate, simulate_with_partition, System, TracePartition};

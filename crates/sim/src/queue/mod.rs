@@ -1,9 +1,10 @@
-//! The scheduling core: simulation events and the queues that order
+//! The scheduling core: simulation events and the queue that orders
 //! them.
 //!
-//! Every simulated miss flows through about five and a half queued
-//! events, so the event queue is one of the simulator's per-miss hot
-//! paths. The production queue is [`WheelQueue`], a hierarchical
+//! Every simulated miss flows through about six queued events on the
+//! paper's 16-node machine, and more on wide machines, where each
+//! observed request arrival is an event of its own. The event queue is
+//! one of the simulator's per-miss hot paths. The production queue is [`WheelQueue`], a hierarchical
 //! timing wheel:
 //!
 //! * a near-horizon array of per-nanosecond slots, found by a bitmap
@@ -14,18 +15,14 @@
 //! * an overflow binary heap for far-future events, which are promoted
 //!   into the wheel as the cursor approaches them.
 //!
-//! [`Event`] keeps its indices as `u32` so an arena node is 24 bytes.
-//! The seed `BinaryHeap` implementation survives as [`ReferenceQueue`],
-//! the oracle of the pop-order equivalence property tests
-//! (`tests/queue_equivalence.rs`).
-//!
-//! Both queues pop in identical order: time, then push sequence (FIFO
-//! among equal times).
+//! [`Event`] keeps its indices as `u32` so an arena node is 16 bytes.
+//! The wheel pops in the seed `BinaryHeap` queue's order: time, then
+//! push sequence (FIFO among equal times). That heap survives as the
+//! oracle of the pop-order equivalence property tests
+//! (`tests/queue_equivalence.rs`), which keep their own copy of it.
 
-mod reference;
 mod wheel;
 
-pub use reference::ReferenceQueue;
 pub use wheel::WheelQueue;
 
 /// The queue driving [`crate::System`]'s event loop.
@@ -34,8 +31,9 @@ pub type EventQueue = WheelQueue;
 /// Cheap occupancy counters a [`WheelQueue`] maintains over its
 /// lifetime. The benchmark in `perfbench/` reports `popped` as
 /// `sim.events` and `promoted` as `sim.queue_promoted`, so
-/// queue-pressure changes (like the lazy-training fan-out removal) are
-/// visible without re-profiling.
+/// queue-pressure changes (such as the training fan-out, one
+/// [`Event::RequestArrive`] per observed request arrival) are visible
+/// without re-profiling.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueueCounters {
     /// Events pushed (wheel buckets and overflow heap combined).
@@ -91,7 +89,11 @@ pub enum Event {
         /// 1 = initial multicast, 2 = first reissue, 3 = broadcast.
         attempt: u8,
     },
-    /// A request-class message arrived at a node (predictor training).
+    /// A request-class message arrived at a node, whose predictor
+    /// trains on it. This is the simulator's only way to deliver
+    /// request training: initial requests schedule one per destination
+    /// whose predictor observes their type, retries one per
+    /// destination.
     RequestArrive {
         /// Pending-request index.
         req: u32,

@@ -12,10 +12,11 @@ use super::{Event, QueueCounters};
 /// overflows to the far heap: a traced `timing-16` benchmark run
 /// promotes 1,584 events. It does not cover wide or degraded machines:
 /// a traced `timing-wide` run (256-node crossbar plus a 64-node mesh
-/// under severe toxics) promotes 409,253. Promotions are counted but
-/// cheap: a 16,384-slot horizon removed every one of them on
-/// `timing-wide` yet moved its `misses_per_s` only ~2 %, inside noise,
-/// so the horizon stays at 4096.
+/// under severe toxics) promotes 932,302 of its 28.2 M events.
+/// Promotions are counted but cheap: a 16,384-slot horizon removes
+/// every one of them on `timing-wide` yet leaves its `misses_per_s`
+/// at parity (4 pairs of 20 s runs, medians within 0.3 %), so the
+/// horizon stays at 4096.
 const WHEEL_SLOTS: usize = 4096;
 const SLOT_MASK: u64 = WHEEL_SLOTS as u64 - 1;
 /// Occupancy bitmap words (one bit per slot).
@@ -25,16 +26,16 @@ const NIL: u32 = u32::MAX;
 
 /// One wheel-resident event in the node arena. `next` links it into
 /// its slot's FIFO list while queued, or into the free list once
-/// popped.
+/// popped. A node needs no sequence number: its place in the list is
+/// its place in push order.
 #[derive(Debug)]
 struct Node {
-    seq: u64,
     event: Event,
     next: u32,
 }
 
 // The layout the arena's cache footprint is sized by.
-const _: () = assert!(std::mem::size_of::<Node>() == 24);
+const _: () = assert!(std::mem::size_of::<Node>() == 16);
 
 /// One wheel bucket: the ends of the arena list holding the events of
 /// a single timestamp in push order. `head == NIL` means empty (`tail`
@@ -95,12 +96,12 @@ impl PartialOrd for Far {
 /// level — and are promoted into the wheel when the cursor reaches
 /// within a horizon of them. In the simulator's steady state nearly
 /// every event lands and pops in the near level, replacing the seed
-/// `BinaryHeap`'s O(log n) sift per operation (see
-/// [`super::ReferenceQueue`]) with list links and word scans.
+/// `BinaryHeap`'s O(log n) sift per operation with list links and word
+/// scans.
 ///
-/// Pop order is exactly the reference queue's: time, then push
-/// sequence — property tests in `tests/queue_equivalence.rs` pin the
-/// two queues' pop sequences against each other, including dense
+/// Pop order is exactly the seed heap's: time, then push sequence —
+/// property tests in `tests/queue_equivalence.rs` pin the wheel's pop
+/// sequences against a `BinaryHeap` oracle kept there, including dense
 /// equal-time bursts and far-future promotion.
 #[derive(Debug)]
 pub struct WheelQueue {
@@ -117,7 +118,6 @@ pub struct WheelQueue {
     /// popped event's time (never backwards).
     cursor: u64,
     overflow: BinaryHeap<Far>,
-    seq: u64,
     len: usize,
     counters: QueueCounters,
 }
@@ -138,38 +138,24 @@ impl WheelQueue {
             free: NIL,
             cursor: 0,
             overflow: BinaryHeap::new(),
-            seq: 0,
             len: 0,
             counters: QueueCounters::default(),
         }
     }
 
-    /// Schedules `event` at absolute time `time`.
+    /// Schedules `event` at absolute time `time`. Equal-time events pop
+    /// in push order: the push count is the overflow heap's tie-break,
+    /// and a bucket list is already in push order.
     pub fn push(&mut self, time: u64, event: Event) {
-        self.push_at(time, self.seq + 1, event);
-    }
-
-    /// Schedules `event` at absolute time `time` with a caller-assigned
-    /// tie-break sequence.
-    ///
-    /// `seq` must exceed every sequence previously seen by this queue
-    /// (pushes and `push_at` calls share one counter). This lets a
-    /// caller interleave queued events with records it keeps *outside*
-    /// the queue — the simulator's lazy training inboxes — under one
-    /// total (time, seq) order: the caller draws all sequence numbers
-    /// from its own counter and compares popped entries against
-    /// buffered records directly.
-    pub fn push_at(&mut self, time: u64, seq: u64, event: Event) {
-        debug_assert!(seq > self.seq, "sequence numbers must increase");
-        self.seq = seq;
         self.len += 1;
         self.counters.pushed += 1;
+        let seq = self.counters.pushed;
         // In-horizon events go straight to their bucket; everything
         // else — far-future, or behind the cursor (a push earlier than
         // the last pop, which the simulator never does but the heap
         // semantics allow) — parks in the overflow heap.
         if time >= self.cursor && time - self.cursor < WHEEL_SLOTS as u64 {
-            self.slot_push(time, seq, event);
+            self.slot_push(time, event);
         } else {
             self.overflow.push(Far { time, seq, event });
         }
@@ -177,11 +163,6 @@ impl WheelQueue {
 
     /// Pops the earliest event (FIFO among equal times).
     pub fn pop(&mut self) -> Option<(u64, Event)> {
-        self.pop_entry().map(|(time, _, event)| (time, event))
-    }
-
-    /// Pops the earliest event along with its tie-break sequence.
-    pub fn pop_entry(&mut self) -> Option<(u64, u64, Event)> {
         if self.len == 0 {
             return None;
         }
@@ -197,13 +178,13 @@ impl WheelQueue {
 
     /// Removes the earliest event of a non-empty queue.
     #[inline]
-    fn pop_earliest(&mut self) -> (u64, u64, Event) {
+    fn pop_earliest(&mut self) -> (u64, Event) {
         // Late events (behind the cursor) are strictly earlier than all
         // wheel content and sort first in the overflow heap.
         if let Some(top) = self.overflow.peek() {
             if top.time < self.cursor {
                 let f = self.overflow.pop().expect("peeked");
-                return (f.time, f.seq, f.event);
+                return (f.time, f.event);
             }
         }
         loop {
@@ -219,8 +200,7 @@ impl WheelQueue {
                     self.cursor = time;
                     self.promote_overflow();
                 }
-                let (seq, event) = self.slot_pop(time);
-                return (time, seq, event);
+                return (time, self.slot_pop(time));
             }
             // Wheel empty: jump the cursor to the earliest far event
             // (one exists — len > 0) and promote a batch.
@@ -251,15 +231,11 @@ impl WheelQueue {
         self.len == 0
     }
 
-    /// Links a node holding `(seq, event)` at the tail of `time`'s
+    /// Links a node holding `event` at the tail of `time`'s
     /// bucket (which must be in horizon).
     #[inline]
-    fn slot_push(&mut self, time: u64, seq: u64, event: Event) {
-        let node = Node {
-            seq,
-            event,
-            next: NIL,
-        };
+    fn slot_push(&mut self, time: u64, event: Event) {
+        let node = Node { event, next: NIL };
         let n = if self.free == NIL {
             self.grow(node)
         } else {
@@ -295,19 +271,19 @@ impl WheelQueue {
     /// Unlinks the head of `time`'s bucket onto the free list, clearing
     /// the bucket's occupancy bit when it empties.
     #[inline]
-    fn slot_pop(&mut self, time: u64) -> (u64, Event) {
+    fn slot_pop(&mut self, time: u64) -> Event {
         let idx = (time & SLOT_MASK) as usize;
         let slot = &mut self.slots[idx];
         let n = slot.head;
         let node = &mut self.nodes[n as usize];
-        let (seq, event, next) = (node.seq, node.event, node.next);
+        let (event, next) = (node.event, node.next);
         node.next = self.free;
         self.free = n;
         slot.head = next;
         if next == NIL {
             self.occupied[idx / 64] &= !(1 << (idx % 64));
         }
-        (seq, event)
+        event
     }
 
     /// Length of the free list (walked, so it also checks the list is
@@ -363,7 +339,7 @@ impl WheelQueue {
             }
             let f = self.overflow.pop().expect("peeked");
             self.counters.promoted += 1;
-            self.slot_push(f.time, f.seq, f.event);
+            self.slot_push(f.time, f.event);
         }
     }
 }
@@ -475,18 +451,6 @@ mod tests {
                 (120, Event::Complete { req: 3 }),
             ]
         );
-    }
-
-    #[test]
-    fn external_sequences_order_ties_and_pop_returns_them() {
-        let mut q = WheelQueue::new();
-        q.push_at(5, 10, Event::CpuIssue { node: 0 });
-        q.push_at(5, 12, Event::CpuIssue { node: 1 });
-        q.push_at(3, 20, Event::CpuIssue { node: 2 });
-        assert_eq!(q.pop_entry(), Some((3, 20, Event::CpuIssue { node: 2 })));
-        assert_eq!(q.pop_entry(), Some((5, 10, Event::CpuIssue { node: 0 })));
-        assert_eq!(q.pop_entry(), Some((5, 12, Event::CpuIssue { node: 1 })));
-        assert_eq!(q.pop_entry(), None);
     }
 
     #[test]

@@ -12,17 +12,9 @@ use dsp_interconnect::{Message, Topology};
 use dsp_trace::{TraceRecord, WorkloadSpec};
 use dsp_types::{DestSet, LineState, MessageClass, NodeId, Owner, ReqType, SystemConfig};
 
-use crate::config::{CpuModel, ProtocolKind, SimConfig, TargetSystem, TrainingMode};
+use crate::config::{CpuModel, ProtocolKind, SimConfig, TargetSystem};
 use crate::queue::{Event, EventQueue, QueueCounters};
 use crate::report::SimReport;
-use crate::train::TrainBuffers;
-
-/// Lazy-training inbox depth that triggers an early forced drain (of
-/// records already behind the current dispatch time, which is always
-/// safe). Bounds inbox memory to roughly the in-flight arrival horizon
-/// per node instead of the run length, for nodes that rarely observe
-/// their predictor.
-const FORCE_DRAIN_DEPTH: usize = 1024;
 
 /// In-flight miss bookkeeping.
 #[derive(Debug)]
@@ -98,7 +90,7 @@ pub struct System<const W: usize = 4> {
     /// Whether the predictors observe another node's request for shared
     /// (`[0]`) and for exclusive (`[1]`), fixed at construction from
     /// [`DestSetPredictor::observes_other`]. Initial-request deliveries
-    /// of an unobserved type are neither buffered nor dispatched.
+    /// of an unobserved type are not scheduled.
     observes_other: [bool; 2],
     warmup_done_at: Vec<Option<u64>>,
     // Global.
@@ -109,15 +101,6 @@ pub struct System<const W: usize = 4> {
     /// every such send; requests write into their miss's own slots.
     send_slots: Vec<u64>,
     queue: EventQueue,
-    /// Lazy-training inboxes (empty in eager mode); see [`TrainBuffers`].
-    train: TrainBuffers<W>,
-    /// Virtual event sequence: the (time, seq) total order spanning
-    /// queued events *and* buffered training records. Every queue push
-    /// and every inbox append draws the next value, mirroring exactly
-    /// the push order the eager path's queue would see, so a buffered
-    /// record's position relative to any popped event is decided by
-    /// comparing keys — including ties at equal times.
-    vseq: u64,
     pending: Vec<Pending<W>>,
     free_slots: Vec<usize>,
     completed: u64,
@@ -218,8 +201,6 @@ impl<const W: usize> System<W> {
             ),
             send_slots: vec![0; n],
             queue: EventQueue::new(),
-            train: TrainBuffers::new(n),
-            vseq: 0,
             pending: Vec::new(),
             free_slots: Vec::new(),
             completed: 0,
@@ -256,19 +237,9 @@ impl<const W: usize> System<W> {
             }
             let gap = self.draw_gap(node);
             self.ready_at[node] = gap;
-            self.push_event(gap, Event::CpuIssue { node: node as u32 });
+            self.queue.push(gap, Event::CpuIssue { node: node as u32 });
         }
-        // The last dispatched event's (time, seq): the loop applies
-        // exactly the trainings scheduled strictly before the point it
-        // stops, so the final lazy drain uses it as its limit. A
-        // starved run (some node had no misses at all) drains its whole
-        // queue, training events included — limit (MAX, MAX).
-        let stop = self.run_events();
-        if self.sim.protocol.uses_predictors() {
-            for node in 0..n {
-                self.drain_training(node, stop.0, stop.1);
-            }
-        }
+        self.run_events();
         let warm_end = self
             .warmup_done_at
             .iter()
@@ -281,19 +252,16 @@ impl<const W: usize> System<W> {
         self.xbar.assert_conserved();
     }
 
-    /// The event loop: pop one entry, dispatch, repeat, until every
-    /// miss has completed. Returns the last dispatched `(time, seq)`.
-    fn run_events(&mut self) -> (u64, u64) {
-        let mut stop = (0u64, 0u64);
+    /// The event loop: pop one event, dispatch, repeat, until every
+    /// miss has completed (or, in a starved run where some node had no
+    /// misses at all, until the queue runs dry).
+    fn run_events(&mut self) {
         while self.completed < self.total_misses {
-            let Some((time, seq, event)) = self.queue.pop_entry() else {
-                stop = (u64::MAX, u64::MAX);
+            let Some((time, event)) = self.queue.pop() else {
                 break;
             };
-            stop = (time, seq);
-            self.dispatch(time, seq, event);
+            self.dispatch(time, event);
         }
-        stop
     }
 
     /// Drops one queued-event reference to slot `req`, recycling the
@@ -309,12 +277,12 @@ impl<const W: usize> System<W> {
 
     /// Runs one event's handler. Events carry indices as `u32`; the
     /// handlers take them widened back to `usize`.
-    fn dispatch(&mut self, time: u64, seq: u64, event: Event) {
+    fn dispatch(&mut self, time: u64, event: Event) {
         match event {
             Event::CpuIssue { node } => self.try_issue(node as usize, time),
             Event::Inject { req } => {
                 let req = req as usize;
-                self.inject_request(req, time, seq);
+                self.inject_request(req, time);
                 self.release(req);
             }
             Event::Ordered { req, attempt } => {
@@ -324,7 +292,7 @@ impl<const W: usize> System<W> {
             }
             Event::RequestArrive { req, node, retry } => {
                 let req = req as usize;
-                self.request_arrive(req, node as usize, retry, time, seq);
+                self.request_arrive(req, node as usize, retry);
                 self.release(req);
             }
             Event::HomeReady { req, attempt } => {
@@ -339,19 +307,10 @@ impl<const W: usize> System<W> {
             }
             Event::Complete { req } => {
                 let req = req as usize;
-                self.complete(req, time, seq);
+                self.complete(req, time);
                 self.release(req);
             }
         }
-    }
-
-    /// Schedules `event`, drawing the next virtual sequence number.
-    /// Every scheduling call funnels through here (or buffers a
-    /// training record) so the (time, seq) order spans both worlds.
-    #[inline]
-    fn push_event(&mut self, time: u64, event: Event) {
-        self.vseq += 1;
-        self.queue.push_at(time, self.vseq, event);
     }
 
     /// Schedules the event `make` builds for pending slot `req`,
@@ -360,18 +319,7 @@ impl<const W: usize> System<W> {
     /// fits.
     fn push_req(&mut self, req: usize, time: u64, make: impl FnOnce(u32) -> Event) {
         self.pending[req].refs += 1;
-        self.push_event(time, make(req as u32));
-    }
-
-    /// Applies `node`'s buffered trainings that the eager path would
-    /// have dispatched strictly before the event at `(time, seq)`. A
-    /// no-op when the inbox is empty (always, in eager mode).
-    #[inline]
-    fn drain_training(&mut self, node: usize, time: u64, seq: u64) {
-        if !self.train.is_empty(node) {
-            self.train
-                .drain(node, time, seq, self.predictors[node].as_mut());
-        }
+        self.queue.push(time, make(req as u32));
     }
 
     // ---- CPU model -----------------------------------------------------
@@ -386,7 +334,8 @@ impl<const W: usize> System<W> {
         let window = self.sim.cpu.window();
         while self.outstanding[node] < window && self.next_miss[node] < self.programs[node].len() {
             if self.ready_at[node] > now {
-                self.push_event(self.ready_at[node], Event::CpuIssue { node: node as u32 });
+                self.queue
+                    .push(self.ready_at[node], Event::CpuIssue { node: node as u32 });
                 return;
             }
             let idx = self.next_miss[node];
@@ -435,7 +384,7 @@ impl<const W: usize> System<W> {
 
     // ---- Request lifecycle ----------------------------------------------
 
-    fn inject_request(&mut self, req: usize, now: u64, seq: u64) {
+    fn inject_request(&mut self, req: usize, now: u64) {
         let rec = self.pending[req].rec;
         let block = rec.block();
         let requester = rec.requester;
@@ -445,10 +394,6 @@ impl<const W: usize> System<W> {
             ProtocolKind::Snooping => self.sys.broadcast_set_w::<W>(),
             ProtocolKind::Directory => minimal,
             ProtocolKind::Multicast(_) | ProtocolKind::DirectoryPredicted(_) => {
-                // The prediction observes predictor state: apply every
-                // buffered training the eager path would have delivered
-                // before this Inject event.
-                self.drain_training(requester.index(), now, seq);
                 let query = PredictQuery {
                     block,
                     pc: rec.pc,
@@ -464,7 +409,7 @@ impl<const W: usize> System<W> {
     }
 
     /// Sends a request-class message, records arrivals, and schedules
-    /// ordering + training events.
+    /// the ordering event plus one training event per observed arrival.
     fn send_request(
         &mut self,
         req: usize,
@@ -494,61 +439,21 @@ impl<const W: usize> System<W> {
         let ser = self.xbar.serialization_ns(class);
         p.self_arrival = order_time + self.xbar.dst_half_ns(src) + ser;
         self.push_req(req, order_time, |req| Event::Ordered { req, attempt });
-        let rec = self.pending[req].rec;
+        // Every destination's predictor trains when the request arrives
+        // there. An initial request whose type no predictor observes
+        // would train nothing, so its deliveries are not scheduled;
+        // retries always are (the requester learns its `Reissue`).
         let retry = class == MessageClass::Retry;
-        // An initial request whose type no predictor observes would
-        // train nothing at any destination: skip its deliveries in both
-        // training modes, so both still see identical call sequences.
-        let observed = retry || self.observes_other[usize::from(rec.request().is_exclusive())];
+        let req_type = self.pending[req].rec.request();
+        let observed = retry || self.observes_other[usize::from(req_type.is_exclusive())];
         if self.sim.protocol.uses_predictors() && observed {
-            let requester = rec.requester;
-            if retry || self.sim.training == TrainingMode::Eager {
-                // Retries keep their queued events in both modes: they
-                // are rare, and the requester's `Reissue` training
-                // reads the request's state at arrival time.
-                for node in dests {
-                    if node != requester || retry {
-                        let t = self.pending[req].arrivals[node.index()];
-                        self.push_req(req, t, |req| Event::RequestArrive {
-                            req,
-                            node: node.index() as u32,
-                            retry,
-                        });
-                    }
-                }
-            } else {
-                // Lazy mode, initial request: no wheel traffic. Each
-                // destination's inbox records the arrival under the
-                // same virtual sequence a queued event would have
-                // drawn, to be drained at that node's next predictor
-                // observation.
-                let arrivals = &self.pending[req].arrivals;
-                for node in dests {
-                    if node != requester {
-                        let d = node.index();
-                        self.vseq += 1;
-                        self.train.buffer(
-                            d,
-                            arrivals[d],
-                            self.vseq,
-                            rec.block(),
-                            requester,
-                            rec.request(),
-                        );
-                        // A node that rarely misses rarely observes its
-                        // predictor, so under broadcast-heavy traffic
-                        // its inbox would grow with the whole run
-                        // (the eager path stores nothing — it trains
-                        // at each arrival event). Bound the backlog:
-                        // at this dispatch point every event earlier
-                        // than `now` has already run and any future
-                        // observation keys later, so records strictly
-                        // older than `now` can be applied right away.
-                        if self.train.len(d) >= FORCE_DRAIN_DEPTH {
-                            self.train.drain(d, now, 0, self.predictors[d].as_mut());
-                        }
-                    }
-                }
+            for node in dests {
+                let t = self.pending[req].arrivals[node.index()];
+                self.push_req(req, t, |req| Event::RequestArrive {
+                    req,
+                    node: node.index() as u32,
+                    retry,
+                });
             }
         }
     }
@@ -827,13 +732,10 @@ impl<const W: usize> System<W> {
         self.push_req(req, arrive, |req| Event::Complete { req });
     }
 
-    /// Predictor training on request arrival: every arrival in eager
-    /// mode, retries only in lazy mode (initial requests buffer into
-    /// the training inboxes instead).
-    fn request_arrive(&mut self, req: usize, node: usize, retry: bool, now: u64, seq: u64) {
-        // This training observes predictor state order: buffered
-        // arrivals scheduled before this event apply first.
-        self.drain_training(node, now, seq);
+    /// Predictor training on request arrival: a retry teaches the
+    /// requester its corrected set (`Reissue`); every other arrival is
+    /// another node's request (`OtherRequest`).
+    fn request_arrive(&mut self, req: usize, node: usize, retry: bool) {
         let p = &self.pending[req];
         let rec = p.rec;
         let event = if retry && node == rec.requester.index() {
@@ -852,7 +754,7 @@ impl<const W: usize> System<W> {
         self.predictors[node].train(&event);
     }
 
-    fn complete(&mut self, req: usize, now: u64, seq: u64) {
+    fn complete(&mut self, req: usize, now: u64) {
         let p = &self.pending[req];
         let rec = p.rec;
         let node = rec.requester.index();
@@ -863,10 +765,8 @@ impl<const W: usize> System<W> {
         let indirected = p.indirected;
         let retries = p.retries;
         let minimal_sufficient = p.minimal_sufficient;
-        // Train the requester's predictor with the responder identity
-        // (draining its buffered arrivals first, in eager order).
+        // Train the requester's predictor with the responder identity.
         if self.sim.protocol.uses_predictors() {
-            self.drain_training(node, now, seq);
             self.predictors[node].train(&TrainEvent::DataResponse {
                 block: rec.block(),
                 pc: rec.pc,
@@ -940,7 +840,8 @@ impl<const W: usize> System<W> {
                         (gap as f64 / self.target.ns_per_instruction()) as u64;
                 }
                 self.ready_at[node] = now + gap;
-                self.push_event(now + gap, Event::CpuIssue { node: node as u32 });
+                self.queue
+                    .push(now + gap, Event::CpuIssue { node: node as u32 });
             }
             CpuModel::Detailed { .. } => self.try_issue(node, now),
         }
@@ -1010,11 +911,10 @@ impl<const W: usize> System<W> {
     /// Replaces each node's predictor with `wrap(node, predictor)`
     /// before the run.
     ///
-    /// Instrumentation hook for the training-equivalence tests: a
-    /// wrapper that records every `predict`/`train` call (and
-    /// delegates) exposes the exact per-node observation sequence,
-    /// which the eager and lazy modes must produce identically. The
-    /// wrapper must preserve the inner predictor's behavior.
+    /// Instrumentation hook for profilers and tests: a wrapper that
+    /// times or records every `predict`/`train` call (and delegates)
+    /// exposes the exact per-node observation sequence. The wrapper
+    /// must preserve the inner predictor's behavior.
     ///
     /// The training filter is fixed at construction from the original
     /// predictors' [`DestSetPredictor::observes_other`] answers, so a

@@ -1,6 +1,6 @@
 //! Property tests pinning [`WheelQueue`]'s pop order to the seed
-//! [`ReferenceQueue`] (the PR 2 oracle pattern: the replaced
-//! implementation survives as the equivalence baseline).
+//! [`ReferenceQueue`] (the oracle pattern: the replaced implementation
+//! survives, here in the test, as the equivalence baseline).
 //!
 //! Both queues order by (time, push-sequence); these tests drive both
 //! through identical push/pop interleavings and require identical pop
@@ -9,9 +9,64 @@
 //! horizon (overflow parking + promotion on cursor advance), cursor
 //! jumps across many empty horizons, and pushes behind the cursor.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
 use proptest::prelude::*;
 
-use dsp_sim::{Event, ReferenceQueue, WheelQueue};
+use dsp_sim::{Event, WheelQueue};
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Queued {
+    time: u64,
+    seq: u64,
+    event: Event,
+}
+
+impl Ord for Queued {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // BinaryHeap is a max-heap; reverse for earliest-first.
+        other
+            .time
+            .cmp(&self.time)
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
+impl PartialOrd for Queued {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// The seed time-ordered event queue with FIFO tie-breaking: a
+/// `BinaryHeap` over `(time, push sequence)`. Every pop pays an
+/// O(log n) sift, which is exactly the cost the timing wheel removes.
+#[derive(Debug, Default)]
+struct ReferenceQueue {
+    heap: BinaryHeap<Queued>,
+    seq: u64,
+}
+
+impl ReferenceQueue {
+    fn push(&mut self, time: u64, event: Event) {
+        self.seq += 1;
+        let seq = self.seq;
+        self.heap.push(Queued { time, seq, event });
+    }
+
+    fn pop(&mut self) -> Option<(u64, Event)> {
+        self.heap.pop().map(|q| (q.time, q.event))
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+}
 
 /// Wheel horizon (mirrors `WHEEL_SLOTS` in the implementation): the
 /// strategies below straddle it deliberately.
@@ -65,7 +120,7 @@ fn op_strategy(max_delta: u64) -> impl Strategy<Value = Op> {
 /// produced an event.
 fn check_equivalence(ops: &[Op]) -> usize {
     let mut wheel = WheelQueue::new();
-    let mut heap = ReferenceQueue::new();
+    let mut heap = ReferenceQueue::default();
     let mut now = 0u64;
     let mut popped = 0usize;
     for op in ops {
@@ -136,6 +191,31 @@ proptest! {
     ) {
         check_equivalence(&ops);
     }
+}
+
+/// The oracle itself: time order, FIFO among equal times, and its
+/// length bookkeeping.
+#[test]
+fn reference_queue_pops_in_time_then_push_order() {
+    let mut q = ReferenceQueue::default();
+    assert!(q.is_empty());
+    q.push(30, Event::CpuIssue { node: 3 });
+    q.push(5, Event::CpuIssue { node: 0 });
+    q.push(5, Event::CpuIssue { node: 1 });
+    q.push(20, Event::CpuIssue { node: 2 });
+    assert_eq!(q.len(), 4);
+    let order: Vec<(u64, Event)> = std::iter::from_fn(|| q.pop()).collect();
+    assert_eq!(
+        order,
+        vec![
+            (5, Event::CpuIssue { node: 0 }),
+            (5, Event::CpuIssue { node: 1 }),
+            (20, Event::CpuIssue { node: 2 }),
+            (30, Event::CpuIssue { node: 3 }),
+        ]
+    );
+    assert!(q.is_empty());
+    assert_eq!(q.pop(), None);
 }
 
 /// Deterministic interleaving that forces every wheel regime in one

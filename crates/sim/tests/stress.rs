@@ -25,7 +25,10 @@ fn run(protocol: ProtocolKind, cpu: CpuModel, seed: u64) -> dsp_sim::SimReport {
 
 /// Every protocol × CPU-model combination completes exactly the
 /// configured number of misses — conservation, no deadlock, no
-/// double-completion.
+/// double-completion. The 256-node cases fan requests and their
+/// training events out over all four `DestSet` words, so the debug
+/// build's wheel free-list and delivered-count assertions run at full
+/// width.
 #[test]
 fn conservation_across_all_protocols() {
     let protocols = [
@@ -44,6 +47,22 @@ fn conservation_across_all_protocols() {
             assert_eq!(r.measured_misses, 150 * 16, "{label} / {cpu:?}");
             assert!(r.runtime_ns > 0, "{label} / {cpu:?}");
         }
+    }
+    let wide = SystemConfig::builder()
+        .num_nodes(256)
+        .build()
+        .expect("valid");
+    let spec = WorkloadSpec::preset(Workload::Oltp, &wide).scaled(1.0 / 256.0);
+    for protocol in [
+        ProtocolKind::Multicast(PredictorConfig::group()),
+        ProtocolKind::Multicast(PredictorConfig::always_broadcast()),
+        ProtocolKind::DirectoryPredicted(PredictorConfig::owner()),
+    ] {
+        let label = protocol.label();
+        let sim = SimConfig::new(protocol).misses(10, 60).seed(7);
+        let r = System::<4>::new(&wide, TargetSystem::isca03_default(), &spec, sim).run();
+        assert_eq!(r.measured_misses, 60 * 256, "{label} / 256 nodes");
+        assert!(r.runtime_ns > 0, "{label} / 256 nodes");
     }
 }
 

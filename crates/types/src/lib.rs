@@ -41,7 +41,6 @@ pub mod hash;
 mod mosi;
 mod node;
 mod open_table;
-mod ring;
 
 pub use access::{AccessKind, MessageClass, ReqType};
 pub use addr::{Address, BlockAddr, MacroblockAddr, Pc, BLOCK_BYTES, BLOCK_SHIFT};
@@ -51,4 +50,3 @@ pub use error::ConfigError;
 pub use mosi::{LineState, Owner};
 pub use node::{NodeId, MAX_NODES};
 pub use open_table::OpenTable;
-pub use ring::InlineRing;
