@@ -540,8 +540,8 @@ pub fn scaling_plan(scale: &Scale) -> ExperimentPlan {
     // Timing-sim (fig7-style) rows at the large node counts: the full
     // discrete-event simulator, not just the trace-driven evaluator.
     // Owner/Group learns only from other nodes' requests for exclusive,
-    // so only those queue a training event per destination; requests
-    // for shared queue none.
+    // so only those queue training events (one per distinct arrival
+    // time of their destinations); requests for shared queue none.
     for nodes in [64usize, 128, 256] {
         let config = SystemConfig::builder()
             .num_nodes(nodes)

@@ -99,10 +99,11 @@ pub trait DestSetPredictor<const W: usize = 4>: std::fmt::Debug + Send {
     ///
     /// Equivalent to calling [`train`](DestSetPredictor::train) on each
     /// event in turn — the default implementation does exactly that.
-    /// Nothing in the workspace calls it: the timing simulator trains
-    /// one event per request arrival. It stays only because the
-    /// benchmark's traced predictor wrapper (`perfbench/src/traced.rs`)
-    /// overrides it; once that override goes, so can this method.
+    /// Nothing in the workspace calls it: the timing simulator makes
+    /// one `train` call per node a request arrives at. It stays only
+    /// because the benchmark's traced predictor wrapper
+    /// (`perfbench/src/traced.rs`) overrides it; once that override
+    /// goes, so can this method.
     fn train_batch(&mut self, events: &[TrainEvent<W>]) {
         for event in events {
             self.train(event);

@@ -2,10 +2,13 @@
 //! them.
 //!
 //! Every simulated miss flows through about six queued events on the
-//! paper's 16-node machine, and more on wide machines, where each
-//! observed request arrival is an event of its own. The event queue is
-//! one of the simulator's per-miss hot paths. The production queue is [`WheelQueue`], a hierarchical
-//! timing wheel:
+//! paper's 16-node machine. Request training adds one event per
+//! distinct arrival time of a send's observed destinations, not one per
+//! destination, so a 255-way request on a free crossbar is one event,
+//! and only congested links and faulty meshes spread a send over
+//! several. The event queue is one of the simulator's per-miss hot
+//! paths. The production queue is [`WheelQueue`], a hierarchical timing
+//! wheel:
 //!
 //! * a near-horizon array of per-nanosecond slots, found by a bitmap
 //!   scan instead of heap sifting. Each slot is only the two ends of an
@@ -32,8 +35,8 @@ pub type EventQueue = WheelQueue;
 /// lifetime. The benchmark in `perfbench/` reports `popped` as
 /// `sim.events` and `promoted` as `sim.queue_promoted`, so
 /// queue-pressure changes (such as the training fan-out, one
-/// [`Event::RequestArrive`] per observed request arrival) are visible
-/// without re-profiling.
+/// [`Event::RequestArrive`] per distinct arrival time of a request's
+/// observed destinations) are visible without re-profiling.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueueCounters {
     /// Events pushed (wheel buckets and overflow heap combined).
@@ -67,9 +70,10 @@ impl QueueCounters {
 }
 
 /// Events driving the simulation. `req` indexes the pending-request
-/// table; `node` and `owner` are node indices. Both are `u32` to keep
-/// the event at 12 bytes (the simulator checks the pending table's
-/// length where it hands out a new index).
+/// table, `group` the simulator's table of training groups; `node` and
+/// `owner` are node indices. All are `u32` to keep the event at 12
+/// bytes (the simulator checks each table's length where it hands out
+/// a new index).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Event {
     /// A node is ready to issue its next miss (subject to its window).
@@ -89,16 +93,17 @@ pub enum Event {
         /// 1 = initial multicast, 2 = first reissue, 3 = broadcast.
         attempt: u8,
     },
-    /// A request-class message arrived at a node, whose predictor
-    /// trains on it. This is the simulator's only way to deliver
-    /// request training: initial requests schedule one per destination
-    /// whose predictor observes their type, retries one per
-    /// destination.
+    /// A request-class message arrived at a group of nodes at one
+    /// time, and each node's predictor trains on it, in ascending node
+    /// order. This is the simulator's only way to deliver request
+    /// training: a send schedules one per distinct arrival time of its
+    /// destinations, if the predictors observe its type (initial
+    /// requests) or always (retries).
     RequestArrive {
         /// Pending-request index.
         req: u32,
-        /// Receiving node.
-        node: u32,
+        /// Index of the receiving nodes' set, captured at the send.
+        group: u32,
         /// Whether this was a directory reissue.
         retry: bool,
     },

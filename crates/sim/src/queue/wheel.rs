@@ -10,13 +10,14 @@ use super::{Event, QueueCounters};
 /// protocol latencies of the paper's 16-node crossbar (≤ ~500 ns end to
 /// end), where only the exponential tail of CPU computation gaps
 /// overflows to the far heap: a traced `timing-16` benchmark run
-/// promotes 1,584 events. It does not cover wide or degraded machines:
-/// a traced `timing-wide` run (256-node crossbar plus a 64-node mesh
-/// under severe toxics) promotes 932,302 of its 28.2 M events.
-/// Promotions are counted but cheap: a 16,384-slot horizon removes
-/// every one of them on `timing-wide` yet leaves its `misses_per_s`
-/// at parity (4 pairs of 20 s runs, medians within 0.3 %), so the
-/// horizon stays at 4096.
+/// promotes 1,584 of its 29.2 M events. It does not cover wide or
+/// degraded machines: a traced `timing-wide` run (256-node crossbar
+/// plus a 64-node mesh under severe toxics) promotes 831,810 of its
+/// 9.9 M events. Promotions are counted but cheap: a 16,384-slot
+/// horizon removed every one of them on `timing-wide` yet left its
+/// `misses_per_s` at parity (4 pairs of 20 s runs, medians within
+/// 0.3 %, measured when each request arrival was an event of its own),
+/// so the horizon stays at 4096.
 const WHEEL_SLOTS: usize = 4096;
 const SLOT_MASK: u64 = WHEEL_SLOTS as u64 - 1;
 /// Occupancy bitmap words (one bit per slot).

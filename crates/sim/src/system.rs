@@ -42,10 +42,11 @@ struct Pending<const W: usize> {
     /// Fallback arrival for nodes not in the destination set (e.g. the
     /// requester acting as its own home): order time + half traversal.
     self_arrival: u64,
-    /// Outstanding queued events referencing this slot; the slot is
+    /// Outstanding queued events referencing this slot (a training
+    /// group counts once, however many nodes it trains); the slot is
     /// recycled only when the count returns to zero *and* the miss has
     /// completed, so late-arriving events (delayed invalidations,
-    /// contended training deliveries) can never observe a reused slot.
+    /// contended training groups) can never observe a reused slot.
     refs: u32,
     /// The miss finished (data arrived at the requester).
     done: bool,
@@ -54,6 +55,12 @@ struct Pending<const W: usize> {
 /// A complete simulated multiprocessor: trace-driven cores, per-node L2
 /// caches and predictors, the global MOSI substrate, and the ordered
 /// crossbar, advanced by a discrete-event loop.
+///
+/// The destination-set word width `W` is a compile-time parameter (64
+/// nodes per word): `System<1>` covers machines up to 64 nodes with
+/// single-word set operations, `System<4>` covers [`dsp_types::MAX_NODES`].
+/// The [`crate::simulate`] entry points pick the width at runtime from
+/// [`crate::SetWidth`]; reports are byte-identical across widths.
 ///
 /// # Example
 ///
@@ -69,11 +76,6 @@ struct Pending<const W: usize> {
 /// assert!(report.measured_misses > 0);
 /// assert!(report.runtime_ns > 0);
 /// ```
-/// The destination-set word width `W` is a compile-time parameter (64
-/// nodes per word): `System<1>` covers machines up to 64 nodes with
-/// single-word set operations, `System<4>` covers [`dsp_types::MAX_NODES`].
-/// The [`crate::simulate`] entry points pick the width at runtime from
-/// [`crate::SetWidth`]; reports are byte-identical across widths.
 #[derive(Debug)]
 pub struct System<const W: usize = 4> {
     sys: SystemConfig,
@@ -100,6 +102,15 @@ pub struct System<const W: usize = 4> {
     /// (forwards, invalidations, responses, writebacks), reused across
     /// every such send; requests write into their miss's own slots.
     send_slots: Vec<u64>,
+    /// Node sets of the queued training groups, indexed by
+    /// [`Event::RequestArrive`]'s `group`. Each is captured when its
+    /// request is sent: a retry may overwrite its miss's arrival slots
+    /// and `current_dests` before the earlier attempt's groups are
+    /// dispatched. Freed entries are reused last-in first-out.
+    groups: Vec<DestSet<W>>,
+    free_groups: Vec<u32>,
+    /// Scratch for [`group_by_arrival`], reused across sends.
+    group_scratch: Vec<(u64, DestSet<W>)>,
     queue: EventQueue,
     pending: Vec<Pending<W>>,
     free_slots: Vec<usize>,
@@ -200,6 +211,9 @@ impl<const W: usize> System<W> {
                 sim.seed ^ 0x70c5_1c5e_ed00_cafe,
             ),
             send_slots: vec![0; n],
+            groups: Vec::new(),
+            free_groups: Vec::new(),
+            group_scratch: Vec::new(),
             queue: EventQueue::new(),
             pending: Vec::new(),
             free_slots: Vec::new(),
@@ -290,9 +304,13 @@ impl<const W: usize> System<W> {
                 self.ordered(req, attempt, time);
                 self.release(req);
             }
-            Event::RequestArrive { req, node, retry } => {
+            Event::RequestArrive { req, group, retry } => {
                 let req = req as usize;
-                self.request_arrive(req, node as usize, retry);
+                let members = self.groups[group as usize];
+                self.free_groups.push(group);
+                for node in members {
+                    self.request_arrive(req, node.index(), retry);
+                }
                 self.release(req);
             }
             Event::HomeReady { req, attempt } => {
@@ -409,7 +427,14 @@ impl<const W: usize> System<W> {
     }
 
     /// Sends a request-class message, records arrivals, and schedules
-    /// the ordering event plus one training event per observed arrival.
+    /// the ordering event plus one training event per distinct arrival
+    /// time of the observed destinations.
+    ///
+    /// A training event trains its group's nodes in ascending order,
+    /// which is exactly the order one event per destination would: the
+    /// wheel pops by (time, push sequence), and one send's training
+    /// pushes are contiguous, so at any one time a send's arrivals
+    /// were already adjacent and in ascending node order.
     fn send_request(
         &mut self,
         req: usize,
@@ -447,14 +472,34 @@ impl<const W: usize> System<W> {
         let req_type = self.pending[req].rec.request();
         let observed = retry || self.observes_other[usize::from(req_type.is_exclusive())];
         if self.sim.protocol.uses_predictors() && observed {
-            for node in dests {
-                let t = self.pending[req].arrivals[node.index()];
-                self.push_req(req, t, |req| Event::RequestArrive {
-                    req,
-                    node: node.index() as u32,
-                    retry,
-                });
+            let mut grouped = std::mem::take(&mut self.group_scratch);
+            group_by_arrival(dests, &self.pending[req].arrivals, &mut grouped);
+            debug_assert_eq!(
+                grouped
+                    .iter()
+                    .map(|(_, members)| members.len())
+                    .sum::<usize>(),
+                dests.len()
+            );
+            for &(t, members) in &grouped {
+                let group = self.alloc_group(members);
+                self.push_req(req, t, |req| Event::RequestArrive { req, group, retry });
             }
+            self.group_scratch = grouped;
+        }
+    }
+
+    /// Stores a training group's node set, reusing the most recently
+    /// freed entry. The returned index is checked to fit the `u32`
+    /// that events carry it in.
+    fn alloc_group(&mut self, members: DestSet<W>) -> u32 {
+        if let Some(group) = self.free_groups.pop() {
+            self.groups[group as usize] = members;
+            group
+        } else {
+            let group = u32::try_from(self.groups.len()).expect("training groups fit in u32");
+            self.groups.push(members);
+            group
         }
     }
 
@@ -966,6 +1011,31 @@ pub fn simulate_with_partition(
     }
 }
 
+/// Partitions `dests` by arrival time into `out` (cleared first): one
+/// `(time, members)` entry per distinct `arrivals[node]` among them, in
+/// the order each time first occurs in ascending node order. Each
+/// group's ascending node order is therefore the subsequence of
+/// `dests` that arrives at its time.
+///
+/// The search runs from the newest group: on the crossbar most
+/// destinations share one arrival time, so it usually stops at once.
+fn group_by_arrival<const W: usize>(
+    dests: DestSet<W>,
+    arrivals: &[u64],
+    out: &mut Vec<(u64, DestSet<W>)>,
+) {
+    out.clear();
+    for node in dests {
+        let t = arrivals[node.index()];
+        match out.iter_mut().rev().find(|(time, _)| *time == t) {
+            Some((_, members)) => {
+                members.insert(node);
+            }
+            None => out.push((t, DestSet::single(node))),
+        }
+    }
+}
+
 /// A precomputed per-node partition of one workload's miss stream: the
 /// programs [`System`] replays, shareable across simulations.
 ///
@@ -1258,6 +1328,101 @@ mod tests {
             sim,
             partition,
         );
+    }
+
+    /// Checks `group_by_arrival`'s contract on one input: the groups
+    /// partition `dests`, each member arrives at its group's time, the
+    /// times are distinct, and each group's ascending node order is the
+    /// subsequence of `dests` arriving at its time (which makes one
+    /// event per group train in the order one event per destination
+    /// did).
+    fn check_grouping<const W: usize>(dests: DestSet<W>, arrivals: &[u64]) {
+        // A stale entry from an earlier send, which must not survive.
+        let mut groups = vec![(7, DestSet::single(NodeId::new(0)))];
+        group_by_arrival(dests, arrivals, &mut groups);
+        let mut union = DestSet::<W>::empty();
+        let mut total = 0;
+        for (i, &(t, members)) in groups.iter().enumerate() {
+            assert!(!members.is_empty(), "group {i} is empty");
+            assert!((union & members).is_empty(), "group {i} overlaps another");
+            union |= members;
+            total += members.len();
+            assert!(
+                groups[..i].iter().all(|&(earlier, _)| earlier != t),
+                "time {t} has two groups"
+            );
+            let expected: Vec<NodeId> = dests
+                .iter()
+                .filter(|node| arrivals[node.index()] == t)
+                .collect();
+            assert_eq!(members.iter().collect::<Vec<_>>(), expected, "time {t}");
+        }
+        assert_eq!(union, dests);
+        assert_eq!(total, dests.len());
+    }
+
+    /// A destination set over `nodes` nodes and per-node arrival times
+    /// drawn from four values, so ties are common. `density` picks a
+    /// broadcast, a random set, or a sparse one.
+    fn grouping_input<const W: usize>(
+        nodes: usize,
+        density: u8,
+        words: &[u64],
+        sparse: &[u64],
+        offsets: &[u64],
+    ) -> (DestSet<W>, Vec<u64>) {
+        let mut set = [0u64; W];
+        for (w, word) in set.iter_mut().enumerate() {
+            *word = match density {
+                0 => u64::MAX,
+                1 => words[w],
+                _ => words[w] & sparse[w],
+            };
+        }
+        let dests = DestSet::from_words(set) & DestSet::broadcast(nodes);
+        let arrivals = offsets[..nodes].iter().map(|o| 1_000 + o).collect();
+        (dests, arrivals)
+    }
+
+    mod grouping {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn words() -> impl Strategy<Value = Vec<u64>> {
+            proptest::collection::vec(any::<u64>(), 4)
+        }
+
+        fn offsets() -> impl Strategy<Value = Vec<u64>> {
+            proptest::collection::vec(0u64..4, 256)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            #[test]
+            fn groups_partition_16_nodes(
+                density in 0u8..3, set in words(), mask in words(), offsets in offsets()
+            ) {
+                let (dests, arrivals) = grouping_input::<1>(16, density, &set, &mask, &offsets);
+                check_grouping(dests, &arrivals);
+            }
+
+            #[test]
+            fn groups_partition_64_nodes(
+                density in 0u8..3, set in words(), mask in words(), offsets in offsets()
+            ) {
+                let (dests, arrivals) = grouping_input::<1>(64, density, &set, &mask, &offsets);
+                check_grouping(dests, &arrivals);
+            }
+
+            #[test]
+            fn groups_partition_256_nodes(
+                density in 0u8..3, set in words(), mask in words(), offsets in offsets()
+            ) {
+                let (dests, arrivals) = grouping_input::<4>(256, density, &set, &mask, &offsets);
+                check_grouping(dests, &arrivals);
+            }
+        }
     }
 
     #[test]

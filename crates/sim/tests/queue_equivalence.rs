@@ -83,10 +83,11 @@ enum Op {
 }
 
 /// Every [`Event`] variant, with fields reaching the boundaries of
-/// their types as the simulator fills them: any `u32` pending-slot
-/// index (exactly `u32::MAX` one draw in eight; the rest stay mostly
-/// distinct, so a FIFO slip shows), node and owner indices up to 255
-/// (the widest machine), every attempt number, both retry flags.
+/// their types as the simulator fills them: any `u32` pending-slot or
+/// training-group index (exactly `u32::MAX` one draw in eight; the rest
+/// stay mostly distinct, so a FIFO slip shows), node and owner indices
+/// up to 255 (the widest machine), every attempt number, both retry
+/// flags.
 fn event_strategy() -> impl Strategy<Value = Event> {
     let req = || (0..=u32::MAX, 0u8..8).prop_map(|(req, k)| if k == 0 { u32::MAX } else { req });
     let node = || 0u32..=255;
@@ -95,9 +96,9 @@ fn event_strategy() -> impl Strategy<Value = Event> {
         node().prop_map(|node| Event::CpuIssue { node }),
         req().prop_map(|req| Event::Inject { req }),
         (req(), attempt()).prop_map(|(req, attempt)| Event::Ordered { req, attempt }),
-        (req(), node(), any::<bool>()).prop_map(|(req, node, retry)| Event::RequestArrive {
+        (req(), req(), any::<bool>()).prop_map(|(req, group, retry)| Event::RequestArrive {
             req,
-            node,
+            group,
             retry
         }),
         (req(), attempt()).prop_map(|(req, attempt)| Event::HomeReady { req, attempt }),
