@@ -45,12 +45,8 @@
 
 mod miss;
 pub mod multicast;
-mod reference;
-mod table;
 mod tracker;
 
 pub use miss::{MissClass, MissInfo};
 pub use multicast::{LatencyClass, MulticastOutcome};
-pub use reference::ReferenceTracker;
-pub use table::BlockStateTable;
 pub use tracker::{BlockState, CoherenceTracker, Eviction, TrackerStats};

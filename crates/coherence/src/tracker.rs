@@ -2,10 +2,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use dsp_types::{BlockAddr, DestSet, NodeId, Owner, ReqType, SystemConfig};
+use dsp_types::{BlockAddr, DestSet, NodeId, OpenTable, Owner, ReqType, SystemConfig};
 
 use crate::miss::MissInfo;
-use crate::table::BlockStateTable;
 
 /// Directory-style state of one block: the owner and the sharer set.
 ///
@@ -71,10 +70,16 @@ pub struct TrackerStats {
 /// shared copy as a silent drop — except that a store miss by a node
 /// still recorded as a *sharer* is an **upgrade** (GETX from S), which
 /// real protocols issue without data transfer.
+///
+/// Block state lives in a [`dsp_types::OpenTable`] keyed by block
+/// number: one hash and one probe chain per miss, no SipHash (block
+/// numbers are not attacker-controlled). Entries are never removed
+/// (evictions only rewrite a block's state), which keeps probe chains
+/// tombstone-free.
 #[derive(Clone, Debug)]
 pub struct CoherenceTracker<const W: usize = 4> {
     num_nodes: usize,
-    blocks: BlockStateTable<W>,
+    blocks: OpenTable<BlockState<W>>,
     stats: TrackerStats,
 }
 
@@ -83,7 +88,7 @@ impl<const W: usize> CoherenceTracker<W> {
     pub fn new(config: &SystemConfig) -> Self {
         CoherenceTracker {
             num_nodes: config.num_nodes(),
-            blocks: BlockStateTable::new(),
+            blocks: OpenTable::new(),
             stats: TrackerStats::default(),
         }
     }
@@ -100,7 +105,7 @@ impl<const W: usize> CoherenceTracker<W> {
     pub fn with_block_capacity(config: &SystemConfig, expected_blocks: usize) -> Self {
         CoherenceTracker {
             num_nodes: config.num_nodes(),
-            blocks: BlockStateTable::with_capacity(expected_blocks),
+            blocks: OpenTable::with_capacity(expected_blocks),
             stats: TrackerStats::default(),
         }
     }
@@ -113,7 +118,7 @@ impl<const W: usize> CoherenceTracker<W> {
     /// Current state of `block`.
     #[inline]
     pub fn state(&self, block: BlockAddr) -> BlockState<W> {
-        self.blocks.get(block.number()).unwrap_or_default()
+        self.blocks.get(block.number()).copied().unwrap_or_default()
     }
 
     /// Number of blocks with recorded state.
@@ -162,7 +167,7 @@ impl<const W: usize> CoherenceTracker<W> {
     /// table.
     #[inline]
     pub fn access(&mut self, requester: NodeId, req: ReqType, block: BlockAddr) -> MissInfo<W> {
-        let entry = self.blocks.get_or_insert_default(block.number());
+        let (entry, _) = self.blocks.get_or_insert_default(block.number());
         let stale = *entry;
         let reconciled = reconcile(stale, requester, req);
         let (owner_before, sharers_before, was_upgrade) = reconciled;
@@ -226,11 +231,7 @@ impl<const W: usize> CoherenceTracker<W> {
 /// requester appears in neither owner nor sharers — except that a store
 /// by a current sharer is flagged as an upgrade (its S copy is
 /// invalidated by its own GETX, not evicted beforehand).
-///
-/// Shared with [`crate::ReferenceTracker`] so the fast tracker and the
-/// reference model can only diverge in their state storage, never in
-/// protocol semantics.
-pub(crate) fn reconcile<const W: usize>(
+fn reconcile<const W: usize>(
     state: BlockState<W>,
     requester: NodeId,
     req: ReqType,

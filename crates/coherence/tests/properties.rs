@@ -1,12 +1,156 @@
 //! Property-based tests of the MOSI tracker and the multicast
 //! sufficiency rules.
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
 
-use dsp_coherence::{multicast, BlockStateTable, CoherenceTracker, ReferenceTracker};
-use dsp_types::{BlockAddr, DestSet, NodeId, Owner, ReqType, SystemConfig};
+use dsp_coherence::{multicast, BlockState, CoherenceTracker, Eviction, MissInfo, TrackerStats};
+use dsp_types::{BlockAddr, DestSet, NodeId, OpenTable, Owner, ReqType, SystemConfig};
 
 const NODES: usize = 16;
+
+/// The seed `HashMap`-backed tracker, kept as the semantic reference of
+/// [`CoherenceTracker`].
+///
+/// Block state lives in a `std::collections::HashMap` (SipHash), and
+/// `access` keeps the seed's classify → state → entry probe sequence.
+/// It carries its own copy of the stale-copy reconciliation, so it is
+/// an independent oracle of the protocol semantics as well as of the
+/// state storage.
+#[derive(Clone, Debug)]
+struct ReferenceTracker {
+    num_nodes: usize,
+    blocks: HashMap<u64, BlockState>,
+    stats: TrackerStats,
+}
+
+impl ReferenceTracker {
+    fn new(config: &SystemConfig) -> Self {
+        ReferenceTracker {
+            num_nodes: config.num_nodes(),
+            blocks: HashMap::new(),
+            stats: TrackerStats::default(),
+        }
+    }
+
+    fn num_nodes(&self) -> usize {
+        self.num_nodes
+    }
+
+    fn state(&self, block: BlockAddr) -> BlockState {
+        self.blocks
+            .get(&block.number())
+            .copied()
+            .unwrap_or_default()
+    }
+
+    fn tracked_blocks(&self) -> usize {
+        self.blocks.len()
+    }
+
+    fn stats(&self) -> TrackerStats {
+        self.stats
+    }
+
+    /// Removes the requester's stale copy from the pre-state: its dirty
+    /// copy was written back, its shared copy dropped, except that a
+    /// store by a sharer is an upgrade.
+    fn reconcile(state: BlockState, requester: NodeId, req: ReqType) -> (Owner, DestSet, bool) {
+        let mut owner = state.owner;
+        let mut sharers = state.sharers;
+        let mut was_upgrade = false;
+        if owner == Owner::Node(requester) {
+            owner = Owner::Memory;
+        }
+        if sharers.contains(requester) {
+            if req.is_exclusive() {
+                was_upgrade = true;
+            }
+            sharers.remove(requester);
+        }
+        (owner, sharers, was_upgrade)
+    }
+
+    fn classify(&self, requester: NodeId, req: ReqType, block: BlockAddr) -> MissInfo {
+        let state = self.state(block);
+        let (owner_before, sharers_before, was_upgrade) = Self::reconcile(state, requester, req);
+        MissInfo {
+            block,
+            requester,
+            req,
+            home: block.home(self.num_nodes),
+            owner_before,
+            sharers_before,
+            was_upgrade,
+        }
+    }
+
+    /// Classifies the miss and applies the MOSI transition, probing the
+    /// map three times (classify → state → entry) as the seed did.
+    fn access(&mut self, requester: NodeId, req: ReqType, block: BlockAddr) -> MissInfo {
+        let info = self.classify(requester, req, block);
+        let stale = self.state(block);
+        if stale.owner == Owner::Node(requester) && !info.was_upgrade {
+            self.stats.implicit_writebacks += 1;
+        }
+        let entry = self.blocks.entry(block.number()).or_default();
+        match req {
+            ReqType::GetShared => {
+                entry.owner = info.owner_before;
+                entry.sharers = info.sharers_before.with(requester);
+                if let Owner::Node(o) = entry.owner {
+                    entry.sharers.remove(o);
+                }
+            }
+            ReqType::GetExclusive => {
+                entry.owner = Owner::Node(requester);
+                entry.sharers = DestSet::empty();
+            }
+        }
+        self.stats.misses += 1;
+        if info.is_directory_indirection() {
+            self.stats.directory_indirections += 1;
+        }
+        if info.is_cache_to_cache() {
+            self.stats.cache_to_cache += 1;
+        }
+        if info.was_upgrade {
+            self.stats.upgrades += 1;
+        }
+        info
+    }
+
+    fn evict(&mut self, node: NodeId, block: BlockAddr) -> Eviction {
+        match self.blocks.get_mut(&block.number()) {
+            None => Eviction::None,
+            Some(entry) => {
+                if entry.owner == Owner::Node(node) {
+                    entry.owner = Owner::Memory;
+                    Eviction::Writeback
+                } else if entry.sharers.remove(node) {
+                    Eviction::SilentDrop
+                } else {
+                    Eviction::None
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn reference_matches_documented_semantics() {
+    let mut t = ReferenceTracker::new(&SystemConfig::isca03());
+    let b = BlockAddr::new(0);
+    t.access(NodeId::new(1), ReqType::GetExclusive, b);
+    let info = t.access(NodeId::new(2), ReqType::GetShared, b);
+    assert!(info.is_cache_to_cache());
+    assert_eq!(t.state(b).owner, Owner::Node(NodeId::new(1)));
+    assert_eq!(t.state(b).sharers, DestSet::single(NodeId::new(2)));
+    assert_eq!(t.stats().misses, 2);
+    assert_eq!(t.tracked_blocks(), 1);
+    assert_eq!(t.num_nodes(), 16);
+}
 
 #[derive(Clone, Debug)]
 struct Access {
@@ -217,10 +361,11 @@ proptest! {
         check::<4>(&ops);
     }
 
-    /// The raw block-state table agrees with `std::collections::HashMap`
-    /// under adversarial keys (0, `u64::MAX`, stride patterns that
-    /// collide after masking) across mixed reads, combined
-    /// lookup-inserts, and in-place mutation.
+    /// The tracker's block-state storage, an `OpenTable<BlockState>`,
+    /// agrees with `std::collections::HashMap` under adversarial keys
+    /// (0, `u64::MAX`, stride patterns that collide after masking)
+    /// across mixed reads, combined lookup-inserts, and in-place
+    /// mutation.
     #[test]
     fn block_state_table_matches_hashmap(
         keys in proptest::collection::vec(
@@ -234,21 +379,21 @@ proptest! {
             1..300,
         ),
     ) {
-        let mut table = BlockStateTable::new();
-        let mut reference = std::collections::HashMap::new();
+        let mut table: OpenTable<BlockState> = OpenTable::new();
+        let mut reference = HashMap::new();
         for (i, &key) in keys.iter().enumerate() {
             match i % 3 {
                 0 => {
                     let node = NodeId::new(i % NODES);
-                    table.get_or_insert_default(key).sharers.insert(node);
+                    table.get_or_insert_default(key).0.sharers.insert(node);
                     reference
                         .entry(key)
-                        .or_insert_with(dsp_coherence::BlockState::default)
+                        .or_insert_with(BlockState::default)
                         .sharers
                         .insert(node);
                 }
                 1 => {
-                    prop_assert_eq!(table.get(key), reference.get(&key).copied());
+                    prop_assert_eq!(table.get(key), reference.get(&key));
                 }
                 _ => {
                     let node = NodeId::new(i % NODES);
@@ -259,11 +404,11 @@ proptest! {
             }
             prop_assert_eq!(table.len(), reference.len());
         }
-        for (&key, &state) in &reference {
+        for (&key, state) in &reference {
             prop_assert_eq!(table.get(key), Some(state));
         }
-        let mut ours: Vec<(u64, dsp_coherence::BlockState)> = table.iter().collect();
-        let mut theirs: Vec<(u64, dsp_coherence::BlockState)> =
+        let mut ours: Vec<(u64, BlockState)> = table.iter().map(|(k, &s)| (k, s)).collect();
+        let mut theirs: Vec<(u64, BlockState)> =
             reference.iter().map(|(&k, &s)| (k, s)).collect();
         ours.sort_by_key(|(k, _)| *k);
         theirs.sort_by_key(|(k, _)| *k);
@@ -280,6 +425,6 @@ proptest! {
         t.evict(NodeId::new(node), BlockAddr::new(block));
         let s = t.state(BlockAddr::new(block));
         prop_assert!(!s.holders().contains(NodeId::new(node)));
-        prop_assert_eq!(t.evict(NodeId::new(node), BlockAddr::new(block)), dsp_coherence::Eviction::None);
+        prop_assert_eq!(t.evict(NodeId::new(node), BlockAddr::new(block)), Eviction::None);
     }
 }

@@ -70,7 +70,7 @@ pub use config::{PolicyKind, PredictorConfig};
 pub use counters::{RolloverCounter, SatCounter2};
 pub use events::{PredictQuery, TrainEvent};
 pub use index::Indexing;
-pub use table::{Capacity, PredictorTable, ReferencePredictorTable, TableStats};
+pub use table::{Capacity, PredictorTable, TableStats};
 
 use dsp_types::{DestSet, ReqType};
 

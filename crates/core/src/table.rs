@@ -5,11 +5,11 @@
 //! per-set arrays (no per-set `Vec` indirection — one cache line of
 //! tags per 4-way set instead of a pointer chase), and the unbounded
 //! idealization lives in [`dsp_types::OpenTable`], the same
-//! open-addressing core behind `dsp-coherence`'s block-state table.
-//! The seed `HashMap` + `Vec<Vec<_>>` implementation survives verbatim
-//! as [`crate::ReferencePredictorTable`], and property tests pin
-//! observational equivalence (lookup/train results, eviction choices,
-//! and [`TableStats`]) between the two.
+//! open-addressing core behind `dsp-coherence`'s block-state storage.
+//! The seed `HashMap` + `Vec<Vec<_>>` implementation survives as the
+//! oracle of `tests/table_equivalence.rs`, which pins observational
+//! equivalence (lookup/train results, eviction choices, and
+//! [`TableStats`]) between the two.
 //!
 //! A key splits into a set index and a tag the way hardware splits an
 //! address: when the set count is a power of two (both tagged
@@ -18,8 +18,6 @@
 //! them, a mask and a shift. Other set counts fall back to `key % sets`
 //! and `key / sets`, which give the same split on powers of two; the
 //! choice is made once, from the geometry, in [`PredictorTable::new`].
-
-use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -377,174 +375,6 @@ impl<E: Clone + Default> PredictorTable<E> {
     }
 }
 
-/// The seed implementation of [`PredictorTable`]: a `HashMap` for the
-/// unbounded case and per-set `Vec<Way>` lists for the finite one.
-///
-/// Kept as the reference oracle of the equivalence property tests
-/// (`tests/table_equivalence.rs`), which pin the production table's
-/// lookups, stats and evictions to it — the same pattern as
-/// `dsp_coherence::ReferenceTracker` and
-/// `dsp_interconnect::ReferenceCrossbar`.
-#[derive(Clone, Debug)]
-pub struct ReferencePredictorTable<E> {
-    capacity: Capacity,
-    unbounded: HashMap<u64, E>,
-    sets: Vec<Vec<ReferenceWay<E>>>,
-    num_sets: usize,
-    ways: usize,
-    tick: u64,
-    stats: TableStats,
-}
-
-#[derive(Clone, Debug)]
-struct ReferenceWay<E> {
-    tag: u64,
-    last_use: u64,
-    entry: E,
-}
-
-impl<E: Clone + Default> ReferencePredictorTable<E> {
-    /// Creates a table with the given capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same geometry conditions as
-    /// [`PredictorTable::new`].
-    pub fn new(capacity: Capacity) -> Self {
-        let (num_sets, ways) = match capacity {
-            Capacity::Unbounded => (0, 0),
-            Capacity::Finite { entries, ways } => {
-                assert!(
-                    entries > 0 && ways > 0,
-                    "finite tables need entries and ways"
-                );
-                assert!(
-                    entries % ways == 0,
-                    "entries ({entries}) must be divisible by ways ({ways})"
-                );
-                (entries / ways, ways)
-            }
-        };
-        ReferencePredictorTable {
-            capacity,
-            unbounded: HashMap::new(),
-            sets: if num_sets > 0 {
-                vec![Vec::new(); num_sets]
-            } else {
-                Vec::new()
-            },
-            num_sets,
-            ways,
-            tick: 0,
-            stats: TableStats::default(),
-        }
-    }
-
-    /// Lookup for prediction (see [`PredictorTable::lookup`]).
-    pub fn lookup(&mut self, key: u64) -> Option<&E> {
-        self.stats.lookups += 1;
-        self.tick += 1;
-        match self.capacity {
-            Capacity::Unbounded => {
-                let hit = self.unbounded.get(&key);
-                if hit.is_some() {
-                    self.stats.hits += 1;
-                }
-                hit
-            }
-            Capacity::Finite { .. } => {
-                let (set_idx, tag) = self.locate(key);
-                let tick = self.tick;
-                let set = &mut self.sets[set_idx];
-                if let Some(way) = set.iter_mut().find(|w| w.tag == tag) {
-                    way.last_use = tick;
-                    self.stats.hits += 1;
-                    Some(&way.entry)
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
-    /// Training access (see [`PredictorTable::train`]).
-    pub fn train<F: FnOnce(&mut E)>(&mut self, key: u64, allocate: bool, update: F) -> bool {
-        self.tick += 1;
-        match self.capacity {
-            Capacity::Unbounded => {
-                if allocate {
-                    self.stats.allocations += u64::from(!self.unbounded.contains_key(&key));
-                    update(self.unbounded.entry(key).or_default());
-                    true
-                } else if let Some(entry) = self.unbounded.get_mut(&key) {
-                    update(entry);
-                    true
-                } else {
-                    false
-                }
-            }
-            Capacity::Finite { .. } => {
-                let (set_idx, tag) = self.locate(key);
-                let tick = self.tick;
-                let ways = self.ways;
-                let set = &mut self.sets[set_idx];
-                if let Some(way) = set.iter_mut().find(|w| w.tag == tag) {
-                    way.last_use = tick;
-                    update(&mut way.entry);
-                    return true;
-                }
-                if !allocate {
-                    return false;
-                }
-                self.stats.allocations += 1;
-                if set.len() >= ways {
-                    // Evict the least recently used way.
-                    let victim = set
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, w)| w.last_use)
-                        .map(|(i, _)| i)
-                        .expect("set is non-empty");
-                    set.swap_remove(victim);
-                    self.stats.evictions += 1;
-                }
-                let mut entry = E::default();
-                update(&mut entry);
-                set.push(ReferenceWay {
-                    tag,
-                    last_use: tick,
-                    entry,
-                });
-                true
-            }
-        }
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        match self.capacity {
-            Capacity::Unbounded => self.unbounded.len(),
-            Capacity::Finite { .. } => self.sets.iter().map(Vec::len).sum(),
-        }
-    }
-
-    /// Whether the table holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> TableStats {
-        self.stats
-    }
-
-    fn locate(&self, key: u64) -> (usize, u64) {
-        let set_idx = (key % self.num_sets as u64) as usize;
-        let tag = key / self.num_sets as u64;
-        (set_idx, tag)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -706,23 +536,5 @@ mod tests {
         assert_eq!(t.lookup(1), None);
         assert_eq!(clone.lookup(1), None, "clone evicted the same victim");
         assert_eq!(clone.stats(), t.stats());
-    }
-
-    /// The reference table mirrors the seed behavior the fast table is
-    /// tested against (spot-check; the proptests do the heavy lifting).
-    #[test]
-    fn reference_table_basic_agreement() {
-        let mut fast = Table::new(Capacity::ISCA03);
-        let mut seed = ReferencePredictorTable::<u32>::new(Capacity::ISCA03);
-        for k in 0..20_000u64 {
-            let key = (k * 37) % 9000;
-            assert_eq!(
-                fast.train(key, k % 3 != 0, |e| *e = k as u32),
-                seed.train(key, k % 3 != 0, |e| *e = k as u32)
-            );
-            assert_eq!(fast.lookup(key ^ 1), seed.lookup(key ^ 1));
-        }
-        assert_eq!(fast.stats(), seed.stats());
-        assert_eq!(fast.len(), seed.len());
     }
 }

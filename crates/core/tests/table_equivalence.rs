@@ -1,5 +1,5 @@
 //! Property tests pinning the rebuilt [`PredictorTable`] to the seed
-//! implementation ([`ReferencePredictorTable`]).
+//! implementation (`ReferencePredictorTable`, kept here as the oracle).
 //!
 //! The rebuilt table stores finite sets in flat tag/stamp/entry arrays
 //! and unbounded entries in the shared open-addressing table; the seed
@@ -10,9 +10,189 @@
 //! choices (visible through which keys survive), and [`TableStats`] to
 //! the last counter.
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
 
-use dsp_core::{Capacity, PredictorTable, ReferencePredictorTable, TableStats};
+use dsp_core::{Capacity, PredictorTable, TableStats};
+
+/// The seed implementation of [`PredictorTable`]: a `HashMap` for the
+/// unbounded case and per-set `Vec<Way>` lists for the finite one.
+///
+/// The oracle of the equivalence properties below, which pin the
+/// production table's lookups, stats and evictions to it.
+#[derive(Clone, Debug)]
+struct ReferencePredictorTable<E> {
+    capacity: Capacity,
+    unbounded: HashMap<u64, E>,
+    sets: Vec<Vec<ReferenceWay<E>>>,
+    num_sets: usize,
+    ways: usize,
+    tick: u64,
+    stats: TableStats,
+}
+
+#[derive(Clone, Debug)]
+struct ReferenceWay<E> {
+    tag: u64,
+    last_use: u64,
+    entry: E,
+}
+
+impl<E: Clone + Default> ReferencePredictorTable<E> {
+    /// Creates a table with the given capacity.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same geometry conditions as
+    /// [`PredictorTable::new`].
+    fn new(capacity: Capacity) -> Self {
+        let (num_sets, ways) = match capacity {
+            Capacity::Unbounded => (0, 0),
+            Capacity::Finite { entries, ways } => {
+                assert!(
+                    entries > 0 && ways > 0,
+                    "finite tables need entries and ways"
+                );
+                assert!(
+                    entries % ways == 0,
+                    "entries ({entries}) must be divisible by ways ({ways})"
+                );
+                (entries / ways, ways)
+            }
+        };
+        ReferencePredictorTable {
+            capacity,
+            unbounded: HashMap::new(),
+            sets: if num_sets > 0 {
+                vec![Vec::new(); num_sets]
+            } else {
+                Vec::new()
+            },
+            num_sets,
+            ways,
+            tick: 0,
+            stats: TableStats::default(),
+        }
+    }
+
+    /// Lookup for prediction (see [`PredictorTable::lookup`]).
+    fn lookup(&mut self, key: u64) -> Option<&E> {
+        self.stats.lookups += 1;
+        self.tick += 1;
+        match self.capacity {
+            Capacity::Unbounded => {
+                let hit = self.unbounded.get(&key);
+                if hit.is_some() {
+                    self.stats.hits += 1;
+                }
+                hit
+            }
+            Capacity::Finite { .. } => {
+                let (set_idx, tag) = self.locate(key);
+                let tick = self.tick;
+                let set = &mut self.sets[set_idx];
+                if let Some(way) = set.iter_mut().find(|w| w.tag == tag) {
+                    way.last_use = tick;
+                    self.stats.hits += 1;
+                    Some(&way.entry)
+                } else {
+                    None
+                }
+            }
+        }
+    }
+
+    /// Training access (see [`PredictorTable::train`]).
+    fn train<F: FnOnce(&mut E)>(&mut self, key: u64, allocate: bool, update: F) -> bool {
+        self.tick += 1;
+        match self.capacity {
+            Capacity::Unbounded => {
+                if allocate {
+                    self.stats.allocations += u64::from(!self.unbounded.contains_key(&key));
+                    update(self.unbounded.entry(key).or_default());
+                    true
+                } else if let Some(entry) = self.unbounded.get_mut(&key) {
+                    update(entry);
+                    true
+                } else {
+                    false
+                }
+            }
+            Capacity::Finite { .. } => {
+                let (set_idx, tag) = self.locate(key);
+                let tick = self.tick;
+                let ways = self.ways;
+                let set = &mut self.sets[set_idx];
+                if let Some(way) = set.iter_mut().find(|w| w.tag == tag) {
+                    way.last_use = tick;
+                    update(&mut way.entry);
+                    return true;
+                }
+                if !allocate {
+                    return false;
+                }
+                self.stats.allocations += 1;
+                if set.len() >= ways {
+                    // Evict the least recently used way.
+                    let victim = set
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(_, w)| w.last_use)
+                        .map(|(i, _)| i)
+                        .expect("set is non-empty");
+                    set.swap_remove(victim);
+                    self.stats.evictions += 1;
+                }
+                let mut entry = E::default();
+                update(&mut entry);
+                set.push(ReferenceWay {
+                    tag,
+                    last_use: tick,
+                    entry,
+                });
+                true
+            }
+        }
+    }
+
+    /// Number of live entries.
+    fn len(&self) -> usize {
+        match self.capacity {
+            Capacity::Unbounded => self.unbounded.len(),
+            Capacity::Finite { .. } => self.sets.iter().map(Vec::len).sum(),
+        }
+    }
+
+    /// Accumulated statistics.
+    fn stats(&self) -> TableStats {
+        self.stats
+    }
+
+    fn locate(&self, key: u64) -> (usize, u64) {
+        let set_idx = (key % self.num_sets as u64) as usize;
+        let tag = key / self.num_sets as u64;
+        (set_idx, tag)
+    }
+}
+
+/// The reference table mirrors the seed behavior the fast table is
+/// tested against (spot-check; the proptests do the heavy lifting).
+#[test]
+fn reference_table_basic_agreement() {
+    let mut fast = PredictorTable::<u32>::new(Capacity::ISCA03);
+    let mut seed = ReferencePredictorTable::<u32>::new(Capacity::ISCA03);
+    for k in 0..20_000u64 {
+        let key = (k * 37) % 9000;
+        assert_eq!(
+            fast.train(key, k % 3 != 0, |e| *e = k as u32),
+            seed.train(key, k % 3 != 0, |e| *e = k as u32)
+        );
+        assert_eq!(fast.lookup(key ^ 1), seed.lookup(key ^ 1));
+    }
+    assert_eq!(fast.stats(), seed.stats());
+    assert_eq!(fast.len(), seed.len());
+}
 
 #[derive(Clone, Copy, Debug)]
 enum Op {

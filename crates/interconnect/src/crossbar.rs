@@ -76,32 +76,6 @@ pub struct Message<const W: usize = 4> {
     pub class: MessageClass,
 }
 
-/// The outcome of injecting a message.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Delivery {
-    /// When the message passed the switch's ordering point. All
-    /// messages are totally ordered by this time (ties broken by
-    /// injection sequence, which the simulator preserves).
-    pub order_time: u64,
-    /// Arrival time at each destination, in destination index order.
-    pub arrivals: Vec<(NodeId, u64)>,
-}
-
-impl Delivery {
-    /// Pairs each destination with its slot of `arrive`, as filled by a
-    /// `send_into` of the same message.
-    pub(crate) fn gather<const W: usize>(
-        order_time: u64,
-        dests: DestSet<W>,
-        arrive: &[u64],
-    ) -> Self {
-        Delivery {
-            order_time,
-            arrivals: dests.iter().map(|d| (d, arrive[d.index()])).collect(),
-        }
-    }
-}
-
 /// Calls `deliver(d)` once per member `d` of `dests`, in ascending
 /// order, and returns the number of calls. Walks the set's words
 /// directly (lowest set bit, then clear it), the one destination loop
@@ -122,7 +96,9 @@ pub(crate) fn for_each_dest<const W: usize>(
     delivered
 }
 
-/// A single totally-ordered crossbar connecting `n` nodes.
+/// The paper's single totally-ordered crossbar: the link occupancy and
+/// ordering point of [`crate::Topology`]'s direct path, which its
+/// modeled path shares.
 ///
 /// Contention model: each node has one outgoing and one incoming link;
 /// a message occupies its source link for `size / bandwidth` ns (queuing
@@ -132,8 +108,8 @@ pub(crate) fn for_each_dest<const W: usize>(
 /// — the endpoint-bandwidth cost structure that motivates destination-set
 /// prediction.
 #[derive(Clone, Debug)]
-pub struct Crossbar {
-    config: InterconnectConfig,
+pub(crate) struct Crossbar {
+    pub(crate) config: InterconnectConfig,
     /// Serialization delay per message class, precomputed at
     /// construction so the send path never touches floating point.
     pub(crate) ser_ns: [u64; MessageClass::COUNT],
@@ -144,18 +120,9 @@ pub struct Crossbar {
 }
 
 impl Crossbar {
-    /// Creates a crossbar for `num_nodes` nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a config [`Crossbar::try_new`] rejects.
-    pub fn new(config: InterconnectConfig, num_nodes: usize) -> Self {
-        Crossbar::try_new(config, num_nodes).expect("invalid interconnect config")
-    }
-
     /// Creates a crossbar for `num_nodes` nodes, rejecting zero nodes,
     /// non-positive bandwidth, and zero traversal with a typed error.
-    pub fn try_new(
+    pub(crate) fn try_new(
         config: InterconnectConfig,
         num_nodes: usize,
     ) -> Result<Self, InterconnectError> {
@@ -178,52 +145,17 @@ impl Crossbar {
         })
     }
 
-    /// The configured timing parameters.
-    pub fn config(&self) -> InterconnectConfig {
-        self.config
-    }
-
-    /// Serialization delay of `class`-sized messages on one link, in ns
-    /// (rounded up, minimum 1).
-    #[inline]
-    pub fn serialization_ns(&self, class: MessageClass) -> u64 {
-        self.ser_ns[class.index()]
-    }
-
-    /// Injects `msg` at time `now`, writing each destination `d`'s
-    /// arrival time into `arrive[d]` and returning the ordering time,
-    /// updating link occupancy and traffic statistics.
-    ///
-    /// `arrive` is indexed by node and needs a slot per node. Exactly
-    /// the slots of `msg.dests` are written; every other slot keeps its
-    /// value, so a caller may reuse one array across sends without
-    /// clearing it. This is the hot-path entry point: it neither
-    /// allocates nor copies. [`Crossbar::send`] wraps it for callers
-    /// that prefer an owned [`Delivery`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `arrive` has fewer slots than nodes, or if a source or
-    /// destination is not a node of this crossbar.
-    pub fn send_into<const W: usize>(
-        &mut self,
-        now: u64,
-        msg: &Message<W>,
-        arrive: &mut [u64],
-    ) -> u64 {
-        self.send_counted(now, msg, arrive).0
-    }
-
-    /// [`Crossbar::send_into`], also returning how many deliveries its
+    /// Injects `msg` at time `now` (see [`crate::Topology::send_into`]),
+    /// returning the ordering time and how many deliveries the
     /// destination loop made (the delivered side of
     /// [`crate::LinkStats`]).
-    pub(crate) fn send_counted<const W: usize>(
+    pub(crate) fn send_into<const W: usize>(
         &mut self,
         now: u64,
         msg: &Message<W>,
         arrive: &mut [u64],
     ) -> (u64, u64) {
-        let ser = self.serialization_ns(msg.class);
+        let ser = self.ser_ns[msg.class.index()];
         let half = self.config.traversal_ns / 2;
         // Source link: queue behind earlier injections from this node.
         let start = now.max(self.src_free_at[msg.src.index()]);
@@ -242,120 +174,87 @@ impl Crossbar {
         self.stats.record(msg.class, delivered);
         (order_time, delivered)
     }
-
-    /// Injects `msg` at time `now`; returns the ordering time and
-    /// per-destination arrival times as an owned [`Delivery`].
-    pub fn send<const W: usize>(&mut self, now: u64, msg: &Message<W>) -> Delivery {
-        let mut arrive = vec![0; self.dst_free_at.len()];
-        let order_time = self.send_into(now, msg, &mut arrive);
-        Delivery::gather(order_time, msg.dests, &arrive)
-    }
-
-    /// Accumulated traffic statistics.
-    pub fn stats(&self) -> TrafficStats {
-        self.stats
-    }
-
-    /// Clears the traffic statistics (e.g. after warmup) without
-    /// resetting link occupancy.
-    pub fn reset_stats(&mut self) {
-        self.stats = TrafficStats::default();
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::topology::{Topology, TopologySpec};
+    use crate::toxic::ToxicSpec;
 
-    fn xbar() -> Crossbar {
-        Crossbar::new(InterconnectConfig::isca03(), 16)
+    /// The paper's crossbar over `nodes` nodes: the direct path.
+    pub(crate) fn direct(cfg: InterconnectConfig, nodes: usize) -> Topology {
+        Topology::new(cfg, nodes, &TopologySpec::Crossbar, &ToxicSpec::none(), 0)
+    }
+
+    /// Sends `msg` through `net` and pairs each destination with its
+    /// arrival time, in ascending node order.
+    pub(crate) fn deliver<const W: usize>(
+        net: &mut Topology,
+        now: u64,
+        msg: &Message<W>,
+    ) -> (u64, Vec<(NodeId, u64)>) {
+        let mut arrive = [0; 256];
+        let order_time = net.send_into(now, msg, &mut arrive);
+        let arrivals = msg.dests.iter().map(|d| (d, arrive[d.index()])).collect();
+        (order_time, arrivals)
+    }
+
+    fn xbar() -> Topology {
+        direct(InterconnectConfig::isca03(), 16)
     }
 
     fn n(i: usize) -> NodeId {
         NodeId::new(i)
     }
 
+    fn msg(src: usize, dests: DestSet, class: MessageClass) -> Message {
+        Message {
+            src: n(src),
+            dests,
+            class,
+        }
+    }
+
     #[test]
     fn uncontended_latency_is_traversal_plus_serialization() {
         let mut x = xbar();
-        let msg: Message = Message {
-            src: n(0),
-            dests: DestSet::single(n(5)),
-            class: MessageClass::Request,
-        };
-        let d = x.send(0, &msg);
+        let d = deliver(
+            &mut x,
+            0,
+            &msg(0, DestSet::single(n(5)), MessageClass::Request),
+        );
         // 8B at 10B/ns -> 1ns serialization; 25 + 25 traversal halves.
         // src: 0..1, order at 26, dst: 26..27, arrive 27 + 25 = 52.
-        assert_eq!(d.order_time, 26);
-        assert_eq!(d.arrivals, vec![(n(5), 52)]);
+        assert_eq!(d, (26, vec![(n(5), 52)]));
     }
 
     #[test]
     fn data_responses_serialize_longer() {
-        let mut x = xbar();
-        let req = x.send(
-            0,
-            &Message::<4> {
-                src: n(0),
-                dests: DestSet::single(n(1)),
-                class: MessageClass::Request,
-            },
-        );
-        let mut x2 = xbar();
-        let data = x2.send(
-            0,
-            &Message::<4> {
-                src: n(0),
-                dests: DestSet::single(n(1)),
-                class: MessageClass::DataResponse,
-            },
-        );
-        assert!(
-            data.arrivals[0].1 > req.arrivals[0].1,
-            "72B serializes slower than 8B"
-        );
+        let one = DestSet::single(n(1));
+        let (_, req) = deliver(&mut xbar(), 0, &msg(0, one, MessageClass::Request));
+        let (_, data) = deliver(&mut xbar(), 0, &msg(0, one, MessageClass::DataResponse));
+        assert!(data[0].1 > req[0].1, "72B serializes slower than 8B");
     }
 
     #[test]
     fn source_link_queues_back_to_back_sends() {
         let mut x = xbar();
-        let msg: Message = Message {
-            src: n(0),
-            dests: DestSet::single(n(1)),
-            class: MessageClass::DataResponse, // 8ns serialization
-        };
-        let first = x.send(0, &msg);
-        let second = x.send(0, &msg);
-        assert!(
-            second.order_time >= first.order_time + 8,
-            "second send queues"
-        );
+        // 8ns serialization.
+        let m = msg(0, DestSet::single(n(1)), MessageClass::DataResponse);
+        let (first, _) = deliver(&mut x, 0, &m);
+        let (second, _) = deliver(&mut x, 0, &m);
+        assert!(second >= first + 8, "second send queues");
     }
 
     #[test]
     fn destination_link_contention_staggers_arrivals() {
         let mut x = xbar();
         // Two different sources target the same destination at once.
-        let a = x.send(
-            0,
-            &Message::<4> {
-                src: n(0),
-                dests: DestSet::single(n(9)),
-                class: MessageClass::DataResponse,
-            },
-        );
-        let b = x.send(
-            0,
-            &Message::<4> {
-                src: n(1),
-                dests: DestSet::single(n(9)),
-                class: MessageClass::DataResponse,
-            },
-        );
-        assert!(
-            b.arrivals[0].1 >= a.arrivals[0].1 + 8,
-            "incoming link serializes"
-        );
+        let nine = DestSet::single(n(9));
+        let (_, a) = deliver(&mut x, 0, &msg(0, nine, MessageClass::DataResponse));
+        let (_, b) = deliver(&mut x, 0, &msg(1, nine, MessageClass::DataResponse));
+        assert!(b[0].1 >= a[0].1 + 8, "incoming link serializes");
     }
 
     #[test]
@@ -363,16 +262,14 @@ mod tests {
         let mut x = xbar();
         let mut last = 0;
         for i in 0..50 {
-            let d = x.send(
-                i * 3,
-                &Message::<4> {
-                    src: n((i % 16) as usize),
-                    dests: DestSet::broadcast(16),
-                    class: MessageClass::Request,
-                },
+            let m = msg(
+                (i % 16) as usize,
+                DestSet::broadcast(16),
+                MessageClass::Request,
             );
-            assert!(d.order_time >= last, "ordering point must be monotone");
-            last = d.order_time;
+            let (order_time, _) = deliver(&mut x, i * 3, &m);
+            assert!(order_time >= last, "ordering point must be monotone");
+            last = order_time;
         }
     }
 
@@ -380,15 +277,8 @@ mod tests {
     fn multicast_delivers_to_every_destination() {
         let mut x = xbar();
         let dests = DestSet::from_iter([n(1), n(4), n(9)]);
-        let d = x.send(
-            100,
-            &Message::<4> {
-                src: n(0),
-                dests,
-                class: MessageClass::Request,
-            },
-        );
-        assert_eq!(d.arrivals.len(), 3);
+        let (_, arrivals) = deliver(&mut x, 100, &msg(0, dests, MessageClass::Request));
+        assert_eq!(arrivals.len(), 3);
         let stats = x.stats();
         assert_eq!(stats.class(MessageClass::Request).deliveries, 3);
         assert_eq!(stats.class(MessageClass::Request).messages, 1);
@@ -397,32 +287,10 @@ mod tests {
     #[test]
     fn empty_destination_set_is_a_no_op_delivery() {
         let mut x = xbar();
-        let d = x.send(
-            5,
-            &Message::<4> {
-                src: n(0),
-                dests: DestSet::empty(),
-                class: MessageClass::Control,
-            },
-        );
-        assert!(d.arrivals.is_empty());
+        let (_, arrivals) = deliver(&mut x, 5, &msg(0, DestSet::empty(), MessageClass::Control));
+        assert!(arrivals.is_empty());
         assert_eq!(x.stats().class(MessageClass::Control).deliveries, 0);
         assert_eq!(x.stats().class(MessageClass::Control).messages, 1);
-    }
-
-    #[test]
-    fn reset_stats_keeps_link_state() {
-        let mut x = xbar();
-        let msg: Message = Message {
-            src: n(0),
-            dests: DestSet::single(n(1)),
-            class: MessageClass::Request,
-        };
-        x.send(0, &msg);
-        x.reset_stats();
-        assert_eq!(x.stats().total_messages(), 0);
-        let d = x.send(0, &msg);
-        assert!(d.order_time > 26, "link occupancy survived the stats reset");
     }
 
     #[test]
@@ -453,14 +321,8 @@ mod tests {
     #[test]
     fn broadcast_costs_n_deliveries() {
         let mut x = xbar();
-        x.send(
-            0,
-            &Message::<4> {
-                src: n(0),
-                dests: DestSet::broadcast(16).without(n(0)),
-                class: MessageClass::Request,
-            },
-        );
+        let others = DestSet::broadcast(16).without(n(0));
+        deliver(&mut x, 0, &msg(0, others, MessageClass::Request));
         assert_eq!(x.stats().request_deliveries(), 15);
     }
 
@@ -470,8 +332,7 @@ mod tests {
     /// on the modeled path alike, across every word of a 256-node set.
     #[test]
     fn send_into_writes_exactly_the_destination_slots() {
-        use crate::topology::{Topology, TopologySpec};
-        use crate::toxic::{Toxic, ToxicSpec};
+        use crate::toxic::Toxic;
 
         const SENTINEL: u64 = u64::MAX;
         let cfg = InterconnectConfig::isca03();
@@ -481,17 +342,13 @@ mod tests {
             hop_ns: 5,
         };
         let jitter = ToxicSpec::none().with(Toxic::LatencyJitter { max_ns: 30 });
-        let mut xbar = Crossbar::new(cfg, 256);
+        let mut xbar = direct(cfg, 256);
         let mut modeled = Topology::new(cfg, 256, &mesh, &jitter, 7);
         let first: DestSet = DestSet::from_iter([0, 63, 64, 127, 128, 255].map(n));
         let second: DestSet = DestSet::from_iter([1, 62, 65, 200].map(n));
         let mut slots = [vec![SENTINEL; 256], vec![SENTINEL; 256]];
         for (now, dests) in [(0, first), (10, second)] {
-            let msg = Message {
-                src: n(100),
-                dests,
-                class: MessageClass::Request,
-            };
+            let msg = msg(100, dests, MessageClass::Request);
             let before = slots.clone();
             xbar.send_into(now, &msg, &mut slots[0]);
             modeled.send_into(now, &msg, &mut slots[1]);

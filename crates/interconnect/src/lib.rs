@@ -14,21 +14,30 @@
 //! the traversal. Endpoint bandwidth therefore scales with destination-set
 //! size — the quantity destination-set prediction is designed to save.
 //!
+//! [`Topology`] is the one network type: the crossbar shape with no
+//! faults is the paper's model, and a mesh shape or a toxic chain
+//! ([`toxic`]) runs the same contention model with hop latencies or
+//! injected faults.
+//!
 //! # Example
 //!
 //! ```
-//! use dsp_interconnect::{Crossbar, InterconnectConfig, Message};
+//! use dsp_interconnect::{InterconnectConfig, Message, Topology, TopologySpec, ToxicSpec};
 //! use dsp_types::{DestSet, MessageClass, NodeId};
 //!
-//! let mut xbar = Crossbar::new(InterconnectConfig::isca03(), 16);
+//! let config = InterconnectConfig::isca03();
+//! let mut net = Topology::new(config, 16, &TopologySpec::Crossbar, &ToxicSpec::none(), 0);
 //! let msg: Message = Message {
 //!     src: NodeId::new(0),
 //!     dests: DestSet::broadcast(16).without(NodeId::new(0)),
 //!     class: MessageClass::Request,
 //! };
-//! let delivery = xbar.send(0, &msg);
-//! assert_eq!(delivery.arrivals.len(), 15);
-//! assert!(delivery.order_time > 0);
+//! // One arrival slot per node; the send writes exactly the destinations'.
+//! let mut arrive = [0u64; 16];
+//! let order_time = net.send_into(0, &msg, &mut arrive);
+//! assert!(order_time > 0);
+//! assert!(arrive[1..].iter().all(|&t| t > order_time));
+//! assert_eq!(net.stats().request_deliveries(), 15);
 //! ```
 
 #![warn(missing_docs)]
@@ -36,14 +45,12 @@
 
 mod crossbar;
 mod error;
-mod reference;
 mod stats;
 pub mod topology;
 pub mod toxic;
 
-pub use crossbar::{Crossbar, Delivery, InterconnectConfig, Message};
+pub use crossbar::{InterconnectConfig, Message};
 pub use error::InterconnectError;
-pub use reference::ReferenceCrossbar;
 pub use stats::{ClassTraffic, LinkStats, TrafficStats};
 pub use topology::{Topology, TopologySpec};
 pub use toxic::{Toxic, ToxicChain, ToxicSpec};

@@ -1,8 +1,9 @@
 //! Topologies over the ordered-interconnect contention model, with
 //! optional per-link fault injection.
 //!
-//! [`Topology`] generalizes [`Crossbar`] along two axes while keeping
-//! its link-occupancy and total-order machinery:
+//! [`Topology`] is the one network type. It keeps the paper's
+//! crossbar link-occupancy and total-order machinery and generalizes
+//! it along two axes:
 //!
 //! - **Shape.** [`TopologySpec::Crossbar`] is the paper's single
 //!   switch: every route pays `traversal_ns / 2` on each side of the
@@ -22,18 +23,18 @@
 //!   jitter, derating, congestion bursts, and outages (see
 //!   [`crate::toxic`]).
 //!
-//! The crossbar shape with an empty toxic chain delegates straight to
-//! the untouched [`Crossbar::send_into`] fast path, so existing golden
-//! outputs and microloop throughput are preserved bit-for-bit; every
-//! other combination runs the modeled path, which additionally keeps a
-//! per-link [`LinkStats`] conservation ledger and clamps arrivals so a
-//! link never reorders (FIFO per destination even under jitter).
+//! The crossbar shape with an empty toxic chain takes the direct path:
+//! the crossbar's own send loop, with no per-link bookkeeping beyond
+//! two aggregate counters. Every other combination runs the modeled
+//! path, which additionally keeps a per-link [`LinkStats`] conservation
+//! ledger and clamps arrivals so a link never reorders (FIFO per
+//! destination even under jitter).
 
 use serde::{Deserialize, Serialize};
 
 use dsp_types::{MessageClass, NodeId};
 
-use crate::crossbar::{for_each_dest, Crossbar, Delivery, InterconnectConfig, Message};
+use crate::crossbar::{for_each_dest, Crossbar, InterconnectConfig, Message};
 use crate::error::InterconnectError;
 use crate::stats::{LinkStats, TrafficStats};
 use crate::toxic::{ToxicChain, ToxicSpec};
@@ -127,9 +128,8 @@ struct Modeled {
 /// A network of `n` nodes: shape + toxic chain over the shared
 /// link-occupancy / total-order contention model.
 ///
-/// Mirrors the [`Crossbar`] API (`send_into`, `send`,
-/// `serialization_ns`, `stats`, …) so the simulator is agnostic to
-/// which combination is running.
+/// [`Topology::send_into`] is the one send path, whichever shape and
+/// chain are running.
 #[derive(Clone, Debug)]
 pub struct Topology {
     xbar: Crossbar,
@@ -190,21 +190,17 @@ impl Topology {
         })
     }
 
-    /// Whether sends delegate to the untouched crossbar fast path
-    /// (crossbar shape, empty toxic chain).
+    /// Whether sends take the direct crossbar path (crossbar shape,
+    /// empty toxic chain).
     pub fn is_direct(&self) -> bool {
         self.modeled.is_none()
     }
 
-    /// The configured timing parameters.
-    pub fn config(&self) -> InterconnectConfig {
-        self.xbar.config()
-    }
-
-    /// Serialization delay of `class`-sized messages on one link, in ns.
+    /// Serialization delay of `class`-sized messages on one link, in ns
+    /// (rounded up, minimum 1).
     #[inline]
     pub fn serialization_ns(&self, class: MessageClass) -> u64 {
-        self.xbar.serialization_ns(class)
+        self.xbar.ser_ns[class.index()]
     }
 
     /// Switch→node half-traversal latency for `node` — the
@@ -213,14 +209,24 @@ impl Topology {
     /// distance-dependent on a mesh.
     pub fn dst_half_ns(&self, node: NodeId) -> u64 {
         match &self.modeled {
-            None => self.xbar.config().traversal_ns / 2,
+            None => self.xbar.config.traversal_ns / 2,
             Some(m) => m.half[node.index()],
         }
     }
 
-    /// Injects `msg` at time `now` (see [`Crossbar::send_into`]):
-    /// writes each destination `d`'s arrival time into `arrive[d]`,
-    /// leaves every other slot untouched, and returns the ordering time.
+    /// Injects `msg` at time `now`: writes each destination `d`'s
+    /// arrival time into `arrive[d]`, returns the ordering time, and
+    /// updates link occupancy and traffic statistics.
+    ///
+    /// `arrive` is indexed by node and needs a slot per node. Exactly
+    /// the slots of `msg.dests` are written; every other slot keeps its
+    /// value, so a caller may reuse one array across sends without
+    /// clearing it. The send neither allocates nor copies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arrive` has fewer slots than nodes, or if a source or
+    /// destination is not a node of this network.
     pub fn send_into<const W: usize>(
         &mut self,
         now: u64,
@@ -230,7 +236,7 @@ impl Topology {
         if self.modeled.is_some() {
             return self.send_modeled(now, msg, arrive);
         }
-        let (order_time, delivered) = self.xbar.send_counted(now, msg, arrive);
+        let (order_time, delivered) = self.xbar.send_into(now, msg, arrive);
         // Fast path keeps only the aggregate side of the conservation
         // ledger — two scalar adds, so pay-for-what-you-use holds.
         self.links.injected += msg.dests.len() as u64;
@@ -238,11 +244,10 @@ impl Topology {
         order_time
     }
 
-    /// The modeled path: same contention structure as
-    /// [`Crossbar::send_into`], with per-node half latencies, the toxic
-    /// chain applied to each link, and the per-link conservation
-    /// ledger. Outgoing link of node `i` is toxic-link `i`; incoming is
-    /// `n + i`.
+    /// The modeled path: same contention structure as the direct path,
+    /// with per-node half latencies, the toxic chain applied to each
+    /// link, and the per-link conservation ledger. Outgoing link of node
+    /// `i` is toxic-link `i`; incoming is `n + i`.
     fn send_modeled<const W: usize>(
         &mut self,
         now: u64,
@@ -294,22 +299,9 @@ impl Topology {
         order_time
     }
 
-    /// Injects `msg` at time `now`; returns an owned [`Delivery`].
-    pub fn send<const W: usize>(&mut self, now: u64, msg: &Message<W>) -> Delivery {
-        let mut arrive = vec![0; self.xbar.dst_free_at.len()];
-        let order_time = self.send_into(now, msg, &mut arrive);
-        Delivery::gather(order_time, msg.dests, &arrive)
-    }
-
     /// Accumulated traffic statistics.
     pub fn stats(&self) -> TrafficStats {
-        self.xbar.stats()
-    }
-
-    /// Clears traffic statistics (e.g. after warmup) without resetting
-    /// link occupancy or the conservation ledger.
-    pub fn reset_stats(&mut self) {
-        self.xbar.reset_stats();
+        self.xbar.stats
     }
 
     /// The message-conservation ledger.
@@ -331,6 +323,7 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crossbar::tests::{deliver, direct};
     use crate::toxic::Toxic;
     use dsp_types::DestSet;
 
@@ -356,27 +349,28 @@ mod tests {
                 _ => DestSet::broadcast(16).without(n(src)),
             };
             let class = MessageClass::ALL[i as usize % MessageClass::COUNT];
-            let d = t.send(i * 3, &msg(src, dests, class));
-            out.push_str(&format!("{}:{:?}\n", d.order_time, d.arrivals));
+            let (order_time, arrivals) = deliver(t, i * 3, &msg(src, dests, class));
+            out.push_str(&format!("{order_time}:{arrivals:?}\n"));
         }
         out
     }
 
     #[test]
-    fn empty_chain_crossbar_is_byte_identical_to_raw_crossbar() {
+    fn empty_chain_crossbar_takes_the_direct_path_and_conserves() {
         let cfg = InterconnectConfig::isca03();
         let mut topo = Topology::new(cfg, 16, &TopologySpec::Crossbar, &ToxicSpec::none(), 1);
         assert!(topo.is_direct());
-        let mut raw = Crossbar::new(cfg, 16);
         for i in 0..100u64 {
             let m = msg(
                 (i % 16) as usize,
                 DestSet::broadcast(16),
                 MessageClass::Request,
             );
-            assert_eq!(topo.send(i * 2, &m), raw.send(i * 2, &m));
+            deliver(&mut topo, i * 2, &m);
         }
         topo.assert_conserved();
+        assert_eq!(topo.link_stats().delivered, 100 * 16);
+        assert_eq!(topo.stats().request_deliveries(), 100 * 16);
     }
 
     #[test]
@@ -424,10 +418,10 @@ mod tests {
                 DestSet::from_iter([n(2), n(11)]),
                 MessageClass::DataResponse,
             );
-            let a = clean.send(i * 5, &m);
-            let b = toxic.send(i * 5, &m);
-            assert!(b.order_time >= a.order_time);
-            for (x, y) in a.arrivals.iter().zip(b.arrivals.iter()) {
+            let a = deliver(&mut clean, i * 5, &m);
+            let b = deliver(&mut toxic, i * 5, &m);
+            assert!(b.0 >= a.0);
+            for (x, y) in a.1.iter().zip(b.1.iter()) {
                 assert!(y.1 >= x.1, "toxic arrival earlier than clean");
             }
         }
@@ -452,10 +446,18 @@ mod tests {
 
         let mut near = Topology::new(cfg, 16, &spec, &ToxicSpec::none(), 0);
         let mut far = Topology::new(cfg, 16, &spec, &ToxicSpec::none(), 0);
-        let to_near = near.send(0, &msg(5, DestSet::single(n(5)), MessageClass::Request));
-        let to_far = far.send(0, &msg(15, DestSet::single(n(15)), MessageClass::Request));
+        let (_, to_near) = deliver(
+            &mut near,
+            0,
+            &msg(5, DestSet::single(n(5)), MessageClass::Request),
+        );
+        let (_, to_far) = deliver(
+            &mut far,
+            0,
+            &msg(15, DestSet::single(n(15)), MessageClass::Request),
+        );
         assert!(
-            to_far.arrivals[0].1 > to_near.arrivals[0].1,
+            to_far[0].1 > to_near[0].1,
             "4-hop route must be slower than the root's own"
         );
     }
@@ -471,14 +473,14 @@ mod tests {
             hop_ns: 0,
         };
         let mut mesh = Topology::new(cfg, 16, &spec, &ToxicSpec::none(), 0);
-        let mut raw = Crossbar::new(cfg, 16);
+        let mut xbar = direct(cfg, 16);
         for i in 0..120u64 {
             let m = msg(
                 (i % 16) as usize,
                 DestSet::broadcast(16).without(n((i % 16) as usize)),
                 MessageClass::ALL[i as usize % MessageClass::COUNT],
             );
-            assert_eq!(mesh.send(i * 4, &m), raw.send(i * 4, &m));
+            assert_eq!(deliver(&mut mesh, i * 4, &m), deliver(&mut xbar, i * 4, &m));
         }
         mesh.assert_conserved();
     }

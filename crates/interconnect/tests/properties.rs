@@ -1,12 +1,13 @@
 //! Property-based tests of the crossbar timing model and the
 //! fault-injection topology layer wrapped around it.
+//!
+//! Every test drives [`Topology::send_into`], the path the simulator
+//! runs; the paper's crossbar is its direct path
+//! ([`TopologySpec::Crossbar`] with no toxics).
 
 use proptest::prelude::*;
 
-use dsp_interconnect::{
-    Crossbar, InterconnectConfig, Message, ReferenceCrossbar, Topology, TopologySpec, Toxic,
-    ToxicSpec,
-};
+use dsp_interconnect::{InterconnectConfig, Message, Topology, TopologySpec, Toxic, ToxicSpec};
 use dsp_types::{DestSet, MessageClass, NodeId};
 
 const NODES: usize = 16;
@@ -14,6 +15,95 @@ const NODES: usize = 16;
 const WIDE: usize = 256;
 /// The first and last node of each word of a [`WIDE`]-node set.
 const WORD_EDGES: [usize; 6] = [0, 63, 64, 127, 128, 255];
+
+/// The seed crossbar send path, kept verbatim as the semantic
+/// reference: serialization delay recomputed from floats on every send
+/// and arrival times heap-allocated into a fresh `Vec` per delivery. It
+/// models timing only: traffic statistics are the measured
+/// implementation's concern.
+#[derive(Clone, Debug)]
+struct ReferenceCrossbar {
+    config: InterconnectConfig,
+    src_free_at: Vec<u64>,
+    dst_free_at: Vec<u64>,
+    last_order_time: u64,
+}
+
+impl ReferenceCrossbar {
+    fn new(config: InterconnectConfig, num_nodes: usize) -> Self {
+        ReferenceCrossbar {
+            config,
+            src_free_at: vec![0; num_nodes],
+            dst_free_at: vec![0; num_nodes],
+            last_order_time: 0,
+        }
+    }
+
+    /// Serialization delay of `class`-sized messages, recomputed from
+    /// floats on every call exactly as the seed did.
+    fn serialization_ns(&self, class: MessageClass) -> u64 {
+        ((class.bytes() as f64 / self.config.link_bytes_per_ns).ceil() as u64).max(1)
+    }
+
+    /// Injects `msg` at time `now`; returns the ordering time and a
+    /// freshly allocated arrival list, exactly as the seed `send` did.
+    fn send<const W: usize>(&mut self, now: u64, msg: &Message<W>) -> (u64, Vec<(NodeId, u64)>) {
+        let ser = self.serialization_ns(msg.class);
+        let half = self.config.traversal_ns / 2;
+        let start = now.max(self.src_free_at[msg.src.index()]);
+        self.src_free_at[msg.src.index()] = start + ser;
+        let order_time = (start + ser + half).max(self.last_order_time);
+        self.last_order_time = order_time;
+        let mut arrivals = Vec::with_capacity(msg.dests.len());
+        for dest in msg.dests {
+            let d_start = order_time.max(self.dst_free_at[dest.index()]);
+            self.dst_free_at[dest.index()] = d_start + ser;
+            arrivals.push((dest, d_start + ser + half));
+        }
+        (order_time, arrivals)
+    }
+}
+
+#[test]
+fn reference_matches_documented_seed_timing() {
+    let mut x = ReferenceCrossbar::new(InterconnectConfig::isca03(), 16);
+    let (order, arrivals) = x.send(
+        0,
+        &Message::<4> {
+            src: NodeId::new(0),
+            dests: DestSet::single(NodeId::new(5)),
+            class: MessageClass::Request,
+        },
+    );
+    // 8B at 10B/ns -> 1ns serialization; 25 + 25 traversal halves.
+    assert_eq!(order, 26);
+    assert_eq!(arrivals, vec![(NodeId::new(5), 52)]);
+}
+
+/// The paper's crossbar over `nodes` nodes: a [`Topology`] on its
+/// direct path.
+fn crossbar(config: InterconnectConfig, nodes: usize) -> Topology {
+    Topology::new(
+        config,
+        nodes,
+        &TopologySpec::Crossbar,
+        &ToxicSpec::none(),
+        0,
+    )
+}
+
+/// Sends `msg` through `net` and pairs each destination with its
+/// arrival time, in ascending node order.
+fn send<const W: usize>(
+    net: &mut Topology,
+    now: u64,
+    msg: &Message<W>,
+) -> (u64, Vec<(NodeId, u64)>) {
+    let mut arrive = [0; WIDE];
+    let order_time = net.send_into(now, msg, &mut arrive);
+    let arrivals = msg.dests.iter().map(|d| (d, arrive[d.index()])).collect();
+    (order_time, arrivals)
+}
 
 /// Renders one delivery as a text record, the unit of byte-identical
 /// comparison between the seed model and the current crossbar.
@@ -116,7 +206,7 @@ proptest! {
     /// and every arrival happens strictly after the ordering point.
     #[test]
     fn total_order_and_causality(ops in sends()) {
-        let mut xbar = Crossbar::new(InterconnectConfig::isca03(), NODES);
+        let mut xbar = crossbar(InterconnectConfig::isca03(), NODES);
         let mut now = 0u64;
         let mut last_order = 0u64;
         for op in &ops {
@@ -126,12 +216,12 @@ proptest! {
                 dests: op.dests(),
                 class: class_of(op.class_idx),
             };
-            let d = xbar.send(now, &msg);
-            prop_assert!(d.order_time >= last_order, "ordering point went backwards");
-            prop_assert!(d.order_time > now, "ordering cannot precede injection");
-            last_order = d.order_time;
-            for (_, t) in &d.arrivals {
-                prop_assert!(*t > d.order_time, "arrival before ordering");
+            let (order_time, arrivals) = send(&mut xbar, now, &msg);
+            prop_assert!(order_time >= last_order, "ordering point went backwards");
+            prop_assert!(order_time > now, "ordering cannot precede injection");
+            last_order = order_time;
+            for (_, t) in &arrivals {
+                prop_assert!(*t > order_time, "arrival before ordering");
             }
         }
     }
@@ -141,7 +231,7 @@ proptest! {
     /// spaced by at least the smaller message's serialization time.
     #[test]
     fn per_link_delivery_spacing(ops in sends()) {
-        let mut xbar = Crossbar::new(InterconnectConfig::isca03(), NODES);
+        let mut xbar = crossbar(InterconnectConfig::isca03(), NODES);
         let mut now = 0u64;
         let mut arrivals_per_node: Vec<Vec<(u64, u64)>> = vec![Vec::new(); NODES];
         for op in &ops {
@@ -153,7 +243,7 @@ proptest! {
                 dests: op.dests(),
                 class,
             };
-            for (node, t) in xbar.send(now, &msg).arrivals {
+            for (node, t) in send(&mut xbar, now, &msg).1 {
                 arrivals_per_node[node.index()].push((t, ser));
             }
         }
@@ -174,7 +264,7 @@ proptest! {
     #[test]
     fn traffic_accounting_is_exact(trace in traces()) {
         let (nodes, ops) = trace;
-        let mut xbar = Crossbar::new(InterconnectConfig::isca03(), nodes);
+        let mut xbar = crossbar(InterconnectConfig::isca03(), nodes);
         let mut expect_deliveries = 0u64;
         let mut expect_bytes = 0u64;
         let mut now = 0;
@@ -184,7 +274,7 @@ proptest! {
             let dests = op.dests();
             expect_deliveries += dests.len() as u64;
             expect_bytes += dests.len() as u64 * class.bytes();
-            xbar.send(now, &Message::<4> { src: NodeId::new(op.src), dests, class });
+            send(&mut xbar, now, &Message::<4> { src: NodeId::new(op.src), dests, class });
         }
         let stats = xbar.stats();
         let total_deliveries: u64 = [
@@ -216,7 +306,7 @@ proptest! {
             link_bytes_per_ns: bw_tenths as f64 / 10.0,
             traversal_ns: 50,
         };
-        let mut xbar = Crossbar::new(config, nodes);
+        let mut xbar = crossbar(config, nodes);
         let mut seed = ReferenceCrossbar::new(config, nodes);
         let mut now = 0u64;
         for op in &ops {
@@ -228,10 +318,10 @@ proptest! {
                 dests: op.dests(),
                 class,
             };
-            let d = xbar.send(now, &msg);
+            let (order_time, arrivals) = send(&mut xbar, now, &msg);
             let (seed_order, seed_arrivals) = seed.send(now, &msg);
             prop_assert_eq!(
-                render_delivery(d.order_time, &d.arrivals),
+                render_delivery(order_time, &arrivals),
                 render_delivery(seed_order, &seed_arrivals)
             );
         }
@@ -241,16 +331,16 @@ proptest! {
     /// traversal of their injection.
     #[test]
     fn uncontended_latency_bound(src in 0usize..NODES, dst in 0usize..NODES, class_idx in 0u8..6) {
-        let mut xbar = Crossbar::new(InterconnectConfig::isca03(), NODES);
+        let mut xbar = crossbar(InterconnectConfig::isca03(), NODES);
         let class = class_of(class_idx);
         let msg: Message = Message {
             src: NodeId::new(src),
             dests: DestSet::single(NodeId::new(dst)),
             class,
         };
-        let d = xbar.send(1_000, &msg);
+        let (_, arrivals) = send(&mut xbar, 1_000, &msg);
         let bound = 1_000 + 2 * xbar.serialization_ns(class) + 50;
-        prop_assert!(d.arrivals[0].1 <= bound, "{} > {bound}", d.arrivals[0].1);
+        prop_assert!(arrivals[0].1 <= bound, "{} > {bound}", arrivals[0].1);
     }
 }
 
@@ -319,8 +409,8 @@ fn run_stream<const W: usize>(
             dests: op.dests(),
             class: class_of(op.class_idx),
         };
-        let d = topo.send(now, &msg);
-        out.push_str(&render_delivery(d.order_time, &d.arrivals));
+        let (order_time, arrivals) = send(&mut topo, now, &msg);
+        out.push_str(&render_delivery(order_time, &arrivals));
         out.push('\n');
     }
     topo.assert_conserved();
@@ -371,7 +461,7 @@ proptest! {
                 dests: op.dests(),
                 class: class_of(op.class_idx),
             };
-            for (node, t) in &net.send(now, &msg).arrivals {
+            for (node, t) in &send(&mut net, now, &msg).1 {
                 prop_assert!(
                     *t >= last[node.index()],
                     "link to {node} reordered: {t} after {}",
@@ -404,7 +494,7 @@ proptest! {
 /// an empty destination set.
 #[test]
 fn golden_trace_is_pinned() {
-    let mut xbar = Crossbar::new(InterconnectConfig::isca03(), 4);
+    let mut xbar = crossbar(InterconnectConfig::isca03(), 4);
     let steps = [
         (0u64, 0usize, 0b0010u64, MessageClass::Request),
         (5, 1, 0b1111, MessageClass::Request),
@@ -414,7 +504,8 @@ fn golden_trace_is_pinned() {
     ];
     let mut rendered = String::new();
     for (now, src, mask, class) in steps {
-        let d = xbar.send(
+        let (order_time, arrivals) = send(
+            &mut xbar,
             now,
             &Message::<4> {
                 src: NodeId::new(src),
@@ -422,7 +513,7 @@ fn golden_trace_is_pinned() {
                 class,
             },
         );
-        rendered.push_str(&render_delivery(d.order_time, &d.arrivals));
+        rendered.push_str(&render_delivery(order_time, &arrivals));
         rendered.push('\n');
     }
     // Recorded from the seed implementation (ReferenceCrossbar

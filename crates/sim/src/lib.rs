@@ -46,6 +46,6 @@ mod system;
 
 pub use config::{CpuModel, ProtocolKind, SetWidth, SimConfig, TargetSystem};
 pub use dsp_interconnect::{Topology, TopologySpec, Toxic, ToxicSpec};
-pub use queue::{Event, EventQueue, QueueCounters, WheelQueue};
+pub use queue::{Event, QueueCounters, WheelQueue};
 pub use report::{ClassCounts, LatencyHistogram, SimReport};
 pub use system::{simulate, simulate_with_partition, System, TracePartition};

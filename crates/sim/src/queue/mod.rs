@@ -28,9 +28,6 @@ mod wheel;
 
 pub use wheel::WheelQueue;
 
-/// The queue driving [`crate::System`]'s event loop.
-pub type EventQueue = WheelQueue;
-
 /// Cheap occupancy counters a [`WheelQueue`] maintains over its
 /// lifetime. The benchmark in `perfbench/` reports `popped` as
 /// `sim.events` and `promoted` as `sim.queue_promoted`, so

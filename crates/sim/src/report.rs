@@ -34,21 +34,30 @@ impl LatencyHistogram {
     }
 
     /// Upper-bound estimate of the p-th percentile latency (the upper
-    /// edge of the bucket containing it), `p` in 0..=100.
+    /// edge of the bucket containing it), `p` in 0..=100; 0 for an empty
+    /// histogram. p = 0 reads the bucket of the smallest sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is outside 0..=100 (NaN included).
     pub fn percentile_ns(&self, p: f64) -> u64 {
+        assert!((0.0..=100.0).contains(&p), "percentile {p} outside 0..=100");
         let total = self.count();
         if total == 0 {
             return 0;
         }
-        let target = (total as f64 * (p / 100.0)).ceil() as u64;
+        // At least one sample, so the target never reads an empty bucket.
+        let target = ((total as f64 * (p / 100.0)).ceil() as u64).max(1);
         let mut seen = 0;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= target {
-                return 1u64 << (i + 1);
-            }
-        }
-        1 << 16
+        let bucket = self
+            .buckets
+            .iter()
+            .position(|&b| {
+                seen += b;
+                seen >= target
+            })
+            .expect("the target is at most the sample count");
+        1 << (bucket + 1)
     }
 
     /// Merges another histogram into this one.
@@ -235,6 +244,34 @@ mod tests {
         assert!((128..=512).contains(&p50), "{p50}");
         assert!(p99 >= 2048, "{p99}");
         assert_eq!(LatencyHistogram::default().percentile_ns(50.0), 0);
+    }
+
+    fn ten_samples_of_100ns() -> LatencyHistogram {
+        let mut h = LatencyHistogram::default();
+        for _ in 0..10 {
+            h.record(100);
+        }
+        h
+    }
+
+    /// p = 0 reads the first non-empty bucket, not the empty bucket 0.
+    #[test]
+    fn zeroth_percentile_is_the_first_sample_bucket() {
+        let h = ten_samples_of_100ns();
+        assert_eq!(h.percentile_ns(0.0), 128);
+        assert_eq!(h.percentile_ns(100.0), 128);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside 0..=100")]
+    fn percentile_rejects_nan() {
+        ten_samples_of_100ns().percentile_ns(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside 0..=100")]
+    fn percentile_rejects_above_100() {
+        ten_samples_of_100ns().percentile_ns(150.0);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use dsp_trace::{TraceRecord, WorkloadSpec};
 use dsp_types::{DestSet, LineState, MessageClass, NodeId, Owner, ReqType, SystemConfig};
 
 use crate::config::{CpuModel, ProtocolKind, SimConfig, TargetSystem};
-use crate::queue::{Event, EventQueue, QueueCounters};
+use crate::queue::{Event, QueueCounters, WheelQueue};
 use crate::report::SimReport;
 
 /// In-flight miss bookkeeping.
@@ -111,7 +111,7 @@ pub struct System<const W: usize = 4> {
     free_groups: Vec<u32>,
     /// Scratch for [`group_by_arrival`], reused across sends.
     group_scratch: Vec<(u64, DestSet<W>)>,
-    queue: EventQueue,
+    queue: WheelQueue,
     pending: Vec<Pending<W>>,
     free_slots: Vec<usize>,
     completed: u64,
@@ -214,7 +214,7 @@ impl<const W: usize> System<W> {
             groups: Vec::new(),
             free_groups: Vec::new(),
             group_scratch: Vec::new(),
-            queue: EventQueue::new(),
+            queue: WheelQueue::new(),
             pending: Vec::new(),
             free_slots: Vec::new(),
             completed: 0,
@@ -946,11 +946,6 @@ impl<const W: usize> System<W> {
             self.pending.push(p);
             slot as usize
         }
-    }
-
-    /// Coherence-substrate statistics (for tests and diagnostics).
-    pub fn tracker_stats(&self) -> dsp_coherence::TrackerStats {
-        self.tracker.stats()
     }
 
     /// Replaces each node's predictor with `wrap(node, predictor)`
