@@ -9,6 +9,8 @@
 //! observes an external request **only if that node was in the
 //! request's delivered destination set** (initial multicast or reissue),
 //! and the requester trains from the data response's sender identity.
+//! As in the timing simulator, deliveries of a request type that no
+//! predictor observes (`DestSetPredictor::observes_other`) are skipped.
 //!
 //! The evaluator runs at the timing simulator's set width: machines of
 //! at most 64 nodes replay on single-word `DestSet<1>` trackers and
@@ -22,7 +24,7 @@ use dsp_coherence::{multicast, CoherenceTracker};
 use dsp_core::{DestSetPredictor, PredictQuery, PredictorConfig, TrainEvent};
 use dsp_sim::SetWidth;
 use dsp_trace::TraceRecord;
-use dsp_types::SystemConfig;
+use dsp_types::{ReqType, SystemConfig};
 
 /// One point in the latency/bandwidth plane.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -142,13 +144,30 @@ impl TradeoffEvaluator {
     where
         I: IntoIterator<Item = TraceRecord>,
     {
-        let n = self.config.num_nodes();
-        let mut predictors: Vec<Box<dyn DestSetPredictor<W>>> = (0..n)
+        let predictors = (0..self.config.num_nodes())
             .map(|_| predictor.build_width::<W>(&self.config))
             .collect();
+        self.replay(trace, predictor.label(), predictors)
+    }
+
+    /// Replays `trace` through one predictor per node, labeling the
+    /// point `label`.
+    fn replay<const W: usize, I>(
+        &self,
+        trace: I,
+        label: String,
+        mut predictors: Vec<Box<dyn DestSetPredictor<W>>>,
+    ) -> TradeoffPoint
+    where
+        I: IntoIterator<Item = TraceRecord>,
+    {
+        // Deliveries of a request type no predictor observes would train
+        // nothing (the `observes_other` contract), so they are skipped.
+        let observes_other = [ReqType::GetShared, ReqType::GetExclusive]
+            .map(|req| predictors.iter().any(|p| p.observes_other(req)));
         let mut tracker = CoherenceTracker::<W>::new(&self.config);
         let mut point = TradeoffPoint {
-            label: predictor.label(),
+            label,
             misses: 0,
             request_messages: 0,
             indirections: 0,
@@ -189,13 +208,15 @@ impl TradeoffEvaluator {
                     corrected,
                 });
             }
-            let external = TrainEvent::OtherRequest {
-                block: rec.block(),
-                requester: rec.requester,
-                req: rec.request(),
-            };
-            for node in delivered.without(rec.requester) {
-                predictors[node.index()].train(&external);
+            if observes_other[usize::from(rec.request().is_exclusive())] {
+                let external = TrainEvent::OtherRequest {
+                    block: rec.block(),
+                    requester: rec.requester,
+                    req: rec.request(),
+                };
+                for node in delivered.without(rec.requester) {
+                    predictors[node.index()].train(&external);
+                }
             }
             predictors[rec.requester.index()].train(&TrainEvent::DataResponse {
                 block: rec.block(),
@@ -387,6 +408,69 @@ mod tests {
             .run(t.iter().copied(), &PredictorConfig::owner());
         assert_eq!(all.misses, 10_000);
         assert_eq!(warm.misses, 6_000);
+    }
+
+    /// Delegates to a policy but claims to observe every external
+    /// request, so the replay delivers every `OtherRequest` to it.
+    #[derive(Debug)]
+    struct ObservesAll(Box<dyn DestSetPredictor<1>>);
+
+    impl DestSetPredictor<1> for ObservesAll {
+        fn predict(&mut self, query: &PredictQuery<1>) -> dsp_types::DestSet<1> {
+            self.0.predict(query)
+        }
+
+        fn train(&mut self, event: &TrainEvent<1>) {
+            self.0.train(event);
+        }
+
+        fn name(&self) -> String {
+            self.0.name()
+        }
+
+        fn entry_payload_bits(&self) -> u64 {
+            self.0.entry_payload_bits()
+        }
+
+        fn storage_bits(&self) -> u64 {
+            self.0.storage_bits()
+        }
+    }
+
+    /// Skipping the deliveries a policy does not observe gives the same
+    /// point as delivering all of them.
+    #[test]
+    fn skipping_unobserved_deliveries_keeps_the_point() {
+        let config = SystemConfig::isca03();
+        let t = trace(Workload::Oltp, 20_000);
+        let eval = eval();
+        let mut skipped_some = false;
+        for predictor in [
+            PredictorConfig::owner().indexing(Indexing::Macroblock { bytes: 1024 }),
+            PredictorConfig::broadcast_if_shared(),
+            PredictorConfig::group().indexing(Indexing::ProgramCounter),
+            PredictorConfig::owner_group(),
+            PredictorConfig::two_level_owner(),
+        ] {
+            let built: Vec<_> = (0..config.num_nodes())
+                .map(|_| predictor.build_width::<1>(&config))
+                .collect();
+            skipped_some |= !built[0].observes_other(ReqType::GetShared);
+            let wrapped = (0..config.num_nodes())
+                .map(|_| {
+                    Box::new(ObservesAll(predictor.build_width::<1>(&config)))
+                        as Box<dyn DestSetPredictor<1>>
+                })
+                .collect();
+            let label = predictor.label();
+            assert_eq!(
+                eval.replay(t.iter().copied(), label.clone(), built),
+                eval.replay(t.iter().copied(), label, wrapped),
+                "{}",
+                predictor.label()
+            );
+        }
+        assert!(skipped_some, "no policy skips any delivery");
     }
 
     /// The one- and four-word bodies return identical points, storage

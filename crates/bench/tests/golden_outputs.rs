@@ -5,10 +5,12 @@
 //! immediately before the scheduling-core rebuild (timing-wheel event
 //! queue, shared open-addressing table family, 256-bit `DestSet`), so
 //! these tests prove the refactors since — queue, tables, set widening,
-//! the trace-generator storage swap, the streaming session API, the
+//! the trace-generator storage swap (hash maps, then direct-indexed
+//! holder and per-macroblock arrays), the streaming session API, the
 //! fleet's JSON codec for cell outputs, the interconnect
-//! topology/fault-injection layer wrapped around the crossbar, and the
-//! simulator's training delivery (per-arrival wheel events) — are
+//! topology/fault-injection layer wrapped around the crossbar, the
+//! simulator's training delivery (per-arrival wheel events), and the
+//! trace replay's skipping of deliveries no predictor observes — are
 //! observationally invisible to every table and figure they touch: the
 //! trace-driven Table 2 and Figure 5 paths and the timing-simulated
 //! Figure 7/8 paths.

@@ -27,20 +27,6 @@ impl InterconnectConfig {
         }
     }
 
-    /// Sets the per-node link bandwidth in bytes/ns (builder style).
-    #[must_use]
-    pub fn bandwidth(mut self, bytes_per_ns: f64) -> Self {
-        self.link_bytes_per_ns = bytes_per_ns;
-        self
-    }
-
-    /// Sets the end-to-end traversal latency in ns (builder style).
-    #[must_use]
-    pub fn traversal(mut self, ns: u64) -> Self {
-        self.traversal_ns = ns;
-        self
-    }
-
     /// Rejects parameters that would otherwise surface downstream as a
     /// div-by-zero serialization delay or a degenerate zero-latency
     /// network.
@@ -294,21 +280,19 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn config_builders_and_validation() {
-        let cfg = InterconnectConfig::isca03().bandwidth(2.5).traversal(80);
-        assert_eq!(cfg.link_bytes_per_ns, 2.5);
-        assert_eq!(cfg.traversal_ns, 80);
-        assert!(cfg.validate().is_ok());
+    fn config_validation() {
+        let with = |link_bytes_per_ns, traversal_ns| InterconnectConfig {
+            link_bytes_per_ns,
+            traversal_ns,
+        };
+        assert!(with(2.5, 80).validate().is_ok());
         assert_eq!(
-            InterconnectConfig::isca03().bandwidth(0.0).validate(),
+            with(0.0, 50).validate(),
             Err(InterconnectError::NonPositiveBandwidth(0.0))
         );
-        assert!(InterconnectConfig::isca03()
-            .bandwidth(f64::NAN)
-            .validate()
-            .is_err());
+        assert!(with(f64::NAN, 50).validate().is_err());
         assert_eq!(
-            InterconnectConfig::isca03().traversal(0).validate(),
+            with(10.0, 0).validate(),
             Err(InterconnectError::ZeroTraversal)
         );
         assert_eq!(

@@ -190,12 +190,6 @@ impl Topology {
         })
     }
 
-    /// Whether sends take the direct crossbar path (crossbar shape,
-    /// empty toxic chain).
-    pub fn is_direct(&self) -> bool {
-        self.modeled.is_none()
-    }
-
     /// Serialization delay of `class`-sized messages on one link, in ns
     /// (rounded up, minimum 1).
     #[inline]
@@ -359,7 +353,7 @@ mod tests {
     fn empty_chain_crossbar_takes_the_direct_path_and_conserves() {
         let cfg = InterconnectConfig::isca03();
         let mut topo = Topology::new(cfg, 16, &TopologySpec::Crossbar, &ToxicSpec::none(), 1);
-        assert!(topo.is_direct());
+        assert!(topo.modeled.is_none(), "direct path");
         for i in 0..100u64 {
             let m = msg(
                 (i % 16) as usize,
@@ -389,7 +383,7 @@ mod tests {
             });
         let cfg = InterconnectConfig::isca03();
         let mut topo = Topology::new(cfg, 16, &TopologySpec::Crossbar, &toxics, 42);
-        assert!(!topo.is_direct());
+        assert!(topo.modeled.is_some(), "modeled path");
         let trace = drive(&mut topo);
         topo.assert_conserved();
         assert!(topo.link_stats().injected > 0);
@@ -438,7 +432,7 @@ mod tests {
         };
         let cfg = InterconnectConfig::isca03();
         let topo = Topology::new(cfg, 16, &spec, &ToxicSpec::none(), 0);
-        assert!(!topo.is_direct());
+        assert!(topo.modeled.is_some(), "modeled path");
         assert_eq!(topo.dst_half_ns(n(5)), 10);
         assert_eq!(topo.dst_half_ns(n(15)), 10 + 5 * 4);
         assert_eq!(topo.dst_half_ns(n(0)), 10 + 5 * 2);

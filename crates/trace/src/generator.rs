@@ -1,11 +1,12 @@
-//! The synthetic miss-stream generator.
+//! The synthetic miss-stream generator. Its state is direct-indexed by
+//! pool, macroblock and block offset, never hashed.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use dsp_types::{AccessKind, Address, BlockAddr, NodeId, OpenTable, Pc};
+use dsp_types::{AccessKind, Address, BlockAddr, NodeId, Pc};
 
-use crate::holders::HolderMap;
+use crate::holders::{HolderTable, Holders};
 use crate::record::TraceRecord;
 use crate::spec::{SharingClass, WorkloadSpec};
 use crate::zipf::ZipfSampler;
@@ -77,24 +78,28 @@ struct ProducerConsumerState {
     phase: PcPhase,
 }
 
-/// Runtime state of one class pool.
+/// Runtime state of one class pool. `base` is the holder-table index of
+/// its first block; the `Vec`s are indexed by macroblock (`group_start`
+/// is each sharing ring's first node), and empty for other idioms.
 #[derive(Debug)]
 struct ClassState {
     mb_zipf: ZipfSampler,
     pc_zipf: ZipfSampler,
-    migratory: OpenTable<MigratoryState>,
-    prodcons: OpenTable<ProducerConsumerState>,
-    rw_writer: OpenTable<u8>,
+    base: usize,
+    group_start: Vec<u16>,
+    migratory: Vec<MigratoryState>,
+    prodcons: Vec<ProducerConsumerState>,
+    rw_writer: Vec<u8>,
     cold_cursor: u64,
 }
 
 /// Deterministic, infinite iterator of [`TraceRecord`]s for one
 /// [`WorkloadSpec`].
 ///
-/// The generator keeps a MOSI [`HolderMap`] of its own emissions so the
-/// stream is coherence-consistent (see that type's docs), and drives one
-/// state machine per migratory block / producer-consumer macroblock so
-/// idioms interleave realistically instead of appearing in long bursts.
+/// The generator keeps a MOSI view of the [`Holders`] of every block it
+/// emits so the stream is coherence-consistent, and drives one state
+/// machine per migratory / producer-consumer macroblock so idioms
+/// interleave realistically instead of appearing in long bursts.
 ///
 /// # Example
 ///
@@ -110,11 +115,10 @@ struct ClassState {
 #[derive(Debug)]
 pub struct TraceGenerator {
     spec: WorkloadSpec,
-    seed: u64,
     rng: SmallRng,
     class_cdf: Vec<f64>,
     classes: Vec<ClassState>,
-    holders: HolderMap,
+    holders: HolderTable,
     emitted: u64,
 }
 
@@ -131,25 +135,42 @@ impl TraceGenerator {
                 acc
             })
             .collect();
-        let classes = spec
-            .classes()
-            .iter()
-            .map(|c| ClassState {
-                mb_zipf: ZipfSampler::new(c.macroblocks, c.zipf_exponent),
-                pc_zipf: ZipfSampler::new(c.pcs, 0.7),
-                migratory: OpenTable::new(),
-                prodcons: OpenTable::new(),
-                rw_writer: OpenTable::new(),
-                cold_cursor: 0,
+        let n = spec.num_nodes();
+        let mut blocks = 0;
+        let classes: Vec<_> = (spec.classes().iter().enumerate())
+            .map(|(ci, c)| {
+                let (g, mbs) = (c.group_size, 0..c.macroblocks as u64);
+                let only = |class| if c.class == class { c.macroblocks } else { 0 };
+                let (base, prev_slot) = (blocks, (1 % g) as u8);
+                blocks += c.macroblocks * spec.blocks_per_macroblock() as usize;
+                ClassState {
+                    mb_zipf: ZipfSampler::new(c.macroblocks, c.zipf_exponent),
+                    pc_zipf: ZipfSampler::new(c.pcs, 0.7),
+                    base,
+                    group_start: (mbs.clone())
+                        .map(|mb| (splitmix64(seed ^ ((ci as u64) << 48) ^ mb) as usize % n) as u16)
+                        .collect(),
+                    migratory: vec![
+                        MigratoryState {
+                            prev_slot,
+                            ..Default::default()
+                        };
+                        only(SharingClass::Migratory)
+                    ],
+                    prodcons: vec![Default::default(); only(SharingClass::ProducerConsumer)],
+                    rw_writer: (mbs.take(only(SharingClass::ReadWriteShared)))
+                        .map(|mb| (splitmix64(seed ^ 0x5f5f ^ mb) as usize % g) as u8)
+                        .collect(),
+                    cold_cursor: 0,
+                }
             })
             .collect();
         TraceGenerator {
             spec,
-            seed,
             rng: SmallRng::seed_from_u64(seed ^ 0xd5f0_7a6c_2f1b_9e33),
             class_cdf,
             classes,
-            holders: HolderMap::new(),
+            holders: HolderTable::new(blocks, n),
             emitted: 0,
         }
     }
@@ -159,9 +180,18 @@ impl TraceGenerator {
         &self.spec
     }
 
-    /// The generator's view of current block holders (useful in tests).
-    pub fn holders(&self) -> &HolderMap {
-        &self.holders
+    /// The generator's view of the current holders of `block`
+    /// (memory-owned if the generator never emitted it).
+    pub fn holders_of(&self, block: BlockAddr) -> Holders {
+        let ci = (block.number() / POOL_STRIDE_BLOCKS) as usize;
+        let local = block.number() % POOL_STRIDE_BLOCKS;
+        let bpm = self.spec.blocks_per_macroblock();
+        match self.spec.classes().get(ci.wrapping_sub(1)) {
+            Some(c) if local < c.macroblocks as u64 * bpm => {
+                self.holders.get(self.classes[ci - 1].base + local as usize)
+            }
+            _ => Holders::default(),
+        }
     }
 
     /// Number of records emitted so far.
@@ -176,19 +206,20 @@ impl TraceGenerator {
     /// and groups are spread evenly over the machine.
     fn group_member(&self, class_idx: usize, mb: usize, slot: usize) -> NodeId {
         let n = self.spec.num_nodes();
-        let start = splitmix64(self.seed ^ ((class_idx as u64) << 48) ^ (mb as u64)) as usize % n;
-        NodeId::new((start + slot) % n)
+        debug_assert!(slot < n, "group slot {slot} on {n} nodes");
+        let member = usize::from(self.classes[class_idx].group_start[mb]) + slot;
+        NodeId::new(if member >= n { member - n } else { member })
     }
 
-    fn group_size(&self, class_idx: usize) -> usize {
-        self.spec.classes()[class_idx].group_size
-    }
-
-    /// Byte address of block `off` within macroblock `mb` of pool
-    /// `class_idx`.
-    fn block_addr(&self, class_idx: usize, mb: usize, off: u64) -> BlockAddr {
+    /// Index of block `off` of macroblock `mb` of pool `class_idx` in
+    /// the holder table, where the pools lie end to end.
+    fn block_index(&self, class_idx: usize, mb: usize, off: u64) -> usize {
         let bpm = self.spec.blocks_per_macroblock();
-        BlockAddr::new((class_idx as u64 + 1) * POOL_STRIDE_BLOCKS + mb as u64 * bpm + off)
+        debug_assert!(
+            off < bpm && mb < self.spec.classes()[class_idx].macroblocks,
+            "block {off} of macroblock {mb} outside pool {class_idx}"
+        );
+        self.classes[class_idx].base + (mb as u64 * bpm + off) as usize
     }
 
     /// Synthetic PC for class `class_idx`, Zipf-distributed over the
@@ -214,10 +245,14 @@ impl TraceGenerator {
         class_idx: usize,
         requester: NodeId,
         kind: AccessKind,
-        block: BlockAddr,
+        mb: usize,
+        off: u64,
     ) -> TraceRecord {
         let pc = self.pick_pc(class_idx);
-        self.holders.apply(requester, kind, block);
+        self.holders
+            .apply(self.block_index(class_idx, mb, off), requester, kind);
+        let local = mb as u64 * self.spec.blocks_per_macroblock() + off;
+        let block = BlockAddr::new((class_idx as u64 + 1) * POOL_STRIDE_BLOCKS + local);
         self.emitted += 1;
         // Spread accesses across the four 16-byte words of the block so
         // data addresses are not all block-aligned.
@@ -241,8 +276,7 @@ impl TraceGenerator {
         } else {
             AccessKind::Load
         };
-        let block = self.block_addr(ci, mb, off);
-        self.emit(ci, owner, kind, block)
+        self.emit(ci, owner, kind, mb, off)
     }
 
     fn step_cold(&mut self, ci: usize) -> TraceRecord {
@@ -260,33 +294,24 @@ impl TraceGenerator {
         } else {
             AccessKind::Load
         };
-        let block = self.block_addr(ci, mb, off);
-        self.emit(ci, requester, kind, block)
+        self.emit(ci, requester, kind, mb, off)
     }
 
     fn step_read_shared(&mut self, ci: usize) -> TraceRecord {
         let bpm = self.spec.blocks_per_macroblock();
-        let g = self.group_size(ci);
+        let g = self.spec.classes()[ci].group_size;
         let mb = self.classes[ci].mb_zipf.sample(&mut self.rng);
         let off = self.rng.gen_range(0..bpm);
         let slot = self.rng.gen_range(0..g);
         let requester = self.group_member(ci, mb, slot);
-        let block = self.block_addr(ci, mb, off);
-        self.emit(ci, requester, AccessKind::Load, block)
+        self.emit(ci, requester, AccessKind::Load, mb, off)
     }
 
     fn step_migratory(&mut self, ci: usize) -> TraceRecord {
         let bpm = self.spec.blocks_per_macroblock();
-        let g = self.group_size(ci);
+        let g = self.spec.classes()[ci].group_size;
         let mb = self.classes[ci].mb_zipf.sample(&mut self.rng);
-        let mut state = *self.classes[ci]
-            .migratory
-            .get_or_insert_with(mb as u64, || MigratoryState {
-                holder_slot: 0,
-                prev_slot: (1 % g) as u8,
-                pending_store_off: None,
-            })
-            .0;
+        let mut state = self.classes[ci].migratory[mb];
         let (slot, kind, off) = if let Some(off) = state.pending_store_off.take() {
             (state.holder_slot, AccessKind::Store, off)
         } else {
@@ -318,8 +343,7 @@ impl TraceGenerator {
             let mut off = self.rng.gen_range(0..bpm) as u8;
             let mut fallback = off;
             for _ in 0..6 {
-                let candidate = self.block_addr(ci, mb, off as u64);
-                let owner = self.holders.get(candidate).owner.node();
+                let owner = self.holders.owner(self.block_index(ci, mb, off as u64));
                 if owner == Some(from) && from != holder {
                     break;
                 }
@@ -331,34 +355,24 @@ impl TraceGenerator {
                     off = (off + 1) % bpm as u8;
                 }
             }
-            let candidate = self.block_addr(ci, mb, off as u64);
-            if self.holders.get(candidate).owner.node() != Some(from) || from == holder {
+            let candidate = self.block_index(ci, mb, off as u64);
+            if self.holders.owner(candidate) != Some(from) || from == holder {
                 off = fallback;
             }
             state.pending_store_off = Some(off);
             (next, AccessKind::Load, off)
         };
-        *self.classes[ci]
-            .migratory
-            .get_mut(mb as u64)
-            .expect("inserted above") = state;
+        self.classes[ci].migratory[mb] = state;
         let requester = self.group_member(ci, mb, slot as usize);
-        let block = self.block_addr(ci, mb, off as u64);
-        self.emit(ci, requester, kind, block)
+        self.emit(ci, requester, kind, mb, off as u64)
     }
 
     fn step_producer_consumer(&mut self, ci: usize) -> TraceRecord {
         let bpm = self.spec.blocks_per_macroblock() as u8;
-        let g = self.group_size(ci);
+        let g = self.spec.classes()[ci].group_size;
         let mb = self.classes[ci].mb_zipf.sample(&mut self.rng);
         let rotate_producer = self.rng.gen_bool(PRODUCER_ROTATE_P);
-        let state = self.classes[ci]
-            .prodcons
-            .get_or_insert_with(mb as u64, || ProducerConsumerState {
-                producer_slot: 0,
-                phase: PcPhase::Producing { next_block: 0 },
-            })
-            .0;
+        let state = &mut self.classes[ci].prodcons[mb];
         let (slot, kind, off) = match state.phase {
             PcPhase::Producing { next_block } => {
                 let off = next_block;
@@ -409,17 +423,15 @@ impl TraceGenerator {
             }
         };
         let requester = self.group_member(ci, mb, slot as usize);
-        let block = self.block_addr(ci, mb, off as u64);
-        self.emit(ci, requester, kind, block)
+        self.emit(ci, requester, kind, mb, off as u64)
     }
 
     fn step_read_write_shared(&mut self, ci: usize) -> TraceRecord {
         let spec_wf = self.spec.classes()[ci].write_frac;
         let bpm = self.spec.blocks_per_macroblock();
-        let g = self.group_size(ci);
+        let g = self.spec.classes()[ci].group_size;
         let mb = self.classes[ci].mb_zipf.sample(&mut self.rng);
         let off = self.rng.gen_range(0..bpm);
-        let block = self.block_addr(ci, mb, off);
         let kind = if self.rng.gen_bool(spec_wf) {
             AccessKind::Store
         } else {
@@ -428,13 +440,9 @@ impl TraceGenerator {
         let slot = if kind == AccessKind::Store {
             // Writes come from the unit's sticky writer, which
             // occasionally hands the role over.
-            let seeded = (splitmix64(self.seed ^ 0x5f5f ^ mb as u64) as usize % g) as u8;
             let rotate = self.rng.gen_bool(RW_WRITER_ROTATE_P);
             let fresh = self.rng.gen_range(0..g) as u8;
-            let writer = self.classes[ci]
-                .rw_writer
-                .get_or_insert_with(mb as u64, || seeded)
-                .0;
+            let writer = &mut self.classes[ci].rw_writer[mb];
             if rotate {
                 *writer = fresh;
             }
@@ -443,14 +451,17 @@ impl TraceGenerator {
             // Prefer a reader that does not already hold the block so
             // the emission really is a miss; two tries is enough bias.
             let mut slot = self.rng.gen_range(0..g);
-            let holders = self.holders.get(block);
-            if holders.can_read(self.group_member(ci, mb, slot)) {
+            let (block, member) = (
+                self.block_index(ci, mb, off),
+                self.group_member(ci, mb, slot),
+            );
+            if self.holders.can_read(block, member) {
                 slot = self.rng.gen_range(0..g);
             }
             slot
         };
         let requester = self.group_member(ci, mb, slot);
-        self.emit(ci, requester, kind, block)
+        self.emit(ci, requester, kind, mb, off)
     }
 }
 

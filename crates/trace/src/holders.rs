@@ -6,9 +6,11 @@
 //! permission (unless the generator deliberately models an eviction).
 //! This mirrors, in miniature, the global MOSI tracking that
 //! `dsp-coherence` performs downstream, but stays private to trace
-//! generation so the crate graph remains a clean DAG.
+//! generation so the crate graph remains a clean DAG. Blocks are indexed
+//! densely (see the generator), so the state lives in flat zero-allocated
+//! arrays: only the pages of blocks the stream touches become resident.
 
-use dsp_types::{AccessKind, BlockAddr, DestSet, NodeId, OpenTable, Owner};
+use dsp_types::{AccessKind, DestSet, NodeId, Owner};
 
 /// Who currently holds a block, from the generator's point of view.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -19,187 +21,75 @@ pub struct Holders {
     pub sharers: DestSet,
 }
 
-impl Holders {
-    /// Whether `node` holds any copy.
-    pub fn holds(&self, node: NodeId) -> bool {
-        self.owner.node() == Some(node) || self.sharers.contains(node)
-    }
-
-    /// Whether `node` can satisfy a load without a coherence request.
-    pub fn can_read(&self, node: NodeId) -> bool {
-        self.holds(node)
-    }
-
-    /// Whether `node` can satisfy a store without a coherence request
-    /// (sole modified owner).
-    pub fn can_write(&self, node: NodeId) -> bool {
-        self.owner.node() == Some(node) && self.sharers.is_empty()
-    }
+/// Holders of blocks `0..blocks`: each block's owner (0 = memory,
+/// `n + 1` = the cache of node `n`) and its sharer bitmask of `words`
+/// words (bit *i* of word *i / 64* = node *i*).
+#[derive(Debug)]
+pub(crate) struct HolderTable {
+    owners: Vec<u16>,
+    sharers: Vec<u64>,
+    words: usize,
 }
 
-/// Map from block to current holders, with MOSI update rules.
-///
-/// Backed by [`dsp_types::OpenTable`] — the generator applies one
-/// holder update per emitted record, so this map is the trace
-/// generator's hot path exactly as the block-state table is the
-/// tracker's.
-#[derive(Clone, Debug, Default)]
-pub struct HolderMap {
-    map: OpenTable<Holders>,
-}
-
-impl HolderMap {
-    /// Creates an empty map (all blocks owned by memory).
-    pub fn new() -> Self {
-        HolderMap::default()
-    }
-
-    /// Current holders of `block` (memory-owned if never touched).
-    pub fn get(&self, block: BlockAddr) -> Holders {
-        self.map.get(block.number()).copied().unwrap_or_default()
-    }
-
-    /// Number of blocks with non-default state tracked.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether no block has been touched yet.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Applies a miss by `node` with `kind` to `block`, returning the
-    /// holders *before* the update.
-    ///
-    /// Rules (MOSI, with implicit eviction of the requester's stale
-    /// copy, since a miss implies the requester no longer holds it):
-    ///
-    /// * Load: requester joins the sharers; an M owner demotes to O.
-    /// * Store: requester becomes the M owner; all other copies die.
-    pub fn apply(&mut self, node: NodeId, kind: AccessKind, block: BlockAddr) -> Holders {
-        let entry = self.map.get_or_insert_default(block.number()).0;
-        let before = *entry;
-        // The requester missing implies any copy it held has been evicted.
-        if entry.owner.node() == Some(node) {
-            // Owner eviction wrote the dirty data back: memory owns again,
-            // but other sharers keep their copies.
-            entry.owner = Owner::Memory;
+impl HolderTable {
+    /// A table of `blocks` memory-owned blocks on a `nodes`-node machine.
+    pub(crate) fn new(blocks: usize, nodes: usize) -> Self {
+        let words = nodes.div_ceil(64);
+        HolderTable {
+            owners: vec![0; blocks],
+            sharers: vec![0; blocks * words],
+            words,
         }
-        entry.sharers.remove(node);
+    }
+
+    /// The positions of `block`'s sharer words in `sharers`.
+    fn row(&self, block: usize) -> std::ops::Range<usize> {
+        block * self.words..(block + 1) * self.words
+    }
+
+    /// The cache owning `block`, or `None` if memory owns it.
+    pub(crate) fn owner(&self, block: usize) -> Option<NodeId> {
+        let code = usize::from(self.owners[block]);
+        code.checked_sub(1).map(NodeId::new)
+    }
+
+    /// Whether `node` holds any copy of `block`.
+    pub(crate) fn can_read(&self, block: usize, node: NodeId) -> bool {
+        let i = node.index();
+        self.owner(block) == Some(node)
+            || self.sharers[self.row(block)][i / 64] >> (i % 64) & 1 != 0
+    }
+
+    /// The holders of `block`.
+    pub(crate) fn get(&self, block: usize) -> Holders {
+        let mut words = [0; 4];
+        words[..self.words].copy_from_slice(&self.sharers[self.row(block)]);
+        Holders {
+            owner: self.owner(block).map_or(Owner::Memory, Owner::Node),
+            sharers: DestSet::from_words(words),
+        }
+    }
+
+    /// Applies a miss by `node` with `kind` to `block` (MOSI, with
+    /// implicit eviction of the requester's stale copy, since a miss
+    /// implies the requester no longer holds it):
+    ///
+    /// * Load: requester joins the sharers; an owner that is not the
+    ///   requester demotes M to O, an owning requester wrote back first.
+    /// * Store: requester becomes the M owner; all other copies die.
+    pub(crate) fn apply(&mut self, block: usize, node: NodeId, kind: AccessKind) {
+        let (i, code, row) = (node.index(), node.index() as u16 + 1, self.row(block));
         match kind {
             AccessKind::Load => {
-                entry.sharers.insert(node);
+                if self.owners[block] == code {
+                    self.owners[block] = 0;
+                }
+                self.sharers[row][i / 64] |= 1 << (i % 64);
             }
             AccessKind::Store => {
-                entry.owner = Owner::Node(node);
-                entry.sharers = DestSet::empty();
+                self.owners[block] = code;
+                self.sharers[row].fill(0);
             }
         }
-        before
-    }
-
-    /// Models an eviction of `node`'s copy of `block` (silent drop for a
-    /// sharer, writeback for an owner).
-    pub fn evict(&mut self, node: NodeId, block: BlockAddr) {
-        if let Some(entry) = self.map.get_mut(block.number()) {
-            if entry.owner.node() == Some(node) {
-                entry.owner = Owner::Memory;
-            }
-            entry.sharers.remove(node);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn n(i: usize) -> NodeId {
-        NodeId::new(i)
-    }
-    fn b(i: u64) -> BlockAddr {
-        BlockAddr::new(i)
-    }
-
-    #[test]
-    fn untouched_block_is_memory_owned() {
-        let map = HolderMap::new();
-        let h = map.get(b(9));
-        assert_eq!(h.owner, Owner::Memory);
-        assert!(h.sharers.is_empty());
-        assert!(map.is_empty());
-    }
-
-    #[test]
-    fn load_adds_sharer() {
-        let mut map = HolderMap::new();
-        map.apply(n(1), AccessKind::Load, b(0));
-        let h = map.get(b(0));
-        assert!(h.sharers.contains(n(1)));
-        assert_eq!(h.owner, Owner::Memory);
-    }
-
-    #[test]
-    fn store_takes_ownership_and_invalidates() {
-        let mut map = HolderMap::new();
-        map.apply(n(1), AccessKind::Load, b(0));
-        map.apply(n(2), AccessKind::Load, b(0));
-        let before = map.apply(n(3), AccessKind::Store, b(0));
-        assert_eq!(before.sharers.len(), 2);
-        let h = map.get(b(0));
-        assert_eq!(h.owner, Owner::Node(n(3)));
-        assert!(h.sharers.is_empty());
-    }
-
-    #[test]
-    fn load_after_store_leaves_owner_dirty() {
-        let mut map = HolderMap::new();
-        map.apply(n(1), AccessKind::Store, b(0));
-        map.apply(n(2), AccessKind::Load, b(0));
-        let h = map.get(b(0));
-        // MOSI: writer demotes M -> O but still owns (supplies data).
-        assert_eq!(h.owner, Owner::Node(n(1)));
-        assert!(h.sharers.contains(n(2)));
-    }
-
-    #[test]
-    fn re_miss_by_owner_implies_writeback() {
-        let mut map = HolderMap::new();
-        map.apply(n(1), AccessKind::Store, b(0));
-        // P1 misses again on the same block: its copy must have been
-        // evicted (written back), so the pre-state owner is memory.
-        let before = map.apply(n(1), AccessKind::Load, b(0));
-        assert_eq!(before.owner, Owner::Node(n(1)));
-        let h = map.get(b(0));
-        assert_eq!(h.owner, Owner::Memory);
-        assert!(h.sharers.contains(n(1)));
-    }
-
-    #[test]
-    fn explicit_evict() {
-        let mut map = HolderMap::new();
-        map.apply(n(1), AccessKind::Store, b(0));
-        map.evict(n(1), b(0));
-        let h = map.get(b(0));
-        assert_eq!(h.owner, Owner::Memory);
-        assert!(!h.holds(n(1)));
-    }
-
-    #[test]
-    fn permissions() {
-        let mut map = HolderMap::new();
-        map.apply(n(1), AccessKind::Store, b(0));
-        let h = map.get(b(0));
-        assert!(h.can_read(n(1)));
-        assert!(h.can_write(n(1)));
-        assert!(!h.can_read(n(2)));
-        map.apply(n(2), AccessKind::Load, b(0));
-        let h = map.get(b(0));
-        assert!(h.can_read(n(2)));
-        assert!(
-            !h.can_write(n(1)),
-            "owner with sharers cannot write silently"
-        );
     }
 }

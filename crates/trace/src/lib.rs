@@ -42,7 +42,7 @@ mod spec;
 mod zipf;
 
 pub use generator::TraceGenerator;
-pub use holders::HolderMap;
+pub use holders::Holders;
 pub use io::{read_trace_json, write_trace_json, TraceIoError};
 pub use record::TraceRecord;
 pub use spec::{ClassSpec, SharingClass, Workload, WorkloadSpec};
