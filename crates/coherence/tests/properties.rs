@@ -19,13 +19,13 @@ const NODES: usize = 16;
 /// an independent oracle of the protocol semantics as well as of the
 /// state storage.
 #[derive(Clone, Debug)]
-struct ReferenceTracker {
+struct ReferenceTracker<const W: usize = 4> {
     num_nodes: usize,
-    blocks: HashMap<u64, BlockState>,
+    blocks: HashMap<u64, BlockState<W>>,
     stats: TrackerStats,
 }
 
-impl ReferenceTracker {
+impl<const W: usize> ReferenceTracker<W> {
     fn new(config: &SystemConfig) -> Self {
         ReferenceTracker {
             num_nodes: config.num_nodes(),
@@ -38,7 +38,7 @@ impl ReferenceTracker {
         self.num_nodes
     }
 
-    fn state(&self, block: BlockAddr) -> BlockState {
+    fn state(&self, block: BlockAddr) -> BlockState<W> {
         self.blocks
             .get(&block.number())
             .copied()
@@ -56,7 +56,11 @@ impl ReferenceTracker {
     /// Removes the requester's stale copy from the pre-state: its dirty
     /// copy was written back, its shared copy dropped, except that a
     /// store by a sharer is an upgrade.
-    fn reconcile(state: BlockState, requester: NodeId, req: ReqType) -> (Owner, DestSet, bool) {
+    fn reconcile(
+        state: BlockState<W>,
+        requester: NodeId,
+        req: ReqType,
+    ) -> (Owner, DestSet<W>, bool) {
         let mut owner = state.owner;
         let mut sharers = state.sharers;
         let mut was_upgrade = false;
@@ -72,7 +76,7 @@ impl ReferenceTracker {
         (owner, sharers, was_upgrade)
     }
 
-    fn classify(&self, requester: NodeId, req: ReqType, block: BlockAddr) -> MissInfo {
+    fn classify(&self, requester: NodeId, req: ReqType, block: BlockAddr) -> MissInfo<W> {
         let state = self.state(block);
         let (owner_before, sharers_before, was_upgrade) = Self::reconcile(state, requester, req);
         MissInfo {
@@ -88,7 +92,7 @@ impl ReferenceTracker {
 
     /// Classifies the miss and applies the MOSI transition, probing the
     /// map three times (classify → state → entry) as the seed did.
-    fn access(&mut self, requester: NodeId, req: ReqType, block: BlockAddr) -> MissInfo {
+    fn access(&mut self, requester: NodeId, req: ReqType, block: BlockAddr) -> MissInfo<W> {
         let info = self.classify(requester, req, block);
         let stale = self.state(block);
         if stale.owner == Owner::Node(requester) && !info.was_upgrade {
@@ -140,7 +144,7 @@ impl ReferenceTracker {
 
 #[test]
 fn reference_matches_documented_semantics() {
-    let mut t = ReferenceTracker::new(&SystemConfig::isca03());
+    let mut t: ReferenceTracker = ReferenceTracker::new(&SystemConfig::isca03());
     let b = BlockAddr::new(0);
     t.access(NodeId::new(1), ReqType::GetExclusive, b);
     let info = t.access(NodeId::new(2), ReqType::GetShared, b);
@@ -175,6 +179,52 @@ fn req(exclusive: bool) -> ReqType {
         ReqType::GetExclusive
     } else {
         ReqType::GetShared
+    }
+}
+
+/// Blocks that exercise the tracker's paged store (256-block pages):
+/// blocks straddling page boundaries, a dense run over three pages, the
+/// trace generator's pool bases `(ci + 1) << 34`, and the extreme block
+/// numbers.
+fn paged_block() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        (1u64..4, 0u64..8).prop_map(|(page, k)| page * 256 - 4 + k),
+        0u64..768,
+        (0u64..4, 0u64..4).prop_map(|(ci, k)| ((ci + 1) << 34) + k),
+        Just(0u64),
+        Just(u64::MAX),
+        (0u64..4).prop_map(|k| u64::MAX - k),
+    ]
+}
+
+/// Replays `(node, block, exclusive, evict)` steps on the tracker and
+/// on the reference, both `W` words wide on a `nodes`-node system
+/// (`node` is taken modulo `nodes`), and compares every observable
+/// after every step.
+fn check_against_reference<const W: usize>(nodes: usize, ops: &[(usize, u64, bool, bool)]) {
+    let config = SystemConfig::builder()
+        .num_nodes(nodes)
+        .build()
+        .expect("valid system size");
+    let mut fast = CoherenceTracker::<W>::new(&config);
+    let mut reference = ReferenceTracker::<W>::new(&config);
+    for &(node, block, exclusive, evict) in ops {
+        let (node, block) = (NodeId::new(node % nodes), BlockAddr::new(block));
+        if evict {
+            assert_eq!(fast.evict(node, block), reference.evict(node, block));
+        } else {
+            assert_eq!(
+                fast.classify(node, req(exclusive), block),
+                reference.classify(node, req(exclusive), block)
+            );
+            assert_eq!(
+                fast.access(node, req(exclusive), block),
+                reference.access(node, req(exclusive), block)
+            );
+        }
+        assert_eq!(fast.state(block), reference.state(block));
+        assert_eq!(fast.stats(), reference.stats());
+        assert_eq!(fast.tracked_blocks(), reference.tracked_blocks());
     }
 }
 
@@ -294,7 +344,7 @@ proptest! {
         prop_assert_eq!(hybrid.attempts, 1);
     }
 
-    /// The open-addressing tracker is observationally equivalent to the
+    /// The paged tracker is observationally equivalent to the
     /// seed HashMap-backed reference across arbitrary interleaved
     /// access/evict sequences: identical `MissInfo` per access,
     /// identical eviction outcomes, identical per-block state,
@@ -308,7 +358,7 @@ proptest! {
     ) {
         let config = SystemConfig::isca03();
         let mut fast: CoherenceTracker = CoherenceTracker::new(&config);
-        let mut reference = ReferenceTracker::new(&config);
+        let mut reference: ReferenceTracker = ReferenceTracker::new(&config);
         for &(node, block, exclusive, evict) in &ops {
             let (node, block) = (NodeId::new(node), BlockAddr::new(block));
             if evict {
@@ -326,6 +376,22 @@ proptest! {
             prop_assert_eq!(fast.stats(), reference.stats());
             prop_assert_eq!(fast.tracked_blocks(), reference.tracked_blocks());
         }
+    }
+
+    /// The paged store is observationally equivalent to the reference
+    /// on blocks that cross pages, sit at pool bases, or take the
+    /// extreme block numbers, at one word (16 and 64 nodes) and four
+    /// words (256 nodes).
+    #[test]
+    fn paged_tracker_matches_hashmap_reference(
+        ops in proptest::collection::vec(
+            (0usize..256, paged_block(), any::<bool>(), any::<bool>()),
+            1..400,
+        ),
+    ) {
+        check_against_reference::<1>(16, &ops);
+        check_against_reference::<1>(64, &ops);
+        check_against_reference::<4>(256, &ops);
     }
 
     /// `classify` is `access` without the write: before every access of
@@ -361,7 +427,8 @@ proptest! {
         check::<4>(&ops);
     }
 
-    /// The tracker's block-state storage, an `OpenTable<BlockState>`,
+    /// `OpenTable` (the storage of the tracker's page directory and of
+    /// the unbounded predictor tables), holding `BlockState` entries,
     /// agrees with `std::collections::HashMap` under adversarial keys
     /// (0, `u64::MAX`, stride patterns that collide after masking)
     /// across mixed reads, combined lookup-inserts, and in-place

@@ -5,7 +5,7 @@
 //! per-set arrays (no per-set `Vec` indirection — one cache line of
 //! tags per 4-way set instead of a pointer chase), and the unbounded
 //! idealization lives in [`dsp_types::OpenTable`], the same
-//! open-addressing core behind `dsp-coherence`'s block-state storage.
+//! open-addressing core behind `dsp-coherence`'s page directory.
 //! The seed `HashMap` + `Vec<Vec<_>>` implementation survives as the
 //! oracle of `tests/table_equivalence.rs`, which pins observational
 //! equivalence (lookup/train results, eviction choices, and

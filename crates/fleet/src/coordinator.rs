@@ -14,11 +14,14 @@
 //! everybody notices shutdown within a tick.
 //!
 //! Shutting down a finished coordinator first drains its workers: it
-//! keeps serving until every authenticated connection has been
-//! answered `Shutdown` or has hung up, for at most one lease timeout.
-//! A worker between requests would otherwise find the listener gone
-//! and spend its reconnect budget on a coordinator that is not coming
-//! back.
+//! keeps accepting and serving until every connection it has accepted
+//! has been answered `Shutdown` or has hung up, for at most one lease
+//! timeout. A connection counts from `accept`, not from `Auth`, and the
+//! service thread decides to stop right after an accept pass, so a
+//! worker still in the listener's backlog or between `Hello` and `Auth`
+//! finishes its handshake and is dismissed at its first `Lease`. A
+//! worker between requests would otherwise find the listener gone and
+//! spend its reconnect budget on a coordinator that is not coming back.
 //!
 //! # Result flow
 //!
@@ -35,7 +38,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -152,11 +155,16 @@ struct Shared {
     epoch: Instant,
     state: Mutex<State>,
     done: Condvar,
+    /// Set by the service thread once it stops accepting: every
+    /// connection thread returns.
     stop: AtomicBool,
-    /// Authenticated connections not yet answered `Shutdown`; a
-    /// finished coordinator drains these before it stops. A bare
-    /// count that publishes no other data, so `Relaxed` suffices.
-    attached: AtomicUsize,
+    /// [`Shared::now_ms`] by which the service thread stops, set when
+    /// shutdown is requested (`u64::MAX` until then).
+    close_at_ms: AtomicU64,
+    /// Accepted connections not yet closed; a finished coordinator
+    /// drains these before it stops. Bare values that publish no other
+    /// data, so `Relaxed` suffices for these atomics.
+    connections: AtomicUsize,
     log: Mutex<BufWriter<File>>,
 }
 
@@ -214,7 +222,8 @@ impl Coordinator {
             state: Mutex::new(state),
             done: Condvar::new(),
             stop: AtomicBool::new(false),
-            attached: AtomicUsize::new(0),
+            close_at_ms: AtomicU64::new(u64::MAX),
+            connections: AtomicUsize::new(0),
             log: Mutex::new(BufWriter::new(log_file)),
             ids,
             plan,
@@ -315,7 +324,8 @@ impl Coordinator {
             state: Mutex::new(state),
             done: Condvar::new(),
             stop: AtomicBool::new(false),
-            attached: AtomicUsize::new(0),
+            close_at_ms: AtomicU64::new(u64::MAX),
+            connections: AtomicUsize::new(0),
             log: Mutex::new(BufWriter::new(log_file)),
             ids,
             plan,
@@ -375,7 +385,7 @@ fn serve(shared: Arc<Shared>, how: &str) -> io::Result<CoordinatorHandle> {
         let shared = Arc::clone(&shared);
         std::thread::Builder::new()
             .name("fleet-coordinator".to_string())
-            .spawn(move || service_loop(&shared, &listener))?
+            .spawn(move || service_loop(&shared, listener))?
     };
     Ok(CoordinatorHandle {
         addr,
@@ -445,13 +455,14 @@ impl CoordinatorHandle {
             .state
             .lock()
             .is_ok_and(|state| state.report.is_some());
-        if finished {
-            let deadline = Instant::now() + Duration::from_millis(self.shared.config.timeout_ms);
-            while self.shared.attached.load(Ordering::Relaxed) > 0 && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-        self.shared.stop.store(true, Ordering::Relaxed);
+        let drain_ms = if finished {
+            self.shared.config.timeout_ms
+        } else {
+            0
+        };
+        self.shared
+            .close_at_ms
+            .store(self.shared.now_ms() + drain_ms, Ordering::Relaxed);
         let _ = service.join();
     }
 }
@@ -462,17 +473,23 @@ impl Drop for CoordinatorHandle {
     }
 }
 
-/// Accept loop + maintenance clock.
-fn service_loop(shared: &Arc<Shared>, listener: &TcpListener) {
+/// Accept loop + maintenance clock. Once shutdown is requested, it
+/// stops right after an accept pass that leaves no connection open (or
+/// at the drain deadline), so no connection in the backlog is missed.
+fn service_loop(shared: &Arc<Shared>, listener: TcpListener) {
     let mut connections: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.stop.load(Ordering::Relaxed) {
+    loop {
+        maintain(shared);
+        // Read before the accept pass, so that a pass which sees the
+        // request has also accepted everything queued before it.
+        let close_at = shared.close_at_ms.load(Ordering::Relaxed);
         loop {
             match listener.accept() {
                 Ok((stream, _)) => {
-                    let shared = Arc::clone(shared);
+                    let open = Open::new(Arc::clone(shared));
                     if let Ok(handle) = std::thread::Builder::new()
                         .name("fleet-conn".to_string())
-                        .spawn(move || serve_connection(&shared, stream))
+                        .spawn(move || serve_connection(&open.0, stream))
                     {
                         connections.push(handle);
                     }
@@ -484,9 +501,19 @@ fn service_loop(shared: &Arc<Shared>, listener: &TcpListener) {
                 }
             }
         }
-        maintain(shared);
+        let open = shared.connections.load(Ordering::Relaxed);
+        if open == 0 && close_at != u64::MAX {
+            break;
+        }
+        if shared.now_ms() >= close_at {
+            shared.log(&format!("stopping with {open} connections still open"));
+            break;
+        }
         std::thread::sleep(Duration::from_millis(shared.config.poll_ms));
     }
+    // Refuse, rather than reset, any connection from here on.
+    drop(listener);
+    shared.stop.store(true, Ordering::Relaxed);
     for handle in connections {
         let _ = handle.join();
     }
@@ -666,7 +693,6 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
     let mut reader = MessageReader::new(read_half);
     let mut writer = stream;
     let mut auth = ConnAuth::Fresh;
-    let mut attached: Option<Attached<'_>> = None;
     loop {
         if shared.stop.load(Ordering::Relaxed) {
             return;
@@ -695,9 +721,6 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
             }
         };
         let reply = handle(shared, request, &mut auth);
-        if attached.is_none() && matches!(auth, ConnAuth::Ready { .. }) {
-            attached = Some(Attached::new(shared));
-        }
         // A dismissed worker is done with this connection.
         if protocol::send(&mut writer, &reply).is_err() || matches!(reply, Reply::Shutdown) {
             return;
@@ -705,20 +728,20 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
     }
 }
 
-/// Counts one authenticated connection in [`Shared::attached`] for as
-/// long as it is alive.
-struct Attached<'a>(&'a Shared);
+/// Counts one accepted connection in [`Shared::connections`] from
+/// `accept` until its thread ends.
+struct Open(Arc<Shared>);
 
-impl<'a> Attached<'a> {
-    fn new(shared: &'a Shared) -> Self {
-        shared.attached.fetch_add(1, Ordering::Relaxed);
-        Attached(shared)
+impl Open {
+    fn new(shared: Arc<Shared>) -> Self {
+        shared.connections.fetch_add(1, Ordering::Relaxed);
+        Open(shared)
     }
 }
 
-impl Drop for Attached<'_> {
+impl Drop for Open {
     fn drop(&mut self) {
-        self.0.attached.fetch_sub(1, Ordering::Relaxed);
+        self.0.connections.fetch_sub(1, Ordering::Relaxed);
     }
 }
 

@@ -298,6 +298,86 @@ fn shutdown_right_after_completion_dismisses_workers() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A handshake in flight when the sweep finishes ends in a dismissal,
+/// not a reset: a raw client that sent only `Hello` before completion
+/// still has its connection served through the shutdown drain, gets
+/// `Welcome` for its `Auth` and `Shutdown` for its first `Lease`.
+#[test]
+fn handshake_in_flight_at_completion_is_dismissed() {
+    let dir = fresh_dir("drain-hello");
+    let mut config = FleetConfig::new("e2e", "tiny", &dir);
+    config.poll_ms = 20;
+    // The drain lasts at most one lease timeout: far longer than the
+    // pause below.
+    config.timeout_ms = 60_000;
+    let coordinator = Coordinator::start(tiny_plan(), config).expect("coordinator starts");
+    let addr = coordinator.addr().to_string();
+
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_millis(500)))
+        .expect("read timeout");
+    let mut reader = MessageReader::new(stream.try_clone().expect("clone"));
+    let late = "late";
+    send(
+        &mut stream,
+        &Request::Hello {
+            worker: late.into(),
+            proto: PROTOCOL_VERSION,
+        },
+    )
+    .expect("hello");
+    let Reply::Challenge { nonce } = recv_reply(&mut reader) else {
+        panic!("expected Challenge");
+    };
+
+    let worker = spawn_worker("w1", &addr);
+    coordinator
+        .wait(Duration::from_secs(120))
+        .expect("fleet completes");
+    worker.join().expect("join").expect("worker ok");
+
+    // A coordinator that does not wait for this connection stops within
+    // one connection read timeout (500 ms) of the shutdown; give it far
+    // longer than that before the handshake goes on.
+    let shutdown = std::thread::spawn(move || coordinator.shutdown());
+    let paused = Instant::now();
+    while !shutdown.is_finished() && paused.elapsed() < Duration::from_secs(2) {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert!(
+        !shutdown.is_finished(),
+        "the coordinator stopped with a handshake still open"
+    );
+    send(
+        &mut stream,
+        &Request::Auth {
+            worker: late.into(),
+            mac: mac64("", nonce),
+            session: None,
+        },
+    )
+    .expect("auth");
+    assert!(
+        matches!(recv_reply(&mut reader), Reply::Welcome { .. }),
+        "expected Welcome"
+    );
+    send(
+        &mut stream,
+        &Request::Lease {
+            worker: late.into(),
+        },
+    )
+    .expect("lease");
+    let reply = recv_reply(&mut reader);
+    assert!(
+        matches!(reply, Reply::Shutdown),
+        "expected Shutdown, got {reply:?}"
+    );
+    shutdown.join().expect("shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Four timing-sim cells of fig7's shape, each much slower than a tiny
 /// plan's cells: long enough that a lease timeout can sit well below a
 /// single cell's run time.

@@ -189,17 +189,7 @@ impl<const W: usize> System<W> {
             outstanding: vec![0; n],
             ready_at: vec![0; n],
             warmup_done_at: vec![None; n],
-            // Presized to skip most of the block-state table's growth
-            // rehashes. Workloads reuse blocks heavily, so a quarter of
-            // the miss count is a close distinct-block estimate — a
-            // deliberate underestimate, since overshooting pays a
-            // bigger zeroed allocation per run than the rehashes it
-            // avoids; the cap bounds paper-scale runs, where growth
-            // simply resumes.
-            tracker: CoherenceTracker::with_block_capacity(
-                sys,
-                (total_misses as usize / 4).min(1 << 15),
-            ),
+            tracker: CoherenceTracker::new(sys),
             // Toxic streams derive from the run seed through a salt so
             // they stay decoupled from the gap-draw streams: enabling a
             // toxic never shifts any other random sequence.

@@ -1,9 +1,10 @@
 //! The workspace's one integer hash mixer.
 //!
-//! Every open-addressing table in the stack (block-state storage in
-//! `dsp-coherence`, unbounded predictor storage in `dsp-core`) keys on
-//! block or macroblock numbers — sequential-ish `u64`s that are not
-//! attacker-controlled, so SipHash's DoS resistance is pure overhead.
+//! Every open-addressing table in the stack (the coherence tracker's
+//! page directory in `dsp-coherence`, unbounded predictor storage in
+//! `dsp-core`) keys on page, block or macroblock numbers —
+//! sequential-ish `u64`s that are not attacker-controlled, so
+//! SipHash's DoS resistance is pure overhead.
 //! They all hash through this module so the constant and the fold live
 //! in exactly one place.
 

@@ -1,13 +1,17 @@
 //! A reusable open-addressing hash table for `u64`-keyed hot paths.
 //!
-//! Two per-miss hot paths in the stack need the same storage shape: the
-//! coherence tracker's block-state table and the unbounded predictor
-//! tables of `dsp-core`. Both map non-adversarial `u64` keys (block /
-//! macroblock numbers, PCs) to small plain-data entries, never remove
-//! keys, and are probed millions of times per run. [`OpenTable`] is that
-//! shape, factored out once: FxHash-style mixing ([`crate::hash`]),
-//! power-of-two capacity, linear probing, growth at ¾ load. Entries are
-//! never removed, which keeps probe chains tombstone-free.
+//! [`OpenTable`] maps non-adversarial `u64` keys to small plain-data
+//! entries, never removes keys, and is probed millions of times per run:
+//! FxHash-style mixing ([`crate::hash`]), power-of-two capacity, linear
+//! probing, growth at ¾ load. Entries are never removed, which keeps
+//! probe chains tombstone-free.
+//!
+//! It serves two callers. The unbounded predictor tables of `dsp-core`
+//! key on PCs and macroblock numbers, which are sparse. The coherence
+//! tracker of `dsp-coherence` keys its page directory on
+//! `block >> 8`: block numbers are nearly dense, so the tracker indexes
+//! block state directly within 256-block pages and hashes only the page
+//! number, a table a few hundred times smaller than one keyed per block.
 
 use crate::hash::mix64;
 
@@ -53,33 +57,6 @@ impl<V: Clone + Default> OpenTable<V> {
     pub fn new() -> Self {
         OpenTable {
             slots: Vec::new(),
-            len: 0,
-        }
-    }
-
-    /// Creates an empty table presized to hold `expected` keys without
-    /// growing.
-    ///
-    /// Growth rehashes every live slot, and a table filled from the
-    /// default 1024-slot floor pays that rehash at every doubling —
-    /// measurable when a fresh table is built per short run, as the
-    /// timing simulator's coherence tracker is. The slot array still
-    /// respects the ¾ load cap, so `expected` keys fit without a single
-    /// rehash; exceeding the estimate just resumes normal doubling.
-    pub fn with_capacity(expected: usize) -> Self {
-        if expected == 0 {
-            return OpenTable::new();
-        }
-        let slots = (expected * 4 / 3 + 1).next_power_of_two().max(1024);
-        OpenTable {
-            slots: vec![
-                Slot {
-                    key: 0,
-                    used: false,
-                    value: V::default(),
-                };
-                slots
-            ],
             len: 0,
         }
     }
@@ -252,29 +229,6 @@ mod tests {
             assert_eq!(t.get(key), Some(&(key ^ 0xff)));
         }
         assert_eq!(t.len(), 5);
-    }
-
-    #[test]
-    fn presized_table_matches_grown_table() {
-        let mut grown: OpenTable<u64> = OpenTable::new();
-        let mut presized: OpenTable<u64> = OpenTable::with_capacity(5_000);
-        let before = presized.slots.len();
-        for i in 0..5_000u64 {
-            *grown.get_or_insert_default(i * 17).0 = i;
-            *presized.get_or_insert_default(i * 17).0 = i;
-        }
-        assert_eq!(presized.slots.len(), before, "no growth within capacity");
-        assert_eq!(grown.len(), presized.len());
-        for i in 0..5_000u64 {
-            assert_eq!(grown.get(i * 17), presized.get(i * 17));
-        }
-        // Overflowing the estimate resumes normal doubling.
-        for i in 5_000..20_000u64 {
-            *presized.get_or_insert_default(i * 17).0 = i;
-        }
-        assert_eq!(presized.len(), 20_000);
-        assert_eq!(presized.get(19_999 * 17), Some(&19_999));
-        assert_eq!(OpenTable::<u64>::with_capacity(0).len(), 0);
     }
 
     #[test]
