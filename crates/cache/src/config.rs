@@ -57,11 +57,6 @@ impl CacheConfig {
         CacheConfig::new(4 << 20, 4, BLOCK_BYTES)
     }
 
-    /// Paper Table 4 L1 (instruction or data): 128 kB, 4-way, 64 B.
-    pub fn isca03_l1() -> Self {
-        CacheConfig::new(128 << 10, 4, BLOCK_BYTES)
-    }
-
     /// Total capacity in bytes.
     pub fn capacity_bytes(&self) -> u64 {
         self.capacity_bytes
@@ -93,15 +88,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn isca03_presets_match_table4() {
+    fn isca03_l2_matches_table4() {
         let l2 = CacheConfig::isca03_l2();
         assert_eq!(l2.capacity_bytes(), 4 * 1024 * 1024);
         assert_eq!(l2.ways(), 4);
         assert_eq!(l2.block_bytes(), 64);
         assert_eq!(l2.capacity_blocks(), 65536);
-        let l1 = CacheConfig::isca03_l1();
-        assert_eq!(l1.capacity_bytes(), 128 * 1024);
-        assert_eq!(l1.ways(), 4);
     }
 
     #[test]

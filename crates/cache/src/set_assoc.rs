@@ -1,284 +1,44 @@
 //! The set-associative cache structure.
 
-use serde::{Deserialize, Serialize};
-
-use dsp_types::{BlockAddr, LineState};
+use dsp_types::{BlockAddr, SetAssoc};
 
 use crate::config::CacheConfig;
 
-/// A line pushed out by a fill.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EvictedLine {
-    /// The evicted block.
-    pub block: BlockAddr,
-    /// Its state at eviction (dirty states imply a writeback).
-    pub state: LineState,
-}
-
-/// Hit/miss/eviction counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CacheStats {
-    /// `touch` calls that hit.
-    pub hits: u64,
-    /// `touch` calls that missed.
-    pub misses: u64,
-    /// Lines evicted by fills.
-    pub evictions: u64,
-    /// Evictions of dirty (M/O) lines — writebacks.
-    pub writebacks: u64,
-}
-
-/// A set-associative, LRU, write-back cache indexed by block address,
-/// tracking a MOSI [`LineState`] per line.
+/// A set-associative, LRU cache indexed by block address, tracking which
+/// blocks are present.
 ///
-/// This structure does not move data; it tracks presence and coherence
-/// permission, which is what the timing simulator and the coherence
-/// substrate need.
-///
-/// # Storage
-///
-/// Way slots are materialized *lazily, per set, from one growable
-/// arena*. The only full-size structure is `set_base` — one `u32` per
-/// set, allocator-zeroed (0 = "set never filled") — and a set's block
-/// of `ways` contiguous slots (parallel `tags`/`last_use`/`states`
-/// arena entries, `tags` holding `tag + 1` with 0 marking an empty
-/// slot) is appended to the arena on the set's first fill.
-///
-/// The timing simulator builds one cache per node per run; at the
-/// paper's 4 MB / 4-way geometry, both the seed per-set `Vec<Line>`
-/// layout (16 384 inner `Vec`s to build, fill, and free) and a flat
-/// slots array (~1 MB to zero per node) made construction and teardown
-/// a measurable slice of short runs. With the arena, construction is
-/// one 64 KB zeroed allocation, cost scales with the sets a run
-/// actually touches, probing an untouched set is a single load, and a
-/// set probe scans ≤ `ways` adjacent tags.
-///
-/// Behavior is identical to the per-set layout: tags are unique within
-/// a set and LRU stamps are unique within the cache (the tick advances
-/// on every `touch`/`fill`), so hit lookup and victim selection do not
-/// depend on slot order — pinned by the model-equivalence property
-/// test in `tests/properties.rs`.
+/// This structure moves no data and keeps no coherence state: the
+/// global tracker owns every block's MOSI state and decides whether an
+/// evicted line is written back. The cache decides only *which* line a
+/// fill evicts. Lines live in a [`SetAssoc`] store, the same structure
+/// behind the finite predictor tables.
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
-    config: CacheConfig,
-    ways: usize,
-    /// `num_sets() - 1` when the set count is a power of two (the
-    /// common geometry — capacity and block size are always powers of
-    /// two, so only a non-power-of-two associativity breaks it), else
-    /// 0. Lets `locate` use mask/shift instead of 64-bit division.
-    set_mask: u64,
-    /// `log2(num_sets())` when `set_mask` is active.
-    set_shift: u32,
-    /// Per set: 1 + the base slot of its arena block, 0 = not yet
-    /// materialized.
-    set_base: Vec<u32>,
-    /// `tag + 1` per materialized way slot, 0 = empty.
-    tags: Vec<u64>,
-    /// LRU stamp per materialized way slot (meaningful only where
-    /// `tags` is non-zero).
-    last_use: Vec<u64>,
-    /// Line state per materialized way slot (same validity).
-    states: Vec<LineState>,
-    /// Valid lines currently held.
-    live: usize,
-    tick: u64,
-    stats: CacheStats,
+    lines: SetAssoc<()>,
 }
 
 impl SetAssocCache {
     /// Creates an empty cache with the given geometry.
     pub fn new(config: CacheConfig) -> Self {
-        assert!(
-            (config.num_sets() * config.ways() as u64) < u32::MAX as u64,
-            "cache geometry exceeds the arena index range"
-        );
-        let sets = config.num_sets();
-        let (set_mask, set_shift) = if sets.is_power_of_two() {
-            (sets - 1, sets.trailing_zeros())
-        } else {
-            (0, 0)
-        };
         SetAssocCache {
-            config,
-            ways: config.ways(),
-            set_mask,
-            set_shift,
-            set_base: vec![0; config.num_sets() as usize],
-            tags: Vec::new(),
-            last_use: Vec::new(),
-            states: Vec::new(),
-            live: 0,
-            tick: 0,
-            stats: CacheStats::default(),
+            lines: SetAssoc::new(config.num_sets() as usize, config.ways()),
         }
     }
 
-    /// The arena block of `set`, materializing it on demand.
-    #[inline]
-    fn materialize(&mut self, set: usize) -> usize {
-        match self.set_base[set] {
-            0 => {
-                let base = self.tags.len();
-                self.tags.resize(base + self.ways, 0);
-                self.last_use.resize(base + self.ways, 0);
-                self.states.resize(base + self.ways, LineState::Invalid);
-                self.set_base[set] = (base + 1) as u32;
-                base
-            }
-            b => b as usize - 1,
-        }
-    }
-
-    /// The cache geometry.
-    pub fn config(&self) -> CacheConfig {
-        self.config
-    }
-
-    /// Number of valid lines currently held.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// Whether no valid lines are held.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    #[inline]
-    fn locate(&self, block: BlockAddr) -> (usize, u64) {
-        let n = block.number();
-        if self.set_mask != 0 {
-            ((n & self.set_mask) as usize, n >> self.set_shift)
-        } else {
-            let sets = self.config.num_sets();
-            ((n % sets) as usize, n / sets)
-        }
-    }
-
-    /// The way slot of `tag` in `set`, if present (`None` without a
-    /// scan when the set was never filled).
-    #[inline]
-    fn find(&self, set: usize, tag: u64) -> Option<usize> {
-        let base = match self.set_base[set] {
-            0 => return None,
-            b => b as usize - 1,
-        };
-        self.tags[base..base + self.ways]
-            .iter()
-            .position(|&t| t == tag + 1)
-            .map(|way| base + way)
-    }
-
-    /// Non-updating presence check.
-    pub fn probe(&self, block: BlockAddr) -> Option<LineState> {
-        let (set, tag) = self.locate(block);
-        self.find(set, tag).map(|slot| self.states[slot])
-    }
-
-    /// LRU-updating lookup, counting a hit or miss.
-    pub fn touch(&mut self, block: BlockAddr) -> Option<LineState> {
-        let (set, tag) = self.locate(block);
-        self.tick += 1;
-        match self.find(set, tag) {
-            Some(slot) => {
-                self.last_use[slot] = self.tick;
-                self.stats.hits += 1;
-                Some(self.states[slot])
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Inserts (or updates) `block` with `state`, returning the LRU
-    /// victim if the set was full.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` is `Invalid` — fill lines with a real state,
-    /// use [`SetAssocCache::invalidate`] to remove them.
-    pub fn fill(&mut self, block: BlockAddr, state: LineState) -> Option<EvictedLine> {
-        assert!(state != LineState::Invalid, "cannot fill an Invalid line");
-        let (set, tag) = self.locate(block);
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(slot) = self.find(set, tag) {
-            self.states[slot] = state;
-            self.last_use[slot] = tick;
+    /// Makes `block` present and most recently used, returning the LRU
+    /// line its set evicted if the set was full.
+    pub fn fill(&mut self, block: BlockAddr) -> Option<BlockAddr> {
+        let key = block.number();
+        if self.lines.get(key).is_some() {
             return None;
         }
-        let base = self.materialize(set);
-        let set_tags = &self.tags[base..base + self.ways];
-        let (slot, victim) = match set_tags.iter().position(|&t| t == 0) {
-            Some(way) => {
-                self.live += 1;
-                (base + way, None)
-            }
-            None => {
-                // Full set: evict the (unique) least-recently-used way.
-                let way = self.last_use[base..base + self.ways]
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, &stamp)| stamp)
-                    .map(|(way, _)| way)
-                    .expect("ways > 0");
-                let slot = base + way;
-                let old_state = self.states[slot];
-                self.stats.evictions += 1;
-                if old_state.is_owner() {
-                    self.stats.writebacks += 1;
-                }
-                let victim = EvictedLine {
-                    block: BlockAddr::new(
-                        (self.tags[slot] - 1) * self.config.num_sets() + set as u64,
-                    ),
-                    state: old_state,
-                };
-                (slot, Some(victim))
-            }
-        };
-        self.tags[slot] = tag + 1;
-        self.states[slot] = state;
-        self.last_use[slot] = tick;
-        victim
+        self.lines.insert(key, ()).map(BlockAddr::new)
     }
 
-    /// Changes the state of a present line (e.g. M→O on an external
-    /// read, S→M on an upgrade). Returns `false` if the block is absent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` is `Invalid` — use
-    /// [`SetAssocCache::invalidate`].
-    pub fn set_state(&mut self, block: BlockAddr, state: LineState) -> bool {
-        assert!(
-            state != LineState::Invalid,
-            "use invalidate() to drop lines"
-        );
-        let (set, tag) = self.locate(block);
-        match self.find(set, tag) {
-            Some(slot) => {
-                self.states[slot] = state;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Drops `block` (external invalidation), returning its old state.
-    pub fn invalidate(&mut self, block: BlockAddr) -> Option<LineState> {
-        let (set, tag) = self.locate(block);
-        let slot = self.find(set, tag)?;
-        self.tags[slot] = 0;
-        self.live -= 1;
-        Some(self.states[slot])
+    /// Drops `block` (an external invalidation), returning whether it
+    /// was present.
+    pub fn invalidate(&mut self, block: BlockAddr) -> bool {
+        self.lines.remove(block.number())
     }
 }
 
@@ -296,97 +56,34 @@ mod tests {
     }
 
     #[test]
-    fn fill_then_probe() {
-        let mut c = small();
-        assert!(c.fill(b(1), LineState::Shared).is_none());
-        assert_eq!(c.probe(b(1)), Some(LineState::Shared));
-        assert_eq!(c.probe(b(2)), None);
-        assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn touch_counts_hits_and_misses() {
-        let mut c = small();
-        c.fill(b(1), LineState::Modified);
-        assert_eq!(c.touch(b(1)), Some(LineState::Modified));
-        assert_eq!(c.touch(b(2)), None);
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses), (1, 1));
-    }
-
-    #[test]
     fn lru_eviction_within_set() {
         let mut c = small();
         // Blocks 0, 4, 8 all map to set 0 (4 sets).
-        c.fill(b(0), LineState::Shared);
-        c.fill(b(4), LineState::Shared);
-        c.touch(b(0)); // make 4 the LRU
-        let victim = c.fill(b(8), LineState::Shared).expect("set overflow");
-        assert_eq!(victim.block, b(4));
-        assert_eq!(c.probe(b(0)), Some(LineState::Shared));
-        assert_eq!(c.probe(b(4)), None);
+        assert_eq!(c.fill(b(0)), None);
+        assert_eq!(c.fill(b(4)), None);
+        assert_eq!(c.fill(b(0)), None, "a refill refreshes recency"); // 4 is LRU
+        assert_eq!(c.fill(b(8)), Some(b(4)));
+        assert!(!c.invalidate(b(4)));
+        assert!(c.invalidate(b(0)) && c.invalidate(b(8)));
     }
 
     #[test]
-    fn eviction_of_dirty_line_counts_writeback() {
+    fn invalidate_drops_only_present_lines() {
         let mut c = small();
-        c.fill(b(0), LineState::Modified);
-        c.fill(b(4), LineState::Shared);
-        c.touch(b(4));
-        let victim = c.fill(b(8), LineState::Shared).expect("evicts block 0");
-        assert_eq!(victim.state, LineState::Modified);
-        assert_eq!(c.stats().writebacks, 1);
-        assert_eq!(c.stats().evictions, 1);
-    }
-
-    #[test]
-    fn refill_updates_state_without_eviction() {
-        let mut c = small();
-        c.fill(b(1), LineState::Shared);
-        assert!(c.fill(b(1), LineState::Modified).is_none());
-        assert_eq!(c.probe(b(1)), Some(LineState::Modified));
-        assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn set_state_and_invalidate() {
-        let mut c = small();
-        c.fill(b(1), LineState::Modified);
-        assert!(c.set_state(b(1), LineState::Owned));
-        assert_eq!(c.probe(b(1)), Some(LineState::Owned));
-        assert_eq!(c.invalidate(b(1)), Some(LineState::Owned));
-        assert_eq!(c.probe(b(1)), None);
-        assert!(!c.set_state(b(1), LineState::Shared));
-        assert_eq!(c.invalidate(b(1)), None);
-    }
-
-    #[test]
-    fn capacity_is_never_exceeded() {
-        let mut c = small();
-        for i in 0..100 {
-            c.fill(b(i), LineState::Shared);
-        }
-        assert!(c.len() <= 8);
+        c.fill(b(1));
+        assert!(c.invalidate(b(1)));
+        assert!(!c.invalidate(b(1)));
+        // Set 1 is empty again: two fills evict nothing.
+        assert_eq!(c.fill(b(5)), None);
+        assert_eq!(c.fill(b(9)), None);
     }
 
     #[test]
     fn victim_block_address_reconstruction() {
         let mut c = small();
-        // Set index = block % 4; tag = block / 4. Check a high block.
-        c.fill(b(1003), LineState::Shared);
-        c.fill(b(1007), LineState::Shared);
-        c.fill(b(1011), LineState::Shared);
-        // 1003 % 4 == 3, 1007 % 4 == 3, 1011 % 4 == 3: same set, 2 ways.
-        let evicted: Vec<_> = c.stats().evictions.to_string().chars().collect();
-        assert!(!evicted.is_empty());
-        assert_eq!(c.probe(b(1003)), None, "LRU of the set is gone");
-        assert_eq!(c.probe(b(1007)), Some(LineState::Shared));
-    }
-
-    #[test]
-    #[should_panic(expected = "Invalid")]
-    fn fill_rejects_invalid() {
-        let mut c = small();
-        c.fill(b(0), LineState::Invalid);
+        // 1003, 1007, 1011 all map to set 3 (block % 4): 2 ways.
+        c.fill(b(1003));
+        c.fill(b(1007));
+        assert_eq!(c.fill(b(1011)), Some(b(1003)));
     }
 }

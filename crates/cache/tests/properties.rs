@@ -1,19 +1,22 @@
 //! Property-based tests of the set-associative cache against a naive
 //! reference model.
+//!
+//! The cache keeps presence only, so the model compares the victims of
+//! fills and the presence of blocks, which an invalidation reports. Writebacks are the coherence
+//! tracker's decision; `crates/sim/tests/l2_evictions.rs` pins them.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 
 use dsp_cache::{CacheConfig, SetAssocCache};
-use dsp_types::{BlockAddr, LineState};
+use dsp_types::BlockAddr;
 
-/// A deliberately naive reference: a map plus explicit per-set LRU
-/// lists, sharing no code with the real implementation.
+/// A deliberately naive reference: explicit per-set LRU lists, sharing
+/// no code with the real implementation.
 struct ReferenceCache {
     ways: usize,
     sets: u64,
-    lines: HashMap<u64, LineState>,
     lru: HashMap<u64, Vec<u64>>, // set -> blocks, most recent last
 }
 
@@ -22,72 +25,45 @@ impl ReferenceCache {
         ReferenceCache {
             ways: config.ways(),
             sets: config.num_sets(),
-            lines: HashMap::new(),
             lru: HashMap::new(),
         }
     }
 
-    fn set_of(&self, block: u64) -> u64 {
-        block % self.sets
+    fn set(&mut self, block: u64) -> &mut Vec<u64> {
+        self.lru.entry(block % self.sets).or_default()
     }
 
-    fn touch(&mut self, block: u64) -> Option<LineState> {
-        let state = self.lines.get(&block).copied();
-        if state.is_some() {
-            let list = self.lru.entry(self.set_of(block)).or_default();
-            list.retain(|b| *b != block);
-            list.push(block);
-        }
-        state
-    }
-
-    fn fill(&mut self, block: u64, state: LineState) -> Option<u64> {
-        let set = self.set_of(block);
-        #[allow(clippy::map_entry)] // the naive reference is deliberately naive
-        if self.lines.contains_key(&block) {
-            self.lines.insert(block, state);
-            let list = self.lru.entry(set).or_default();
-            list.retain(|b| *b != block);
+    fn fill(&mut self, block: u64) -> Option<u64> {
+        let ways = self.ways;
+        let list = self.set(block);
+        if let Some(i) = list.iter().position(|b| *b == block) {
+            list.remove(i);
             list.push(block);
             return None;
         }
-        let list = self.lru.entry(set).or_default();
-        let victim = if list.len() >= self.ways {
-            let victim = list.remove(0);
-            self.lines.remove(&victim);
-            Some(victim)
-        } else {
-            None
-        };
-        self.lines.insert(block, state);
+        let victim = (list.len() >= ways).then(|| list.remove(0));
         list.push(block);
         victim
     }
 
-    fn invalidate(&mut self, block: u64) -> Option<LineState> {
-        let state = self.lines.remove(&block);
-        if state.is_some() {
-            self.lru
-                .entry(self.set_of(block))
-                .or_default()
-                .retain(|b| *b != block);
-        }
-        state
+    fn invalidate(&mut self, block: u64) -> bool {
+        let list = self.set(block);
+        let present = list.contains(&block);
+        list.retain(|b| *b != block);
+        present
     }
 }
 
 #[derive(Clone, Debug)]
 enum Op {
-    Touch(u64),
-    Fill(u64, bool), // dirty?
+    Fill(u64),
     Invalidate(u64),
 }
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(
         prop_oneof![
-            (0u64..64).prop_map(Op::Touch),
-            (0u64..64, any::<bool>()).prop_map(|(b, d)| Op::Fill(b, d)),
+            (0u64..64).prop_map(Op::Fill),
             (0u64..64).prop_map(Op::Invalidate),
         ],
         1..400,
@@ -98,7 +74,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The real cache behaves exactly like the reference model: same
-    /// hits, same victims, same states.
+    /// victims, same presence.
     #[test]
     fn matches_reference_model(ops in ops()) {
         // 16 blocks, 2-way, 64B: small enough to stress replacement.
@@ -107,60 +83,45 @@ proptest! {
         let mut reference = ReferenceCache::new(config);
         for op in ops {
             match op {
-                Op::Touch(b) => {
-                    prop_assert_eq!(real.touch(BlockAddr::new(b)), reference.touch(b));
-                }
-                Op::Fill(b, dirty) => {
-                    let state = if dirty { LineState::Modified } else { LineState::Shared };
-                    let real_victim = real.fill(BlockAddr::new(b), state).map(|v| v.block.number());
-                    let ref_victim = reference.fill(b, state);
-                    prop_assert_eq!(real_victim, ref_victim);
+                Op::Fill(b) => {
+                    let real_victim = real.fill(BlockAddr::new(b)).map(|v| v.number());
+                    prop_assert_eq!(real_victim, reference.fill(b));
                 }
                 Op::Invalidate(b) => {
                     prop_assert_eq!(real.invalidate(BlockAddr::new(b)), reference.invalidate(b));
                 }
             }
-            prop_assert_eq!(real.len(), reference.lines.len());
+        }
+        // Invalidating every block reads out the final contents.
+        for b in 0..64 {
+            prop_assert_eq!(real.invalidate(BlockAddr::new(b)), reference.invalidate(b));
         }
     }
 
-    /// The cache never exceeds its capacity and never holds duplicates.
+    /// The cache never exceeds its capacity, and a fill always leaves
+    /// its block present.
     #[test]
     fn capacity_invariant(ops in ops()) {
         let config = CacheConfig::new(512, 4, 64); // 8 blocks
         let mut cache = SetAssocCache::new(config);
         for op in ops {
             match op {
-                Op::Touch(b) => {
-                    let _ = cache.touch(BlockAddr::new(b));
-                }
-                Op::Fill(b, dirty) => {
-                    let state = if dirty { LineState::Owned } else { LineState::Shared };
-                    let _ = cache.fill(BlockAddr::new(b), state);
+                Op::Fill(b) => {
+                    let block = BlockAddr::new(b);
+                    let _ = cache.fill(block);
+                    // Present: invalidation finds it, and refilling the
+                    // freed way puts it back as most recently used.
+                    prop_assert!(cache.invalidate(block));
+                    prop_assert_eq!(cache.fill(block), None);
                 }
                 Op::Invalidate(b) => {
                     let _ = cache.invalidate(BlockAddr::new(b));
                 }
             }
-            prop_assert!(cache.len() as u64 <= config.capacity_blocks());
         }
-    }
-
-    /// Writeback accounting: every evicted dirty line increments the
-    /// writeback counter; clean evictions never do.
-    #[test]
-    fn writeback_accounting(fills in proptest::collection::vec((0u64..32, any::<bool>()), 1..200)) {
-        let config = CacheConfig::new(512, 2, 64);
-        let mut cache = SetAssocCache::new(config);
-        let mut expected_wb = 0u64;
-        for (b, dirty) in fills {
-            let state = if dirty { LineState::Modified } else { LineState::Shared };
-            if let Some(victim) = cache.fill(BlockAddr::new(b), state) {
-                if victim.state.is_owner() {
-                    expected_wb += 1;
-                }
-            }
-        }
-        prop_assert_eq!(cache.stats().writebacks, expected_wb);
+        let held = (0..64)
+            .filter(|&b| cache.invalidate(BlockAddr::new(b)))
+            .count();
+        prop_assert!(held as u64 <= config.capacity_blocks());
     }
 }

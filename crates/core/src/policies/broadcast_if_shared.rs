@@ -37,7 +37,7 @@ impl<const W: usize> BroadcastIfSharedPredictor<W> {
         BroadcastIfSharedPredictor {
             indexing,
             table: PredictorTable::new(capacity),
-            broadcast: config.broadcast_set_w(),
+            broadcast: DestSet::broadcast(config.num_nodes()),
         }
     }
 

@@ -16,7 +16,7 @@ impl<const W: usize> AlwaysBroadcastPredictor<W> {
     /// Creates the broadcast endpoint for `config`-sized systems.
     pub fn new(config: &SystemConfig) -> Self {
         AlwaysBroadcastPredictor {
-            broadcast: config.broadcast_set_w(),
+            broadcast: DestSet::broadcast(config.num_nodes()),
         }
     }
 }

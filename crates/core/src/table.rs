@@ -1,27 +1,17 @@
 //! Tagged, set-associative (or unbounded) predictor storage.
 //!
-//! Rebuilt on the workspace's shared storage family: the finite
-//! configuration keeps its tags, LRU stamps, and entries in flat
-//! per-set arrays (no per-set `Vec` indirection — one cache line of
-//! tags per 4-way set instead of a pointer chase), and the unbounded
-//! idealization lives in [`dsp_types::OpenTable`], the same
-//! open-addressing core behind `dsp-coherence`'s page directory.
-//! The seed `HashMap` + `Vec<Vec<_>>` implementation survives as the
-//! oracle of `tests/table_equivalence.rs`, which pins observational
+//! The finite configuration is a [`dsp_types::SetAssoc`] store, the
+//! same set-associative LRU structure behind the L2 cache model; the
+//! unbounded idealization lives in [`dsp_types::OpenTable`], the same
+//! open-addressing core behind `dsp-coherence`'s page directory. The
+//! seed `HashMap` + `Vec<Vec<_>>` implementation survives as the oracle
+//! of `tests/table_equivalence.rs`, which pins observational
 //! equivalence (lookup/train results, eviction choices, and
 //! [`TableStats`]) between the two.
-//!
-//! A key splits into a set index and a tag the way hardware splits an
-//! address: when the set count is a power of two (both tagged
-//! geometries the paper evaluates, 8 192 × 4 and 32 768 × 4, are) the
-//! index is the key's low `log2(sets)` bits and the tag the bits above
-//! them, a mask and a shift. Other set counts fall back to `key % sets`
-//! and `key / sets`, which give the same split on powers of two; the
-//! choice is made once, from the geometry, in [`PredictorTable::new`].
 
 use serde::{Deserialize, Serialize};
 
-use dsp_types::OpenTable;
+use dsp_types::{OpenTable, SetAssoc};
 
 /// Capacity of a predictor table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -59,6 +49,13 @@ pub struct TableStats {
     pub evictions: u64,
 }
 
+/// The backing store of a [`PredictorTable`].
+#[derive(Clone, Debug)]
+enum Store<E> {
+    Unbounded(OpenTable<E>),
+    Finite(SetAssoc<E>),
+}
+
 /// Key-indexed storage for predictor entries.
 ///
 /// Finite tables are tagged and set-associative with LRU replacement —
@@ -69,61 +66,10 @@ pub struct TableStats {
 /// Allocation is explicit: [`PredictorTable::train`] only creates an
 /// entry when the caller asks it to, implementing the paper's
 /// allocate-on-insufficient-minimal-set policy at the policy layer.
-///
-/// # LRU tick overflow and `clone`
-///
-/// Recency is tracked by one `u64` tick shared across all sets,
-/// incremented on every `lookup`/`train` call. At 10⁸ accesses per
-/// second that counter lasts ~5 800 years, but the wrap story is still
-/// defined rather than assumed away: when the tick reaches `u64::MAX`
-/// the table renormalizes every live `last_use` stamp to its recency
-/// rank (preserving the exact LRU order) and restarts the tick above
-/// the highest rank, so eviction decisions are identical across the
-/// wrap. Cloning copies the tick along with the stamps; each clone then
-/// advances independently, which keeps every clone's LRU order
-/// internally consistent (ticks are compared only within one table, so
-/// cross-instance reuse needs no reset).
-///
-/// # Storage
-///
-/// Finite sets are materialized *lazily from one growable arena*. The
-/// only full-size structures are two small per-set arrays (`set_base`,
-/// the 1-based base of the set's arena block with 0 = "never
-/// allocated into", and `set_len`, the occupied prefix length); a
-/// set's block of `ways` contiguous slots — parallel
-/// `tags`/`stamps`/`entries` arena entries — is appended on the set's
-/// first allocation. Within a block, occupied slots form a prefix
-/// (allocation appends, eviction replaces in place).
-///
-/// The layout exists for construction cost: the timing simulator
-/// builds one predictor (often two tables) per node per run, and
-/// default-initializing the paper's 8 192-entry geometry per table
-/// was a measurable slice of short runs. With the arena, construction
-/// is two allocator-zeroed 4-byte-per-set arrays, cost scales with the
-/// sets a run actually touches, a lookup in an untouched set is a
-/// single load, and a set probe scans ≤ `ways` adjacent tags.
+/// Both lookups and training accesses refresh an entry's LRU position.
 #[derive(Clone, Debug)]
 pub struct PredictorTable<E> {
-    capacity: Capacity,
-    unbounded: OpenTable<E>,
-    /// Per set: 1 + the base slot of its arena block, 0 = not yet
-    /// materialized.
-    set_base: Vec<u32>,
-    /// Occupied-prefix length per set.
-    set_len: Vec<u32>,
-    /// Per-way tags (meaningful only inside a set's occupied prefix).
-    tags: Vec<u64>,
-    /// Per-way LRU stamps (same validity).
-    stamps: Vec<u64>,
-    /// Per-way payloads (same validity).
-    entries: Vec<E>,
-    live: usize,
-    num_sets: usize,
-    /// `log2(num_sets)` when the set count is a power of two (the key
-    /// then splits by mask and shift), `None` otherwise.
-    index_bits: Option<u32>,
-    ways: usize,
-    tick: u64,
+    store: Store<E>,
     stats: TableStats,
 }
 
@@ -135,8 +81,8 @@ impl<E: Clone + Default> PredictorTable<E> {
     /// Panics if a finite capacity has zero entries/ways or `entries` is
     /// not divisible by `ways`.
     pub fn new(capacity: Capacity) -> Self {
-        let (num_sets, ways) = match capacity {
-            Capacity::Unbounded => (0, 0),
+        let store = match capacity {
+            Capacity::Unbounded => Store::Unbounded(OpenTable::new()),
             Capacity::Finite { entries, ways } => {
                 assert!(
                     entries > 0 && ways > 0,
@@ -146,127 +92,36 @@ impl<E: Clone + Default> PredictorTable<E> {
                     entries % ways == 0,
                     "entries ({entries}) must be divisible by ways ({ways})"
                 );
-                (entries / ways, ways)
+                Store::Finite(SetAssoc::new(entries / ways, ways))
             }
         };
-        assert!(
-            (num_sets as u64 * ways as u64) < u32::MAX as u64,
-            "table geometry exceeds the arena index range"
-        );
         PredictorTable {
-            capacity,
-            unbounded: OpenTable::new(),
-            set_base: vec![0; num_sets],
-            set_len: vec![0; num_sets],
-            tags: Vec::new(),
-            stamps: Vec::new(),
-            entries: Vec::new(),
-            live: 0,
-            num_sets,
-            index_bits: num_sets
-                .is_power_of_two()
-                .then(|| num_sets.trailing_zeros()),
-            ways,
-            tick: 0,
+            store,
             stats: TableStats::default(),
-        }
-    }
-
-    /// The arena block of `set_idx`, materializing it on demand.
-    #[inline]
-    fn materialize(&mut self, set_idx: usize) -> usize {
-        match self.set_base[set_idx] {
-            0 => {
-                let base = self.tags.len();
-                self.tags.resize(base + self.ways, 0);
-                self.stamps.resize(base + self.ways, 0);
-                self.entries.resize_with(base + self.ways, E::default);
-                self.set_base[set_idx] = (base + 1) as u32;
-                base
-            }
-            b => b as usize - 1,
         }
     }
 
     /// The configured capacity.
     pub fn capacity(&self) -> Capacity {
-        self.capacity
-    }
-
-    /// Advances the access tick, renormalizing the LRU stamps first if
-    /// the counter is about to wrap (see the type docs).
-    #[inline]
-    fn bump_tick(&mut self) -> u64 {
-        if self.tick == u64::MAX {
-            self.renormalize_ticks();
+        match &self.store {
+            Store::Unbounded(_) => Capacity::Unbounded,
+            Store::Finite(t) => Capacity::Finite {
+                entries: t.sets() * t.ways(),
+                ways: t.ways(),
+            },
         }
-        self.tick += 1;
-        self.tick
-    }
-
-    /// Compresses every live `last_use` stamp to its recency rank
-    /// (1-based, oldest first) and restarts the tick just above the
-    /// highest rank. Relative recency — the only thing eviction ever
-    /// compares — is exactly preserved.
-    #[cold]
-    fn renormalize_ticks(&mut self) {
-        let mut live_stamps: Vec<(u64, usize)> = Vec::with_capacity(self.live);
-        for set in 0..self.num_sets {
-            let Some(base) = self.set_base[set].checked_sub(1) else {
-                continue;
-            };
-            for way in 0..self.set_len[set] as usize {
-                let slot = base as usize + way;
-                live_stamps.push((self.stamps[slot], slot));
-            }
-        }
-        live_stamps.sort_unstable();
-        for (rank, &(_, slot)) in live_stamps.iter().enumerate() {
-            self.stamps[slot] = rank as u64 + 1;
-        }
-        self.tick = live_stamps.len() as u64;
-    }
-
-    /// The slot of `key` within its set's occupied prefix, if present
-    /// (`None` without a scan when the set was never allocated into).
-    #[inline]
-    fn find(&self, set_idx: usize, tag: u64) -> Option<usize> {
-        let base = match self.set_base[set_idx] {
-            0 => return None,
-            b => b as usize - 1,
-        };
-        let len = self.set_len[set_idx] as usize;
-        self.tags[base..base + len]
-            .iter()
-            .position(|&t| t == tag)
-            .map(|way| base + way)
     }
 
     /// Lookup for prediction: returns the live entry for `key`, if any,
     /// refreshing its LRU position.
     pub fn lookup(&mut self, key: u64) -> Option<&E> {
         self.stats.lookups += 1;
-        let tick = self.bump_tick();
-        match self.capacity {
-            Capacity::Unbounded => {
-                let hit = self.unbounded.get(key);
-                if hit.is_some() {
-                    self.stats.hits += 1;
-                }
-                hit
-            }
-            Capacity::Finite { .. } => {
-                let (set_idx, tag) = self.locate(key);
-                match self.find(set_idx, tag) {
-                    Some(slot) => {
-                        self.stamps[slot] = tick;
-                        self.stats.hits += 1;
-                        Some(&self.entries[slot])
-                    }
-                    None => None,
-                }
-            }
-        }
+        let hit = match &mut self.store {
+            Store::Unbounded(t) => t.get(key),
+            Store::Finite(t) => t.get(key).map(|e| &*e),
+        };
+        self.stats.hits += u64::from(hit.is_some());
+        hit
     }
 
     /// Training access: applies `update` to the entry for `key`.
@@ -275,56 +130,32 @@ impl<E: Clone + Default> PredictorTable<E> {
     /// when `allocate` is true; otherwise the event is dropped. Returns
     /// whether an entry was updated.
     pub fn train<F: FnOnce(&mut E)>(&mut self, key: u64, allocate: bool, update: F) -> bool {
-        let tick = self.bump_tick();
-        match self.capacity {
-            Capacity::Unbounded => {
+        match &mut self.store {
+            Store::Unbounded(t) => {
                 if allocate {
-                    let (entry, inserted) = self.unbounded.get_or_insert_default(key);
+                    let (entry, inserted) = t.get_or_insert_default(key);
                     self.stats.allocations += u64::from(inserted);
                     update(entry);
                     true
-                } else if let Some(entry) = self.unbounded.get_mut(key) {
+                } else if let Some(entry) = t.get_mut(key) {
                     update(entry);
                     true
                 } else {
                     false
                 }
             }
-            Capacity::Finite { .. } => {
-                let (set_idx, tag) = self.locate(key);
-                if let Some(slot) = self.find(set_idx, tag) {
-                    self.stamps[slot] = tick;
-                    update(&mut self.entries[slot]);
+            Store::Finite(t) => {
+                if let Some(entry) = t.get(key) {
+                    update(entry);
                     return true;
                 }
                 if !allocate {
                     return false;
                 }
-                self.stats.allocations += 1;
-                let base = self.materialize(set_idx);
-                let len = self.set_len[set_idx] as usize;
-                let slot = if len >= self.ways {
-                    // Evict the least recently used way. Stamps are
-                    // unique (each comes from a distinct tick), so the
-                    // minimum — and hence the victim — is unambiguous.
-                    let victim = self.stamps[base..base + len]
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, &stamp)| stamp)
-                        .map(|(way, _)| base + way)
-                        .expect("set is non-empty");
-                    self.stats.evictions += 1;
-                    victim
-                } else {
-                    self.set_len[set_idx] += 1;
-                    self.live += 1;
-                    base + len
-                };
                 let mut entry = E::default();
                 update(&mut entry);
-                self.tags[slot] = tag;
-                self.stamps[slot] = tick;
-                self.entries[slot] = entry;
+                self.stats.allocations += 1;
+                self.stats.evictions += u64::from(t.insert(key, entry).is_some());
                 true
             }
         }
@@ -332,9 +163,9 @@ impl<E: Clone + Default> PredictorTable<E> {
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        match self.capacity {
-            Capacity::Unbounded => self.unbounded.len(),
-            Capacity::Finite { .. } => self.live,
+        match &self.store {
+            Store::Unbounded(t) => t.len(),
+            Store::Finite(t) => t.len(),
         }
     }
 
@@ -353,24 +184,9 @@ impl<E: Clone + Default> PredictorTable<E> {
     /// address space of 64-byte blocks); the tag is `key / sets`, which
     /// needs `42 - floor(log2(sets))` bits for any set count.
     pub fn tag_bits(&self) -> u64 {
-        match self.capacity {
-            Capacity::Unbounded => 0,
-            Capacity::Finite { .. } => 42u64.saturating_sub(u64::from(self.num_sets.ilog2())),
-        }
-    }
-
-    /// Splits `key` into its set index and tag: the low `log2(sets)`
-    /// bits and the bits above them for a power-of-two set count,
-    /// `key % sets` and `key / sets` otherwise (the same split, computed
-    /// by division).
-    #[inline]
-    fn locate(&self, key: u64) -> (usize, u64) {
-        match self.index_bits {
-            Some(bits) => ((key & (self.num_sets as u64 - 1)) as usize, key >> bits),
-            None => {
-                let sets = self.num_sets as u64;
-                ((key % sets) as usize, key / sets)
-            }
+        match &self.store {
+            Store::Unbounded(_) => 0,
+            Store::Finite(t) => 42u64.saturating_sub(u64::from(t.sets().ilog2())),
         }
     }
 }
@@ -488,39 +304,8 @@ mod tests {
         });
     }
 
-    /// Regression test for the LRU tick overflow story: a tick at the
-    /// wrap boundary renormalizes the recency stamps instead of
-    /// overflowing, and the LRU order across the wrap is untouched.
-    #[test]
-    fn tick_wrap_preserves_lru_order() {
-        // 1 set, 4 ways: every key shares the set.
-        let mut t = Table::new(Capacity::Finite {
-            entries: 4,
-            ways: 4,
-        });
-        for k in 0..4 {
-            t.train(k, true, |e| *e = k as u32);
-        }
-        // Refresh 0 and 2 so the recency order is 1 < 3 < 0 < 2.
-        let _ = t.lookup(0);
-        let _ = t.lookup(2);
-        // Force the wrap on the very next access.
-        t.tick = u64::MAX;
-        // This train allocates key 4 (set is full): the victim must be
-        // key 1, the LRU way — decided *across* the renormalization.
-        t.train(4, true, |e| *e = 40);
-        assert_eq!(t.lookup(1), None, "LRU key evicted across the wrap");
-        assert_eq!(t.lookup(3), Some(&3));
-        // Next eviction takes key 3, still in pre-wrap recency order...
-        // except the lookup above refreshed it; the stale key is now 0.
-        t.train(5, true, |e| *e = 50);
-        assert_eq!(t.lookup(0), None, "post-wrap recency keeps ordering");
-        assert_eq!(t.lookup(2), Some(&2));
-        assert!(t.tick > 0 && t.tick < 100, "tick restarted after the wrap");
-    }
-
-    /// Cloning copies the tick with the stamps, so a clone's LRU
-    /// decisions match the original's from the moment of the clone.
+    /// A clone copies the LRU state, so its eviction decisions match
+    /// the original's from the moment of the clone.
     #[test]
     fn clone_preserves_lru_state() {
         let mut t = Table::new(Capacity::Finite {

@@ -1,9 +1,9 @@
 //! Property tests pinning the rebuilt [`PredictorTable`] to the seed
 //! implementation (`ReferencePredictorTable`, kept here as the oracle).
 //!
-//! The rebuilt table stores finite sets in flat tag/stamp/entry arrays
-//! and unbounded entries in the shared open-addressing table; the seed
-//! used per-set `Vec`s and a `HashMap`. These tests drive both through
+//! The rebuilt table stores finite sets in the shared set-associative
+//! store and unbounded entries in the shared open-addressing table; the
+//! seed used per-set `Vec`s and a `HashMap`. These tests drive both through
 //! identical operation sequences — the lookup/train mix every policy
 //! layer produces — and require identical observable behavior: lookup
 //! results, train outcomes, entry contents, live counts, eviction
@@ -201,11 +201,28 @@ enum Op {
 }
 
 fn ops(key_space: u64) -> impl Strategy<Value = Vec<Op>> {
+    ops_from(move || 0..key_space)
+}
+
+/// Like [`ops`], but each key is drawn from either end of the `u64`
+/// range, `key_space` wide at each: a table has no reserved key, and a
+/// one-set table's tag is the whole key.
+fn ops_hi(key_space: u64) -> impl Strategy<Value = Vec<Op>> {
+    ops_from(move || prop_oneof![0..key_space, (0..key_space).prop_map(|k| u64::MAX - k)])
+}
+
+/// Lookups and trainings whose keys each come from a `keys()` strategy.
+fn ops_from<S: Strategy<Value = u64> + 'static>(
+    keys: impl Fn() -> S,
+) -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(
         prop_oneof![
-            (0..key_space).prop_map(|key| Op::Lookup { key }),
-            (0..key_space, any::<bool>(), any::<u32>())
-                .prop_map(|(key, allocate, val)| Op::Train { key, allocate, val }),
+            keys().prop_map(|key| Op::Lookup { key }),
+            (keys(), any::<bool>(), any::<u32>()).prop_map(|(key, allocate, val)| Op::Train {
+                key,
+                allocate,
+                val
+            }),
         ],
         1..400,
     )
@@ -231,15 +248,19 @@ fn check_equivalence(capacity: Capacity, ops: &[Op]) -> TableStats {
         assert_eq!(fast.stats(), seed.stats());
     }
     // Every key of the space reads identically at the end — this checks
-    // the *eviction victims* matched, not just the counts.
-    let space = ops
-        .iter()
-        .map(|op| match op {
-            Op::Lookup { key } | Op::Train { key, .. } => *key,
-        })
-        .max()
-        .unwrap_or(0);
-    for key in 0..=space {
+    // the *eviction victims* matched, not just the counts, and that no
+    // key the ops never drew reads as present. The space is the low range
+    // up to the largest low key drawn plus the high range from the
+    // smallest high key drawn up to `u64::MAX`.
+    let keys = ops.iter().map(|op| match op {
+        Op::Lookup { key } | Op::Train { key, .. } => *key,
+    });
+    const HIGH: u64 = 1 << 63;
+    let low_max = keys.clone().filter(|&k| k < HIGH).max();
+    let high_min = keys.filter(|&k| k >= HIGH).min();
+    let low = low_max.map(|max| 0..=max);
+    let high = high_min.map(|min| min..=u64::MAX);
+    for key in low.into_iter().flatten().chain(high.into_iter().flatten()) {
         assert_eq!(fast.lookup(key), seed.lookup(key), "final lookup({key})");
     }
     assert_eq!(fast.stats(), seed.stats());
@@ -259,23 +280,25 @@ proptest! {
     /// A tiny single-set table maximizes eviction pressure: every
     /// allocation past 4 live keys picks an LRU victim, so any
     /// divergence in recency bookkeeping or victim choice surfaces
-    /// immediately.
+    /// immediately. Keys come from both ends of the `u64` range, so the one-set
+    /// table stores tags up to `u64::MAX` itself.
     #[test]
-    fn single_set_eviction_storm_matches_seed(ops in ops(24)) {
+    fn single_set_eviction_storm_matches_seed(ops in ops_hi(24)) {
         let stats = check_equivalence(
             Capacity::Finite { entries: 4, ways: 4 },
             &ops,
         );
-        // The key space is 6x the capacity; long sequences must evict.
+        // The key space is 12x the capacity; long sequences must evict.
         if ops.len() > 100 {
-            prop_assert!(stats.lookups + stats.allocations > 0);
+            prop_assert!(stats.evictions > 0);
         }
     }
 
     /// Multi-set geometry with colliding tags (key space well above the
-    /// set count) exercises tag disambiguation and per-set LRU at once.
+    /// set count) exercises tag disambiguation and per-set LRU at once;
+    /// keys near `u64::MAX` split into the largest tags.
     #[test]
-    fn set_associative_matches_seed(ops in ops(256)) {
+    fn set_associative_matches_seed(ops in ops_hi(256)) {
         check_equivalence(
             Capacity::Finite { entries: 32, ways: 4 },
             &ops,

@@ -169,6 +169,42 @@ struct Shared {
 }
 
 impl Shared {
+    /// A coordinator for `plan` over `ledger` (fresh or replayed from
+    /// the WAL), appending to `wal` and logging to `log`.
+    fn new(
+        plan: ExperimentPlan,
+        config: FleetConfig,
+        identity: PlanIdentity,
+        ledger: LeaseLedger,
+        worker_of_cell: Vec<Option<String>>,
+        wal: JsonlWriter,
+        log: File,
+    ) -> Arc<Shared> {
+        let state = State {
+            ledger,
+            wal: Some(wal),
+            sizer: LeaseSizer::new(config.target_lease_ms, config.lease_cells),
+            sessions: HashMap::new(),
+            next_session: 1,
+            worker_of_cell,
+            failure: None,
+            report: None,
+        };
+        Arc::new(Shared {
+            ids: CellId::assign(&plan.cells),
+            plan,
+            identity,
+            config,
+            epoch: Instant::now(),
+            state: Mutex::new(state),
+            done: Condvar::new(),
+            stop: AtomicBool::new(false),
+            close_at_ms: AtomicU64::new(u64::MAX),
+            connections: AtomicUsize::new(0),
+            log: Mutex::new(BufWriter::new(log)),
+        })
+    }
+
     fn now_ms(&self) -> u64 {
         self.epoch.elapsed().as_millis() as u64
     }
@@ -203,31 +239,17 @@ impl Coordinator {
         let identity = PlanIdentity::of(&config.experiment, &plan);
         let wal = create_wal(&wal_path(&config), &identity)?;
 
-        let ids = CellId::assign(&plan.cells);
-        let cells = plan.cells.len();
-        let state = State {
-            ledger: LeaseLedger::new(ids.clone()),
-            wal: Some(wal),
-            sizer: LeaseSizer::new(config.target_lease_ms, config.lease_cells),
-            sessions: HashMap::new(),
-            next_session: 1,
-            worker_of_cell: vec![None; cells],
-            failure: None,
-            report: None,
-        };
-        let shared = Arc::new(Shared {
-            identity,
-            config,
-            epoch: Instant::now(),
-            state: Mutex::new(state),
-            done: Condvar::new(),
-            stop: AtomicBool::new(false),
-            close_at_ms: AtomicU64::new(u64::MAX),
-            connections: AtomicUsize::new(0),
-            log: Mutex::new(BufWriter::new(log_file)),
-            ids,
+        let ledger = LeaseLedger::new(CellId::assign(&plan.cells));
+        let worker_of_cell = vec![None; plan.cells.len()];
+        let shared = Shared::new(
             plan,
-        });
+            config,
+            identity,
+            ledger,
+            worker_of_cell,
+            wal,
+            log_file,
+        );
         serve(shared, "up")
     }
 
@@ -307,29 +329,15 @@ impl Coordinator {
         ledger.counters.wal_events_replayed = events.len() as u64;
         let wal = JsonlWriter::append_to(&wal_path(&config), valid_bytes)?;
         let orphans: Vec<u64> = ledger.lease_infos().iter().map(|l| l.lease).collect();
-        let state = State {
-            ledger,
-            wal: Some(wal),
-            sizer: LeaseSizer::new(config.target_lease_ms, config.lease_cells),
-            sessions: HashMap::new(),
-            next_session: 1,
-            worker_of_cell,
-            failure: None,
-            report: None,
-        };
-        let shared = Arc::new(Shared {
-            identity,
-            config,
-            epoch: Instant::now(),
-            state: Mutex::new(state),
-            done: Condvar::new(),
-            stop: AtomicBool::new(false),
-            close_at_ms: AtomicU64::new(u64::MAX),
-            connections: AtomicUsize::new(0),
-            log: Mutex::new(BufWriter::new(log_file)),
-            ids,
+        let shared = Shared::new(
             plan,
-        });
+            config,
+            identity,
+            ledger,
+            worker_of_cell,
+            wal,
+            log_file,
+        );
 
         // 2. The crashed incarnation's leases are orphans (their
         //    workers died with it, or will be told Stale): expire each

@@ -380,14 +380,16 @@ fn handshake_in_flight_at_completion_is_dismissed() {
 
 /// Four timing-sim cells of fig7's shape, each much slower than a tiny
 /// plan's cells: long enough that a lease timeout can sit well below a
-/// single cell's run time.
+/// single cell's run time. The measured window is sized so that the
+/// shortest cell stays well above the 250 ms the test needs on a
+/// 2-vCPU host, with room for the simulator to get faster.
 fn slow_plan() -> ExperimentPlan {
     let scale = Scale {
         footprint: 1.0 / 8.0,
         trace_warmup: 1_000,
         trace_measured: 1_000,
         sim_warmup: 500,
-        sim_measured: 4_000,
+        sim_measured: 6_000,
         sim_runs: 1,
     };
     let mut plan = experiments::fig7_plan(&scale);

@@ -10,7 +10,7 @@ use dsp_coherence::{CoherenceTracker, MissInfo};
 use dsp_core::{DestSetPredictor, PredictQuery, TrainEvent};
 use dsp_interconnect::{Message, Topology};
 use dsp_trace::{TraceRecord, WorkloadSpec};
-use dsp_types::{DestSet, LineState, MessageClass, NodeId, Owner, ReqType, SystemConfig};
+use dsp_types::{DestSet, MessageClass, NodeId, Owner, ReqType, SystemConfig};
 
 use crate::config::{CpuModel, ProtocolKind, SimConfig, TargetSystem};
 use crate::queue::{Event, QueueCounters, WheelQueue};
@@ -399,7 +399,7 @@ impl<const W: usize> System<W> {
         let home = block.home(self.sys.num_nodes());
         let minimal = DestSet::single(requester).with(home);
         let predicted = match &self.sim.protocol {
-            ProtocolKind::Snooping => self.sys.broadcast_set_w::<W>(),
+            ProtocolKind::Snooping => DestSet::broadcast(self.sys.num_nodes()),
             ProtocolKind::Directory => minimal,
             ProtocolKind::Multicast(_) | ProtocolKind::DirectoryPredicted(_) => {
                 let query = PredictQuery {
@@ -712,7 +712,7 @@ impl<const W: usize> System<W> {
                         .tracker
                         .classify(rec.requester, rec.request(), rec.block());
                     let dests = if next_attempt >= 3 {
-                        self.sys.broadcast_set_w::<W>().without(home)
+                        DestSet::broadcast(self.sys.num_nodes()).without(home)
                     } else {
                         fresh.sufficient_set().with(rec.requester).without(home)
                     };
@@ -810,24 +810,16 @@ impl<const W: usize> System<W> {
                 minimal_sufficient,
             });
         }
-        // Fill the L2 with a line state consistent with the tracker.
-        let state = self.tracker.state(rec.block());
-        let fill_state = if state.owner == Owner::Node(rec.requester) {
-            Some(if state.sharers.is_empty() {
-                LineState::Modified
-            } else {
-                LineState::Owned
-            })
-        } else if state.sharers.contains(rec.requester) {
-            Some(LineState::Shared)
-        } else {
-            None // a racing GETX already invalidated us
-        };
-        if let Some(fill_state) = fill_state {
-            if let Some(victim) = self.caches[node].fill(rec.block(), fill_state) {
-                let eviction = self.tracker.evict(rec.requester, victim.block);
-                if eviction == dsp_coherence::Eviction::Writeback {
-                    let victim_home = victim.block.home(self.sys.num_nodes());
+        // Fill the L2 unless a racing GETX already invalidated us.
+        if self
+            .tracker
+            .state(rec.block())
+            .holders()
+            .contains(rec.requester)
+        {
+            if let Some(victim) = self.caches[node].fill(rec.block()) {
+                if self.tracker.evict(rec.requester, victim) == dsp_coherence::Eviction::Writeback {
+                    let victim_home = victim.home(self.sys.num_nodes());
                     if victim_home != rec.requester {
                         self.xbar.send_into(
                             now,
@@ -892,21 +884,15 @@ impl<const W: usize> System<W> {
     }
 
     /// Mirrors an already-applied MOSI transition into the per-node
-    /// caches (invalidations / owner demotion).
+    /// caches: a GETX invalidates every other copy. (A GETS changes no
+    /// node's presence; the owner's M→O demotion is tracker state.)
     fn mirror_transition(&mut self, info: &MissInfo<W>) {
-        match info.req {
-            ReqType::GetShared => {
-                if let Owner::Node(owner) = info.owner_before {
-                    self.caches[owner.index()].set_state(info.block, LineState::Owned);
-                }
+        if info.req == ReqType::GetExclusive {
+            if let Owner::Node(owner) = info.owner_before {
+                self.caches[owner.index()].invalidate(info.block);
             }
-            ReqType::GetExclusive => {
-                if let Owner::Node(owner) = info.owner_before {
-                    self.caches[owner.index()].invalidate(info.block);
-                }
-                for sharer in info.sharers_before {
-                    self.caches[sharer.index()].invalidate(info.block);
-                }
+            for sharer in info.sharers_before {
+                self.caches[sharer.index()].invalidate(info.block);
             }
         }
     }

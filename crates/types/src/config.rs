@@ -70,25 +70,6 @@ impl SystemConfig {
     pub const fn blocks_per_macroblock(&self) -> u64 {
         self.macroblock_bytes / self.block_bytes
     }
-
-    /// The maximal destination set for this system, at the default
-    /// (four-word) width.
-    #[inline]
-    pub fn broadcast_set(&self) -> crate::DestSet {
-        crate::DestSet::broadcast(self.num_nodes)
-    }
-
-    /// The maximal destination set for this system at an explicit word
-    /// width `W` — the width-generic form of
-    /// [`SystemConfig::broadcast_set`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the system does not fit in `W * 64` nodes.
-    #[inline]
-    pub fn broadcast_set_w<const W: usize>(&self) -> crate::DestSet<W> {
-        crate::DestSet::broadcast(self.num_nodes)
-    }
 }
 
 impl Default for SystemConfig {
@@ -184,7 +165,6 @@ mod tests {
         assert_eq!(cfg.block_bytes(), 64);
         assert_eq!(cfg.macroblock_bytes(), 1024);
         assert_eq!(cfg.blocks_per_macroblock(), 16);
-        assert_eq!(cfg.broadcast_set().len(), 16);
     }
 
     #[test]

@@ -4,9 +4,12 @@
 //! crate in the workspace: processor/node identifiers ([`NodeId`]),
 //! destination sets ([`DestSet`]), physical addresses and their block /
 //! macroblock views ([`Address`], [`BlockAddr`], [`MacroblockAddr`]),
-//! program counters ([`Pc`]), memory access kinds ([`AccessKind`]), the
-//! MOSI line states used by all three coherence protocols
-//! ([`LineState`]), and the system-wide configuration ([`SystemConfig`]).
+//! program counters ([`Pc`]), memory access kinds ([`AccessKind`]), block
+//! ownership ([`Owner`]), and the system-wide configuration
+//! ([`SystemConfig`]). It also holds the two `u64`-keyed stores the other
+//! crates build on: [`OpenTable`], an open-addressing hash table, and
+//! [`SetAssoc`], the set-associative LRU store behind both the L2 cache
+//! model and the finite predictor tables.
 //!
 //! The paper this workspace reproduces — Martin et al., *Using
 //! Destination-Set Prediction to Improve the Latency/Bandwidth Tradeoff in
@@ -38,15 +41,17 @@ mod config;
 mod dest_set;
 mod error;
 pub mod hash;
-mod mosi;
 mod node;
 mod open_table;
+mod owner;
+mod set_assoc;
 
 pub use access::{AccessKind, MessageClass, ReqType};
 pub use addr::{Address, BlockAddr, MacroblockAddr, Pc, BLOCK_BYTES, BLOCK_SHIFT};
 pub use config::{SystemConfig, SystemConfigBuilder};
 pub use dest_set::{DestSet, DestSet256, DestSet64, DestSetIter};
 pub use error::ConfigError;
-pub use mosi::{LineState, Owner};
 pub use node::{NodeId, MAX_NODES};
 pub use open_table::OpenTable;
+pub use owner::Owner;
+pub use set_assoc::SetAssoc;

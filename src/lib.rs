@@ -6,14 +6,16 @@
 //!
 //! Re-exports the whole stack under one roof:
 //!
-//! * [`types`] — node ids, destination sets, addresses, MOSI states.
+//! * [`types`] — node ids, destination sets, addresses, block owners, and
+//!   the shared set-associative store.
 //! * [`trace`] — synthetic commercial-workload coherence trace generators.
 //! * [`coherence`] — global MOSI tracking, miss classification, and
 //!   multicast-snooping sufficiency checking.
 //! * [`predictors`] — **the paper's contribution**: the destination-set
 //!   predictor framework and the Owner, Broadcast-If-Shared, Group,
 //!   Owner/Group, and Sticky-Spatial policies.
-//! * [`cache`] — set-associative cache models.
+//! * [`cache`] — the L2 presence model (coherence state lives in the
+//!   tracker).
 //! * [`interconnect`] — totally ordered crossbar with contention.
 //! * [`sim`] — discrete-event timing simulation of the three protocols.
 //! * [`analysis`] — workload characterization and the latency/bandwidth
@@ -65,7 +67,7 @@ pub mod prelude {
     pub use dsp_sim::{CpuModel, ProtocolKind, SimConfig, System, TargetSystem};
     pub use dsp_trace::{TraceRecord, Workload, WorkloadSpec};
     pub use dsp_types::{
-        AccessKind, Address, BlockAddr, DestSet, LineState, MacroblockAddr, NodeId, Owner, Pc,
-        ReqType, SystemConfig,
+        AccessKind, Address, BlockAddr, DestSet, MacroblockAddr, NodeId, Owner, Pc, ReqType,
+        SystemConfig,
     };
 }
